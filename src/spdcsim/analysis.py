@@ -7,13 +7,14 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
+from .elements import expand_crystal, relabel_terms
 from .experiment import Experiment, run
-from .fock import ModeLabel, StateVector
+from .fock import ModeLabel, Occupation, StateVector, occupation_photons
 
 #: Singular values below this count as zero when ranking reduced states.
 SRV_TOLERANCE = 1e-10
@@ -190,111 +191,17 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     factorials and the returned ratio is an exact fraction.  Elements
     that introduce irrational amplitudes fall back to a float ratio.
     """
-    n = len(exp.detectors)
     if all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements):
-        return _efficiency_exact(exp, n)
-    full = run(replace(exp, creation_only=True))
-    total = 0.0
-    valid = 0.0
+        weighted = _monomial_weights(exp)
+    else:
+        full = run(replace(exp, creation_only=True))
+        weighted = ((occ, abs(amp) ** 2) for occ, amp in full.terms.items())
+    n = len(exp.detectors)
     wanted = {p: 1 for p in exp.detectors}
-    for occ, amp in full.terms.items():
-        photons = sum(count for label, count in occ if not label.is_loss())
-        if photons != n:
+    total = valid = 0
+    for occ, weight in weighted:
+        if occupation_photons(occ, include_loss=False) != n:
             continue
-        weight = abs(amp) ** 2
-        total += weight
-        counts: dict[str, int] = {}
-        for label, cnt in occ:
-            counts[label.path] = counts.get(label.path, 0) + cnt
-        if counts == wanted:
-            valid += weight
-    if total == 0.0:
-        raise ValueError(f"no {n}-photon component in the experiment output")
-    return valid / total
-
-
-def _efficiency_exact(exp: Experiment, n: int) -> Fraction:
-    """Pure emission expansion over raising-operator monomials.
-
-    A term maps a canonical occupation to the rational coefficient of
-    ``prod a_dag^n |vac>``; its squared norm is ``coeff^2 * prod n!``.
-    Raising leaves coefficients untouched and path merges just add
-    exponents, so everything stays rational.
-    """
-    budget = exp.pair_budget
-    limit = 2 * budget
-    state: dict[tuple, Fraction] = {(): Fraction(1)}
-
-    def emit(terms: dict, pairs: list[tuple[ModeLabel, ModeLabel]]) -> dict:
-        out: dict[tuple, Fraction] = {}
-        for occ, coeff in terms.items():
-            for label_a, label_b in pairs:
-                counts = dict(occ)
-                counts[label_a] = counts.get(label_a, 0) + 1
-                counts[label_b] = counts.get(label_b, 0) + 1
-                key = tuple(sorted(counts.items()))
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return out
-
-    for element in exp.elements:
-        if isinstance(element, (Crystal, MultimodeCrystal)):
-            if isinstance(element, Crystal):
-                pairs = [(element.out_a, element.out_b)]
-                order = element.order if element.order is not None else exp.expansion_order
-            else:
-                pairs = [
-                    (ModeLabel(element.path_a, m), ModeLabel(element.path_b, m))
-                    for m in element.modes
-                ]
-                order = element.order if element.order is not None else exp.expansion_order
-            g = Fraction(element.g)
-            result = dict(state)
-            power = state
-            coeff = Fraction(1)
-            for k in range(1, order + 1):
-                power = emit(power, pairs)
-                coeff *= g / k
-                for occ, value in power.items():
-                    result[occ] = result.get(occ, Fraction(0)) + value * coeff
-            state = {
-                occ: value
-                for occ, value in result.items()
-                if sum(cnt for _, cnt in occ) <= limit and value != 0
-            }
-        elif isinstance(element, ModeShifter):
-            moved: dict[tuple, Fraction] = {}
-            for occ, value in state.items():
-                counts = {
-                    (ModeLabel(l.path, l.mode + element.delta) if l.path == element.path else l): c
-                    for l, c in occ
-                }
-                key = tuple(sorted(counts.items()))
-                moved[key] = moved.get(key, Fraction(0)) + value
-            state = moved
-        elif isinstance(element, Relabel):
-            merged: dict[tuple, Fraction] = {}
-            for occ, value in state.items():
-                counts: dict[ModeLabel, int] = {}
-                for l, c in occ:
-                    key_label = ModeLabel(element.target, l.mode) if l.path == element.source else l
-                    counts[key_label] = counts.get(key_label, 0) + c
-                key = tuple(sorted(counts.items()))
-                merged[key] = merged.get(key, Fraction(0)) + value
-            state = merged
-        else:  # pragma: no cover - guarded by the caller
-            raise TypeError(f"element {element!r} is not rational-safe")
-
-    total = Fraction(0)
-    valid = Fraction(0)
-    wanted = {p: 1 for p in exp.detectors}
-    for occ, coeff in state.items():
-        photons = sum(cnt for _, cnt in occ)
-        if photons != n:
-            continue
-        enhancement = 1
-        for _, cnt in occ:
-            enhancement *= math.factorial(cnt)
-        weight = coeff * coeff * enhancement
         total += weight
         counts: dict[str, int] = {}
         for label, cnt in occ:
@@ -304,6 +211,36 @@ def _efficiency_exact(exp: Experiment, n: int) -> Fraction:
     if total == 0:
         raise ValueError(f"no {n}-photon component in the experiment output")
     return valid / total
+
+
+def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, Fraction]]:
+    """Exact squared norms of the pure emission expansion's terms.
+
+    Runs the element code in the monomial convention: a term maps a
+    canonical occupation to the rational coefficient of
+    ``prod a_dag^n |vac>``, so its squared norm is ``coeff^2 * prod n!``.
+    """
+    limit = 2 * exp.pair_budget
+    terms: dict[Occupation, Fraction] = {(): Fraction(1)}
+    for element in exp.elements:
+        if isinstance(element, (Crystal, MultimodeCrystal)):
+            terms = expand_crystal(
+                terms,
+                element,
+                Fraction(element.g),
+                default_order=exp.expansion_order,
+                creation_only=True,
+                bosonic=False,
+            )
+            terms = {
+                occ: coeff
+                for occ, coeff in terms.items()
+                if coeff and occupation_photons(occ) <= limit
+            }
+        else:
+            terms = relabel_terms(terms, element, bosonic=False)
+    for occ, coeff in terms.items():
+        yield occ, coeff * coeff * math.prod(math.factorial(cnt) for _, cnt in occ)
 
 
 def efficiency_report(n: int, d: int, *, simulate: Experiment | None = None) -> EfficiencyReport:

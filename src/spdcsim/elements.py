@@ -17,9 +17,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Any, Mapping, Union
 
 from .fock import LOSS_PREFIX, ModeLabel, Occupation, StateVector, loss_path, make_occupation
+from .fock import apply_pair_generator
 
 #: Couplings above this trip a warning: the perturbative picture degrades.
 G_WARN = 0.2
@@ -127,82 +128,94 @@ Element = Union[Crystal, MultimodeCrystal, ModeShifter, PhaseShifter, Misalignme
 # -- pair sources ---------------------------------------------------------
 
 
-def _apply_pair_generator(
-    state: StateVector,
-    pairs: list[tuple[ModeLabel, ModeLabel]],
-    *,
-    creation_only: bool,
-) -> StateVector:
-    """Apply ``D = sum_pairs (a^dag a^dag - a a)`` once."""
-    out = StateVector.zero()
-    for label_a, label_b in pairs:
-        out = out + state.create(label_a).create(label_b)
-        if not creation_only:
-            out = out - state.annihilate(label_a).annihilate(label_b)
-    return out
+def crystal_pairs(crystal: Crystal | MultimodeCrystal) -> list[tuple[ModeLabel, ModeLabel]]:
+    """The ``(A, B)`` label pairs summed in a source's generator ``D``."""
+    if isinstance(crystal, Crystal):
+        return [(crystal.out_a, crystal.out_b)]
+    return [(ModeLabel(crystal.path_a, m), ModeLabel(crystal.path_b, m)) for m in crystal.modes]
 
 
-def _apply_expansion(
-    state: StateVector,
-    pairs: list[tuple[ModeLabel, ModeLabel]],
-    g: float,
-    order: int,
+def expand_crystal(
+    terms: Mapping[Occupation, Any],
+    crystal: Crystal | MultimodeCrystal,
+    g: Any,
     *,
-    creation_only: bool,
-) -> StateVector:
-    result = state
-    power = state
-    coeff = 1.0
+    default_order: int = 2,
+    creation_only: bool = False,
+    bosonic: bool = True,
+) -> dict[Occupation, Any]:
+    """``sum_k (g^k / k!) D^k`` applied to a coefficient dict, unpruned.
+
+    ``g`` is passed separately so exact callers can use a ``Fraction``;
+    ``bosonic`` selects the coefficient convention of
+    :func:`~spdcsim.fock.apply_pair_generator`.
+    """
+    pairs = crystal_pairs(crystal)
+    order = crystal.order if crystal.order is not None else default_order
+    result = dict(terms)
+    power = terms
+    coeff = 1
     for k in range(1, order + 1):
-        power = _apply_pair_generator(power, pairs, creation_only=creation_only)
-        coeff *= g / k
-        result = result + power * coeff
+        power = apply_pair_generator(power, pairs, creation_only=creation_only, bosonic=bosonic)
+        coeff = coeff * g / k
+        for occ, amp in power.items():
+            result[occ] = result.get(occ, 0) + amp * coeff
     return result
 
 
 def apply_crystal(
     state: StateVector,
-    crystal: Crystal,
+    crystal: Crystal | MultimodeCrystal,
     *,
     default_order: int = 2,
     creation_only: bool = False,
 ) -> StateVector:
-    order = crystal.order if crystal.order is not None else default_order
-    return _apply_expansion(
-        state, [(crystal.out_a, crystal.out_b)], crystal.g, order, creation_only=creation_only
+    """Apply a single- or multimode pair source; prunes once, at the end."""
+    return StateVector(
+        expand_crystal(
+            state.terms, crystal, crystal.g, default_order=default_order, creation_only=creation_only
+        )
     )
 
 
-def apply_multimode_crystal(
-    state: StateVector,
-    crystal: MultimodeCrystal,
-    *,
-    default_order: int = 2,
-    creation_only: bool = False,
-) -> StateVector:
-    pairs = [
-        (ModeLabel(crystal.path_a, m), ModeLabel(crystal.path_b, m))
-        for m in crystal.modes
-    ]
-    order = crystal.order if crystal.order is not None else default_order
-    return _apply_expansion(state, pairs, crystal.g, order, creation_only=creation_only)
+apply_multimode_crystal = apply_crystal
 
 
 # -- passive elements -------------------------------------------------------
 
 
+def relabel_terms(
+    terms: Mapping[Occupation, Any], element: ModeShifter | Relabel, *, bosonic: bool = True
+) -> dict[Occupation, Any]:
+    """Move the labels of a mode shift or a path merge on a coefficient dict.
+
+    Merging ``n`` and ``m`` photons in one mode multiplies a bosonic
+    amplitude by ``sqrt((n+m)! / (n! m!))``, as if the merged term were
+    rebuilt from raising operators; a monomial coefficient is unchanged.
+    """
+    if isinstance(element, ModeShifter):
+        source, delta, target = element.path, element.delta, element.path
+    else:
+        source, delta, target = element.source, 0, element.target
+    out: dict[Occupation, Any] = {}
+    for occ, amp in terms.items():
+        counts: dict[ModeLabel, int] = {}
+        for label, n in occ:
+            if label.path == source:
+                label = ModeLabel(target, label.mode + delta)
+            already = counts.get(label, 0)
+            if already and bosonic:
+                amp = amp * math.sqrt(math.comb(already + n, n))
+            counts[label] = already + n
+        key = tuple(sorted(counts.items()))
+        out[key] = out.get(key, 0) + amp
+    return out
+
+
 def apply_mode_shift(state: StateVector, shifter: ModeShifter) -> StateVector:
     if shifter.delta == 0:
         return state
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        counts = {
-            (ModeLabel(label.path, label.mode + shifter.delta) if label.path == shifter.path else label): n
-            for label, n in occ
-        }
-        key = make_occupation(counts)
-        out[key] = out.get(key, 0j) + amp
-    return StateVector(out, pair_order=state.pair_order)
+    return StateVector(relabel_terms(state.terms, shifter))
 
 
 def apply_phase_shift(state: StateVector, shifter: PhaseShifter) -> StateVector:
@@ -210,7 +223,7 @@ def apply_phase_shift(state: StateVector, shifter: PhaseShifter) -> StateVector:
     for occ, amp in state.terms.items():
         n = sum(count for label, count in occ if label.path == shifter.path)
         out[occ] = amp * cmath.exp(1j * shifter.phi * n)
-    return StateVector(out, pair_order=state.pair_order)
+    return StateVector(out)
 
 
 def apply_misalignment(state: StateVector, mis: Misalignment) -> StateVector:
@@ -247,7 +260,7 @@ def apply_misalignment(state: StateVector, mis: Misalignment) -> StateVector:
         for counts, value in branches:
             key = make_occupation(counts)
             out[key] = out.get(key, 0j) + value
-    return StateVector(out, pair_order=state.pair_order)
+    return StateVector(out)
 
 
 def _fresh_loss_path(state: StateVector) -> str:
@@ -268,21 +281,7 @@ def apply_relabel(state: StateVector, relabel: Relabel) -> StateVector:
     """
     if relabel.source == relabel.target:
         return state
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        counts: dict[ModeLabel, int] = {}
-        factor = 1.0
-        for label, n in sorted(occ, key=lambda item: item[0].path != relabel.source):
-            moved = ModeLabel(relabel.target, label.mode) if label.path == relabel.source else label
-            already = counts.get(moved, 0)
-            if already:
-                factor *= math.sqrt(
-                    math.comb(already + n, n)
-                )
-            counts[moved] = already + n
-        key = make_occupation(counts)
-        out[key] = out.get(key, 0j) + amp * factor
-    return StateVector(out, pair_order=state.pair_order)
+    return StateVector(relabel_terms(state.terms, relabel))
 
 
 def apply_element(
@@ -293,12 +292,8 @@ def apply_element(
     creation_only: bool = False,
 ) -> StateVector:
     """Dispatch one element application."""
-    if isinstance(element, Crystal):
+    if isinstance(element, (Crystal, MultimodeCrystal)):
         return apply_crystal(state, element, default_order=default_order, creation_only=creation_only)
-    if isinstance(element, MultimodeCrystal):
-        return apply_multimode_crystal(
-            state, element, default_order=default_order, creation_only=creation_only
-        )
     if isinstance(element, ModeShifter):
         return apply_mode_shift(state, element)
     if isinstance(element, PhaseShifter):

@@ -6,11 +6,17 @@ to a complex amplitude.  Amplitudes use the normalized number-state
 convention, so raising and lowering carry the usual square-root factors:
 raising an occupation ``n`` multiplies the amplitude by ``sqrt(n + 1)``,
 lowering by ``sqrt(n)``.
+
+The pair-generator kernel :func:`apply_pair_generator` also works on
+plain coefficient dicts in the monomial convention, where a term stands
+for ``prod a_dag^n |vac>`` and raising leaves the coefficient unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
 #: Amplitudes at or below this magnitude are dropped from sparse states.
@@ -48,6 +54,9 @@ def loss_path(index: int) -> str:
 Occupation = tuple[tuple[ModeLabel, int], ...]
 
 
+_count = itemgetter(1)
+
+
 def make_occupation(counts: Mapping[ModeLabel, int]) -> Occupation:
     """Build a canonical occupation tuple, dropping zero entries."""
     items = [(label, n) for label, n in counts.items() if n != 0]
@@ -57,9 +66,73 @@ def make_occupation(counts: Mapping[ModeLabel, int]) -> Occupation:
     return tuple(sorted(items))
 
 
+def raise_occupation(occ: Occupation, label: ModeLabel) -> tuple[Occupation, int]:
+    """Splice one more photon at ``label`` into ``occ``; returns the new
+    pattern and the count at ``label`` after raising."""
+    i = bisect_left(occ, (label,))
+    if i < len(occ) and occ[i][0] == label:
+        n = occ[i][1] + 1
+        return occ[:i] + ((label, n),) + occ[i + 1 :], n
+    return occ[:i] + ((label, 1),) + occ[i:], 1
+
+
+def lower_occupation(occ: Occupation, label: ModeLabel) -> tuple[Occupation, int] | None:
+    """Splice one photon at ``label`` out of ``occ``; returns the new
+    pattern and the count at ``label`` before lowering, or ``None`` when
+    ``label`` is empty."""
+    i = bisect_left(occ, (label,))
+    if i == len(occ) or occ[i][0] != label:
+        return None
+    n = occ[i][1]
+    if n == 1:
+        return occ[:i] + occ[i + 1 :], 1
+    return occ[:i] + ((label, n - 1),) + occ[i + 1 :], n
+
+
+def apply_pair_generator(
+    terms: Mapping[Occupation, object],
+    pairs: list[tuple[ModeLabel, ModeLabel]],
+    *,
+    creation_only: bool = False,
+    bosonic: bool = True,
+) -> dict[Occupation, object]:
+    """Apply ``D = sum_pairs (a^dag_A a^dag_B - a_A a_B)`` once to a
+    coefficient dict, in one pass and without pruning.
+
+    Bosonic convention: raising to ``n`` and lowering from ``n`` both
+    multiply by ``sqrt(n)``.  Monomial convention (``bosonic=False``):
+    raising multiplies by 1 and lowering from ``n`` by ``n``, so
+    ``Fraction`` coefficients stay exact.
+    """
+    out: dict[Occupation, object] = {}
+    get = out.get
+    sqrt = math.sqrt
+    for occ, amp in terms.items():
+        for label_a, label_b in pairs:
+            raised, na = raise_occupation(occ, label_a)
+            raised, nb = raise_occupation(raised, label_b)
+            value = amp * sqrt(na * nb) if bosonic else amp
+            out[raised] = get(raised, 0) + value
+            if creation_only:
+                continue
+            first = lower_occupation(occ, label_a)
+            if first is None:
+                continue
+            second = lower_occupation(first[0], label_b)
+            if second is None:
+                continue
+            lowered, nb = second
+            na = first[1]
+            value = amp * sqrt(na * nb) if bosonic else amp * (na * nb)
+            out[lowered] = get(lowered, 0) - value
+    return out
+
+
 def occupation_photons(occ: Occupation, *, include_loss: bool = True) -> int:
     """Total photon count of a pattern, optionally ignoring loss paths."""
-    return sum(n for label, n in occ if include_loss or not label.is_loss())
+    if include_loss:
+        return sum(map(_count, occ))
+    return sum(n for label, n in occ if not label.is_loss())
 
 
 class StateVector:
@@ -70,14 +143,9 @@ class StateVector:
     ``PRUNE_EPSILON`` are dropped on construction.
     """
 
-    __slots__ = ("terms", "pair_order")
+    __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Occupation, complex] | None = None,
-        *,
-        pair_order: int | None = None,
-    ):
+    def __init__(self, terms: Mapping[Occupation, complex] | None = None):
         cleaned: dict[Occupation, complex] = {}
         if terms:
             for occ, amp in terms.items():
@@ -85,7 +153,6 @@ class StateVector:
                 if abs(amp) > PRUNE_EPSILON:
                     cleaned[occ] = amp
         self.terms = cleaned
-        self.pair_order = pair_order
 
     # -- constructors ---------------------------------------------------
 
@@ -138,8 +205,7 @@ class StateVector:
         merged = dict(self.terms)
         for occ, amp in other.terms.items():
             merged[occ] = merged.get(occ, 0j) + amp
-        order = self.pair_order if self.pair_order == other.pair_order else None
-        return StateVector(merged, pair_order=order)
+        return StateVector(merged)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (other * -1.0)
@@ -148,10 +214,7 @@ class StateVector:
         if isinstance(scalar, StateVector):
             return NotImplemented
         c = complex(scalar)
-        return StateVector(
-            {occ: amp * c for occ, amp in self.terms.items()},
-            pair_order=self.pair_order,
-        )
+        return StateVector({occ: amp * c for occ, amp in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -164,24 +227,18 @@ class StateVector:
         """Raise the occupation at ``label`` on every term."""
         out: dict[Occupation, complex] = {}
         for occ, amp in self.terms.items():
-            counts = dict(occ)
-            n = counts.get(label, 0)
-            counts[label] = n + 1
-            key = make_occupation(counts)
-            out[key] = out.get(key, 0j) + amp * math.sqrt(n + 1)
+            key, n = raise_occupation(occ, label)
+            out[key] = out.get(key, 0j) + amp * math.sqrt(n)
         return StateVector(out)
 
     def annihilate(self, label: ModeLabel) -> "StateVector":
         """Lower the occupation at ``label``; terms without it vanish."""
         out: dict[Occupation, complex] = {}
         for occ, amp in self.terms.items():
-            counts = dict(occ)
-            n = counts.get(label, 0)
-            if n == 0:
-                continue
-            counts[label] = n - 1
-            key = make_occupation(counts)
-            out[key] = out.get(key, 0j) + amp * math.sqrt(n)
+            lowered = lower_occupation(occ, label)
+            if lowered is not None:
+                key, n = lowered
+                out[key] = out.get(key, 0j) + amp * math.sqrt(n)
         return StateVector(out)
 
     # -- metric ------------------------------------------------------------
@@ -219,7 +276,7 @@ class StateVector:
             for occ, amp in self.terms.items()
             if occupation_photons(occ) <= limit
         }
-        return StateVector(kept, pair_order=max_pairs)
+        return StateVector(kept)
 
     def photon_sector(self, n: int, *, include_loss: bool = True) -> "StateVector":
         """Sub-state whose terms hold exactly ``n`` photons."""
@@ -228,7 +285,7 @@ class StateVector:
             for occ, amp in self.terms.items()
             if occupation_photons(occ, include_loss=include_loss) == n
         }
-        return StateVector(kept, pair_order=self.pair_order)
+        return StateVector(kept)
 
     # -- serialization -------------------------------------------------------
 
