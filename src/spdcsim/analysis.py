@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .elements import expand_crystal, relabel_terms
+from .elements import crystal_order, expand_crystal, relabel_terms
 from .experiment import Experiment, run
 from .fock import ModeLabel, Occupation, StateVector, occupation_photons
 
@@ -186,12 +186,14 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     The experiment is evaluated in the pure emission expansion, whose
     amplitudes are exact monomials in the couplings.  When the element
     list allows it (crystals, mode shifters, relabelings) the expansion
-    is carried out in raising-operator monomial form with exact rational
-    coefficients, so the double-emission enhancement factors are integer
-    factorials and the returned ratio is an exact fraction.  Elements
-    that introduce irrational amplitudes fall back to a float ratio.
+    is carried out in raising-operator monomial form with integer
+    coefficients (:func:`_monomial_weights`), so the double-emission
+    enhancement factors are integer factorials and the returned ratio is
+    an exact fraction.  Elements that introduce irrational amplitudes
+    fall back to a float ratio.
     """
-    if all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements):
+    exact = all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements)
+    if exact:
         weighted = _monomial_weights(exp)
     else:
         full = run(replace(exp, creation_only=True))
@@ -210,33 +212,34 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
             valid += weight
     if total == 0:
         raise ValueError(f"no {n}-photon component in the experiment output")
-    return valid / total
+    return Fraction(valid, total) if exact else valid / total
 
 
-def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, Fraction]]:
-    """Exact squared norms of the pure emission expansion's terms.
+def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
+    """Squared norms of the pure emission expansion's terms, all scaled
+    by one common positive integer.
 
     Runs the element code in the monomial convention: a term maps a
-    canonical occupation to the rational coefficient of
-    ``prod a_dag^n |vac>``, so its squared norm is ``coeff^2 * prod n!``.
+    canonical occupation to the coefficient of ``prod a_dag^n |vac>``,
+    so its squared norm is ``coeff^2 * prod n!``.  A crystal of coupling
+    ``g = p / q`` and order ``N`` is expanded as ``q^N N!`` times its
+    series, with integer weights ``p^k q^(N-k) N! / k!``, so every
+    coefficient stays an integer; a ratio of weights does not depend on
+    the common scale.
     """
     limit = 2 * exp.pair_budget
-    terms: dict[Occupation, Fraction] = {(): Fraction(1)}
+    terms: dict[Occupation, int] = {(): 1}
     for element in exp.elements:
         if isinstance(element, (Crystal, MultimodeCrystal)):
+            order = crystal_order(element, exp.expansion_order)
+            p, q = element.g.as_integer_ratio()
+            weights = [
+                p**k * q ** (order - k) * (math.factorial(order) // math.factorial(k))
+                for k in range(order + 1)
+            ]
             terms = expand_crystal(
-                terms,
-                element,
-                Fraction(element.g),
-                default_order=exp.expansion_order,
-                creation_only=True,
-                bosonic=False,
+                terms, element, weights, creation_only=True, bosonic=False, limit=limit
             )
-            terms = {
-                occ: coeff
-                for occ, coeff in terms.items()
-                if coeff and occupation_photons(occ) <= limit
-            }
         else:
             terms = relabel_terms(terms, element, bosonic=False)
     for occ, coeff in terms.items():

@@ -291,7 +291,15 @@ def _format_float(value: float) -> str:
 
 
 def serialize(exp: Experiment) -> str:
-    """Canonical text for an experiment; parsing it back is the identity."""
+    """Canonical text for an experiment; parsing it back is the identity.
+
+    Raises ``ValueError`` naming the field when the experiment sets one
+    the language cannot express (a per-crystal ``order``, an explicit
+    misalignment ``loss`` path, ``creation_only``), rather than writing
+    text that parses to a different experiment.
+    """
+    if exp.creation_only:
+        raise ValueError("cannot serialize creation_only=True: the language has no statement for it")
     lines = []
     if exp.expansion_order != 2:
         lines.append(f"order {exp.expansion_order}")
@@ -299,6 +307,10 @@ def serialize(exp: Experiment) -> str:
         lines.append(f"pairs {exp.max_pairs}")
     lines.append("detectors " + " ".join(exp.detectors))
     for element in exp.elements:
+        if isinstance(element, (Crystal, MultimodeCrystal)) and element.order is not None:
+            raise ValueError(f"cannot serialize the order field of {element!r}")
+        if isinstance(element, Misalignment) and element.loss is not None:
+            raise ValueError(f"cannot serialize the loss field of {element!r}")
         if isinstance(element, Crystal):
             line = (
                 f"crystal {element.out_a.path}:{element.out_a.mode}"

@@ -17,10 +17,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Sequence, Union
 
 from .fock import LOSS_PREFIX, ModeLabel, Occupation, StateVector, loss_path, make_occupation
-from .fock import apply_pair_generator
+from .fock import apply_pair_generator, occupation_photons
 
 #: Couplings above this trip a warning: the perturbative picture degrades.
 G_WARN = 0.2
@@ -135,31 +135,67 @@ def crystal_pairs(crystal: Crystal | MultimodeCrystal) -> list[tuple[ModeLabel, 
     return [(ModeLabel(crystal.path_a, m), ModeLabel(crystal.path_b, m)) for m in crystal.modes]
 
 
+def crystal_order(crystal: Crystal | MultimodeCrystal, default_order: int) -> int:
+    """The series order of a source: its own, else the experiment's."""
+    return crystal.order if crystal.order is not None else default_order
+
+
+def taylor_weights(g: float, order: int) -> list[float]:
+    """The float series coefficients ``g^k / k!`` for ``k = 0..order``."""
+    weights = [1.0]
+    coeff = 1.0
+    for k in range(1, order + 1):
+        coeff = coeff * g / k
+        weights.append(coeff)
+    return weights
+
+
 def expand_crystal(
     terms: Mapping[Occupation, Any],
     crystal: Crystal | MultimodeCrystal,
-    g: Any,
+    weights: Sequence[Any],
     *,
-    default_order: int = 2,
     creation_only: bool = False,
     bosonic: bool = True,
+    limit: int | None = None,
 ) -> dict[Occupation, Any]:
-    """``sum_k (g^k / k!) D^k`` applied to a coefficient dict, unpruned.
+    """``sum_k weights[k] D^k`` applied to a coefficient dict, unpruned.
 
-    ``g`` is passed separately so exact callers can use a ``Fraction``;
-    ``bosonic`` selects the coefficient convention of
+    The series order is ``len(weights) - 1``; the float engine passes
+    :func:`taylor_weights`, the exact efficiency integers scaled by a
+    common factor.  ``bosonic`` selects the coefficient convention of
     :func:`~spdcsim.fock.apply_pair_generator`.
+
+    With ``limit``, only terms of at most ``limit`` photons are returned,
+    and terms are not generated when no later step can bring their
+    descendants back to the limit: ``D`` moves the photon count by
+    exactly 2, so before the k-th step a term above ``limit - 2``
+    (emission only) or ``limit + 2 (order - k + 1)`` (with lowering) is
+    dropped.  The result equals the uncut expansion filtered to
+    ``limit``, with the same coefficients.
     """
     pairs = crystal_pairs(crystal)
-    order = crystal.order if crystal.order is not None else default_order
-    result = dict(terms)
+    order = len(weights) - 1
+    scale = weights[0]
+    result = dict(terms) if scale == 1 else {occ: amp * scale for occ, amp in terms.items()}
     power = terms
-    coeff = 1
+    if limit is not None:
+        # ``top`` bounds the photon count of ``power``'s terms, ``reach`` that of ``result``'s.
+        top = reach = max(map(occupation_photons, terms), default=0)
     for k in range(1, order + 1):
+        if limit is not None:
+            cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
+            if top > cap:
+                power = {occ: amp for occ, amp in power.items() if occupation_photons(occ) <= cap}
+                top = cap
+            top += 2
+            reach = max(reach, top)
         power = apply_pair_generator(power, pairs, creation_only=creation_only, bosonic=bosonic)
-        coeff = coeff * g / k
+        coeff = weights[k]
         for occ, amp in power.items():
             result[occ] = result.get(occ, 0) + amp * coeff
+    if limit is not None and reach > limit:
+        result = {occ: amp for occ, amp in result.items() if occupation_photons(occ) <= limit}
     return result
 
 
@@ -169,12 +205,13 @@ def apply_crystal(
     *,
     default_order: int = 2,
     creation_only: bool = False,
+    limit: int | None = None,
 ) -> StateVector:
-    """Apply a single- or multimode pair source; prunes once, at the end."""
+    """Apply a single- or multimode pair source, keeping terms of at most
+    ``limit`` photons when given; prunes once, at the end."""
+    weights = taylor_weights(crystal.g, crystal_order(crystal, default_order))
     return StateVector(
-        expand_crystal(
-            state.terms, crystal, crystal.g, default_order=default_order, creation_only=creation_only
-        )
+        expand_crystal(state.terms, crystal, weights, creation_only=creation_only, limit=limit)
     )
 
 
@@ -290,10 +327,13 @@ def apply_element(
     *,
     default_order: int = 2,
     creation_only: bool = False,
+    limit: int | None = None,
 ) -> StateVector:
-    """Dispatch one element application."""
+    """Dispatch one element application; ``limit`` caps a source's photons."""
     if isinstance(element, (Crystal, MultimodeCrystal)):
-        return apply_crystal(state, element, default_order=default_order, creation_only=creation_only)
+        return apply_crystal(
+            state, element, default_order=default_order, creation_only=creation_only, limit=limit
+        )
     if isinstance(element, ModeShifter):
         return apply_mode_shift(state, element)
     if isinstance(element, PhaseShifter):

@@ -10,7 +10,10 @@ from .elements import (
     Crystal,
     Element,
     Misalignment,
+    ModeShifter,
     MultimodeCrystal,
+    PhaseShifter,
+    Relabel,
     apply_element,
     crystal_pairs,
     resolve_loss_paths,
@@ -65,6 +68,15 @@ class UndeclaredPathError(ValueError):
     """Raised in strict mode when an element references an unknown path."""
 
 
+#: The path-valued fields of each passive element kind.
+_PATH_FIELDS = {
+    ModeShifter: ("path",),
+    PhaseShifter: ("path",),
+    Misalignment: ("path",),
+    Relabel: ("source", "target"),
+}
+
+
 def validate_paths(exp: Experiment) -> None:
     """Check that passive elements only touch paths that can carry light."""
     known = set(exp.detectors)
@@ -72,13 +84,9 @@ def validate_paths(exp: Experiment) -> None:
         if isinstance(element, (Crystal, MultimodeCrystal)):
             known.update(label.path for pair in crystal_pairs(element) for label in pair)
     for element in exp.elements:
-        referenced: set[str] = set()
         if isinstance(element, (Crystal, MultimodeCrystal)):
             continue
-        if hasattr(element, "path"):
-            referenced.add(element.path)
-        else:
-            referenced.update({element.source, element.target})
+        referenced = {getattr(element, field) for field in _PATH_FIELDS[type(element)]}
         unknown = {p for p in referenced if p not in known and not p.startswith(LOSS_PREFIX)}
         if unknown:
             raise UndeclaredPathError(
@@ -87,22 +95,26 @@ def validate_paths(exp: Experiment) -> None:
 
 
 def run(exp: Experiment, *, strict: bool = False) -> StateVector:
-    """Apply the element list to vacuum, truncating after each source.
+    """Apply the element list to vacuum, cutting each source's output to
+    the pair budget.
 
-    Terms holding more than ``2 * pair_budget`` photons are dropped after
-    every crystal.  This is an approximation, not an exact cut: a
-    dropped term, lowered by a later crystal's ``a a`` part, would have
-    re-entered the n-photon sector at order ``g^(n/2 + 2)``, so some
-    corrections of that order are kept and others lost.  Raising the
-    budget by one pair moves ``asym_rank422_triggered.exp`` by
-    ``1 - F = 2.32e-4`` and its success weight by +0.96%; the other
-    corpus files with a non-empty selection do not move
-    (``tests/test_truncation.py``).  With ``creation_only`` nothing is
-    lowered and the cut is exact.
+    Every crystal keeps only terms of at most ``2 * pair_budget``
+    photons; the cut is made inside the expansion, which never generates
+    terms that could only end above it (``elements.expand_crystal``).
+    Where it is made changes nothing: the result equals the full
+    expansion truncated after each crystal, and that truncation is an
+    approximation, not an exact cut.  A dropped term, lowered by a later
+    crystal's ``a a`` part, would have re-entered the n-photon sector at
+    order ``g^(n/2 + 2)``, so some corrections of that order are kept
+    and others lost.  Raising the budget by one pair moves
+    ``asym_rank422_triggered.exp`` by ``1 - F = 2.32e-4`` and its
+    success weight by +0.96%; the other corpus files with a non-empty
+    selection do not move (``tests/test_truncation.py``).  With
+    ``creation_only`` nothing is lowered and the cut is exact.
     """
     if strict:
         validate_paths(exp)
-    budget = exp.pair_budget
+    limit = 2 * exp.pair_budget
     state = vacuum()
     for element in resolve_loss_paths(exp.elements):
         state = apply_element(
@@ -110,9 +122,8 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
             element,
             default_order=exp.expansion_order,
             creation_only=exp.creation_only,
+            limit=limit,
         )
-        if isinstance(element, (Crystal, MultimodeCrystal)):
-            state = state.truncate_pairs(budget)
     return state
 
 

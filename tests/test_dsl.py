@@ -133,6 +133,37 @@ def test_serialize_of_bare_experiment_is_two_lines():
     assert dsl.serialize(exp) == "pairs 1\ndetectors a b\n"
 
 
+@pytest.mark.parametrize(
+    "crystal",
+    [
+        Crystal(label("a:0"), label("b:0"), order=3),
+        MultimodeCrystal("a", "b", modes=(0, 1), order=3),
+    ],
+    ids=["single", "multimode"],
+)
+def test_serialize_rejects_per_crystal_order(crystal):
+    exp = Experiment(elements=(crystal,), detectors=("a", "b"))
+    with pytest.raises(ValueError, match="the order field"):
+        dsl.serialize(exp)
+
+
+def test_serialize_rejects_creation_only():
+    exp = Experiment(
+        elements=(Crystal(label("a:0"), label("b:0")),), detectors=("a", "b"), creation_only=True
+    )
+    with pytest.raises(ValueError, match="creation_only"):
+        dsl.serialize(exp)
+
+
+def test_serialize_rejects_explicit_loss_path():
+    exp = Experiment(
+        elements=(Crystal(label("a:0"), label("b:0")), Misalignment("a", 0.9, loss="loss#0")),
+        detectors=("a", "b"),
+    )
+    with pytest.raises(ValueError, match="the loss field"):
+        dsl.serialize(exp)
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_corpus_round_trip_idempotence(path):
     exp = dsl.parse(path.read_text())

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim.analysis import efficiency_simulated, ghz_layout
+from spdcsim.elements import Crystal, MultimodeCrystal, expand_crystal, taylor_weights
 from spdcsim.fock import (
     ModeLabel,
     StateVector,
     apply_pair_generator,
     lower_occupation,
     make_occupation,
+    occupation_photons,
     raise_occupation,
 )
 
@@ -127,3 +129,61 @@ def test_monomial_convention_gives_ladder_fractions(n, d, expected):
     value = efficiency_simulated(ghz_layout(n, d))
     assert isinstance(value, Fraction)
     assert value == expected
+
+
+# -- the pair-budget cut inside the crystal expansion ----------------------
+
+couplings = st.floats(min_value=0.01, max_value=0.2)
+orders = st.integers(min_value=1, max_value=4)
+single_crystals = st.builds(Crystal, pair_labels, pair_labels, g=couplings, order=orders)
+multimode_crystals = st.builds(
+    MultimodeCrystal,
+    st.sampled_from("abcd"),
+    st.sampled_from("abcd"),
+    modes=st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3, unique=True).map(
+        tuple
+    ),
+    g=couplings,
+    order=orders,
+)
+crystals = st.one_of(single_crystals, multimode_crystals)
+
+
+def cut_to(terms, limit):
+    return {occ: c for occ, c in terms.items() if occupation_photons(occ) <= limit}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(), crystals, st.integers(min_value=0, max_value=6), st.booleans())
+def test_capped_float_expansion_equals_filtered_full_expansion(state, crystal, budget, creation_only):
+    weights = taylor_weights(crystal.g, crystal.order)
+    full = expand_crystal(state.terms, crystal, weights, creation_only=creation_only)
+    capped = expand_crystal(
+        state.terms, crystal, weights, creation_only=creation_only, limit=2 * budget
+    )
+    assert capped == cut_to(full, 2 * budget)
+
+
+integer_terms = st.dictionaries(
+    occupations, st.integers(min_value=-50, max_value=50).filter(bool), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    integer_terms,
+    crystals,
+    st.integers(min_value=0, max_value=6),
+    st.booleans(),
+    st.data(),
+)
+def test_capped_monomial_expansion_equals_filtered_full_expansion(
+    terms, crystal, budget, creation_only, data
+):
+    size = crystal.order + 1
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=size, max_size=size))
+    full = expand_crystal(terms, crystal, weights, creation_only=creation_only, bosonic=False)
+    capped = expand_crystal(
+        terms, crystal, weights, creation_only=creation_only, bosonic=False, limit=2 * budget
+    )
+    assert capped == cut_to(full, 2 * budget)
