@@ -12,12 +12,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .elements import crystal_order, expand_crystal, relabel_terms
-from .experiment import Experiment, run
-from .fock import ModeLabel, Occupation, StateVector, occupation_photons
+from .elements import expand_crystal, relabel_terms
+from .experiment import Experiment, coincidence_weights, run
+from .fock import ModeLabel, Occupation, StateVector
 
 #: Singular values below this count as zero when ranking reduced states.
 SRV_TOLERANCE = 1e-10
+#: Coupling of the strongest crystal of a :func:`two_photon_builder` chain.
+CHAIN_G = 0.1
 
 
 # -- target states -----------------------------------------------------------
@@ -85,12 +87,7 @@ class SchmidtRankVector:
         return tuple(sorted(self.ranks, reverse=True))
 
 
-def schmidt_rank_vector(
-    state: StateVector,
-    parties: Sequence[str],
-    *,
-    tolerance: float = SRV_TOLERANCE,
-) -> SchmidtRankVector:
+def schmidt_rank_vector(state: StateVector, parties: Sequence[str]) -> SchmidtRankVector:
     """Rank of each party's reduced density operator, party vs. the rest.
 
     Every term must put the same photon count in each party path (one
@@ -118,7 +115,7 @@ def schmidt_rank_vector(
         for i, j, amp in entries:
             matrix[i, j] += amp
         singular = np.linalg.svd(matrix, compute_uv=False)
-        ranks.append(int(np.sum(singular > tolerance)))
+        ranks.append(int(np.sum(singular > SRV_TOLERANCE)))
     return SchmidtRankVector(tuple(parties), tuple(ranks))
 
 
@@ -198,20 +195,9 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     else:
         full = run(replace(exp, creation_only=True))
         weighted = ((occ, abs(amp) ** 2) for occ, amp in full.terms.items())
-    n = len(exp.detectors)
-    wanted = {p: 1 for p in exp.detectors}
-    total = valid = 0
-    for occ, weight in weighted:
-        if occupation_photons(occ, include_loss=False) != n:
-            continue
-        total += weight
-        counts: dict[str, int] = {}
-        for label, cnt in occ:
-            counts[label.path] = counts.get(label.path, 0) + cnt
-        if counts == wanted:
-            valid += weight
+    valid, total = coincidence_weights(weighted, exp.detectors)
     if total == 0:
-        raise ValueError(f"no {n}-photon component in the experiment output")
+        raise ValueError(f"no {len(exp.detectors)}-photon component in the experiment output")
     return Fraction(valid, total) if exact else valid / total
 
 
@@ -228,10 +214,10 @@ def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
     the common scale.
     """
     limit = 2 * exp.pair_budget
+    order = exp.expansion_order
     terms: dict[Occupation, int] = {(): 1}
     for element in exp.elements:
         if isinstance(element, (Crystal, MultimodeCrystal)):
-            order = crystal_order(element, exp.expansion_order)
             p, q = element.g.as_integer_ratio()
             weights = [
                 p**k * q ** (order - k) * (math.factorial(order) // math.factorial(k))
@@ -303,18 +289,14 @@ def ghz_layout(n: int, d: int, *, g: float = 0.1, paths: Sequence[str] | None = 
     )
 
 
-def two_photon_builder(
-    coefficients: Sequence[complex],
-    *,
-    paths: tuple[str, str] = ("a", "b"),
-    g_scale: float = 0.1,
-) -> Experiment:
-    """Sequential crystal chain realizing ``sum_k c_k |k, k>`` on two paths.
+def two_photon_builder(coefficients: Sequence[complex]) -> Experiment:
+    """Sequential crystal chain realizing ``sum_k c_k |k, k>`` on paths a and b.
 
     One crystal per level, mode shifters of +1 on both paths between
-    crystals, per-crystal couplings set by the magnitudes, and a phase
-    shifter per segment accumulating the arguments.  The chain length is
-    the requested dimension, which is the minimum.
+    crystals, per-crystal couplings set by the magnitudes (the largest
+    at ``CHAIN_G``), and a phase shifter per segment accumulating the
+    arguments.  The chain length is the requested dimension, which is
+    the minimum.
     """
     coeffs = [complex(c) for c in coefficients]
     if len(coeffs) < 2:
@@ -326,9 +308,8 @@ def two_photon_builder(
     rotation = cmath.exp(-1j * cmath.phase(coeffs[0])) if coeffs[0] != 0 else 1.0
     coeffs = [c * rotation for c in coeffs]
     d = len(coeffs)
-    path_a, path_b = paths
-    label_a = ModeLabel(path_a, 0)
-    label_b = ModeLabel(path_b, 0)
+    label_a = ModeLabel("a", 0)
+    label_b = ModeLabel("b", 0)
     elements: list[Element] = []
     # Crystal j (applied j-th) ends at level d - j; segment phases are
     # differences of consecutive arguments so each level accumulates its own.
@@ -336,18 +317,18 @@ def two_photon_builder(
         level = d - 1 - j  # level written by this crystal
         magnitude = abs(coeffs[level])
         if magnitude > 0.0:
-            elements.append(Crystal(label_a, label_b, g=g_scale * magnitude / biggest))
+            elements.append(Crystal(label_a, label_b, g=CHAIN_G * magnitude / biggest))
         if level > 0:
             phase_step = cmath.phase(coeffs[level]) - cmath.phase(coeffs[level - 1])
             if phase_step:
-                elements.append(PhaseShifter(path_b, phase_step))
-            elements.append(ModeShifter(path_a, +1))
-            elements.append(ModeShifter(path_b, +1))
+                elements.append(PhaseShifter("b", phase_step))
+            elements.append(ModeShifter("a", +1))
+            elements.append(ModeShifter("b", +1))
     # At first order there are no closed-loop corrections, so the chain
     # amplitudes are the couplings themselves.
     return Experiment(
         elements=tuple(elements),
-        detectors=(path_a, path_b),
+        detectors=("a", "b"),
         max_pairs=1,
         expansion_order=1,
     )

@@ -55,11 +55,19 @@ def _print_state(state: StateVector, as_json: bool) -> None:
 
 
 def _target_state(spec: str) -> StateVector:
-    if spec.startswith("ghz:"):
-        _, n_text, d_text = spec.split(":", 2)
-        return analysis.ghz_target(int(n_text), int(d_text))
-    if spec.startswith("w:"):
-        return analysis.w_target(int(spec.split(":", 1)[1]))
+    kind, _, sizes = spec.partition(":")
+    if kind in ("ghz", "w"):
+        form = "ghz:<n>:<d>" if kind == "ghz" else "w:<n>"
+        try:
+            numbers = [int(text) for text in sizes.split(":")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != form.count(":"):
+            raise SystemExit(_usage_error(f"bad target {spec!r}: expected {form} with integers"))
+        try:
+            return analysis.ghz_target(*numbers) if kind == "ghz" else analysis.w_target(*numbers)
+        except ValueError as exc:
+            raise SystemExit(_usage_error(f"bad target {spec!r}: {exc}"))
     path = Path(spec)
     if path.exists():
         return parse_state(path.read_text())
@@ -177,17 +185,20 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     paths = tuple(args.paths.split(","))
-    kinds = tuple(args.pool.split(","))
-    pool = ElementPool(paths=paths, kinds=kinds)
+    try:
+        pool = ElementPool(paths=paths, kinds=tuple(args.pool.split(",")))
+    except ValueError as exc:
+        return _usage_error(f"bad --pool {args.pool!r} or --paths {args.paths!r}: {exc}")
     detectors = tuple(args.detectors.split(",")) if args.detectors else paths
     if args.target.startswith("srv:"):
-        ranks = tuple(int(r) for r in args.target.split(":", 1)[1].split(","))
         parties = tuple(args.parties.split(",")) if args.parties else detectors
-        target: Target = SrvTarget(parties=parties, ranks=ranks, label=args.target)
+        try:
+            ranks = tuple(int(r) for r in args.target[len("srv:"):].split(","))
+            target: Target = SrvTarget(parties=parties, ranks=ranks)
+        except ValueError as exc:
+            return _usage_error(f"bad target {args.target!r}: {exc}")
     else:
-        target = FidelityTarget(
-            _target_state(args.target), threshold=args.threshold, label=args.target
-        )
+        target = FidelityTarget(_target_state(args.target), threshold=args.threshold)
     config = SearchConfig(
         pool=pool,
         detectors=detectors,

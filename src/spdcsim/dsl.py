@@ -12,6 +12,8 @@ One statement per line, ``#`` starts a comment.  Statements:
     pairs <int>
 
 Mode tokens are integers or the polarization aliases H (0) and V (1).
+With ``modes=`` the list sets the modes, so both path tokens must carry
+mode 0 (``a:0`` or ``a:H``).
 Parsing collects every problem in one pass and reports each with its
 line, column, and length.
 """
@@ -83,7 +85,6 @@ class _LineParser:
         self.issues: list[ParseIssue] = []
         self.elements: list[Element] = []
         self.detectors: tuple[str, ...] | None = None
-        self.detectors_span: SourceSpan | None = None
         self.order: int | None = None
         self.pairs: int | None = None
 
@@ -181,6 +182,11 @@ class _LineParser:
             else:
                 self.fail(token, f"unknown crystal option {token.text!r}", "g=<float> or modes=<list>")
                 ok = False
+        if modes is not None:
+            for token, label in ((tokens[1], label_a), (tokens[2], label_b)):
+                if label is not None and label.mode != 0:
+                    self.fail(token, f"mode of {token.text!r} conflicts with modes=", "path:0")
+                    ok = False
         if not ok:
             return
         try:
@@ -240,7 +246,6 @@ class _LineParser:
                 self.fail(token, f"duplicate detector path {token.text!r}")
                 return
         self.detectors = paths
-        self.detectors_span = tokens[0].span
 
     def _order(self, tokens: list[_Token]) -> None:
         if not self._want(tokens, 1, "order <int>"):
@@ -286,17 +291,13 @@ def parse(text: str) -> Experiment:
     )
 
 
-def _format_float(value: float) -> str:
-    return repr(value)
-
-
 def serialize(exp: Experiment) -> str:
     """Canonical text for an experiment; parsing it back is the identity.
 
     Raises ``ValueError`` naming the field when the experiment sets one
-    the language cannot express (a per-crystal ``order``, an explicit
-    misalignment ``loss`` path, ``creation_only``), rather than writing
-    text that parses to a different experiment.
+    the language cannot express (an explicit misalignment ``loss`` path,
+    ``creation_only``), rather than writing text that parses to a
+    different experiment.
     """
     if exp.creation_only:
         raise ValueError("cannot serialize creation_only=True: the language has no statement for it")
@@ -307,8 +308,6 @@ def serialize(exp: Experiment) -> str:
         lines.append(f"pairs {exp.max_pairs}")
     lines.append("detectors " + " ".join(exp.detectors))
     for element in exp.elements:
-        if isinstance(element, (Crystal, MultimodeCrystal)) and element.order is not None:
-            raise ValueError(f"cannot serialize the order field of {element!r}")
         if isinstance(element, Misalignment) and element.loss is not None:
             raise ValueError(f"cannot serialize the loss field of {element!r}")
         if isinstance(element, Crystal):
@@ -317,21 +316,21 @@ def serialize(exp: Experiment) -> str:
                 f" {element.out_b.path}:{element.out_b.mode}"
             )
             if element.g != 0.1:
-                line += f" g={_format_float(element.g)}"
+                line += f" g={element.g!r}"
             lines.append(line)
         elif isinstance(element, MultimodeCrystal):
             line = (
                 f"crystal {element.path_a}:0 {element.path_b}:0"
-                f" g={_format_float(element.g)}"
+                f" g={element.g!r}"
                 f" modes={','.join(str(m) for m in element.modes)}"
             )
             lines.append(line)
         elif isinstance(element, ModeShifter):
             lines.append(f"shift {element.path} {element.delta}")
         elif isinstance(element, PhaseShifter):
-            lines.append(f"phase {element.path} {_format_float(element.phi)}")
+            lines.append(f"phase {element.path} {element.phi!r}")
         elif isinstance(element, Misalignment):
-            lines.append(f"misalign {element.path} T={_format_float(element.transmissivity)}")
+            lines.append(f"misalign {element.path} T={element.transmissivity!r}")
         elif isinstance(element, Relabel):
             lines.append(f"relabel {element.source} {element.target}")
         else:

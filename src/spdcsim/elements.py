@@ -42,12 +42,9 @@ class Crystal:
     out_a: ModeLabel
     out_b: ModeLabel
     g: float = 0.1
-    order: int | None = None  # None: use the experiment-wide expansion order
 
     def __post_init__(self):
         _check_g(self.g)
-        if self.order is not None and self.order < 1:
-            raise ValueError("expansion order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class MultimodeCrystal:
     path_b: str
     modes: tuple[int, ...]
     g: float = 0.1
-    order: int | None = None
 
     def __post_init__(self):
         _check_g(self.g)
@@ -70,8 +66,6 @@ class MultimodeCrystal:
             raise ValueError("mode list must be nonempty")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("mode list has duplicates")
-        if self.order is not None and self.order < 1:
-            raise ValueError("expansion order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ class Misalignment:
 
     path: str
     transmissivity: float
-    loss: str | None = None  # assigned by the runner when None
+    loss: str | None = None  # None: ``resolve_loss_paths`` names it by position
 
     def __post_init__(self):
         if not 0.0 <= self.transmissivity <= 1.0:
@@ -133,11 +127,6 @@ def crystal_pairs(crystal: Crystal | MultimodeCrystal) -> list[tuple[ModeLabel, 
     if isinstance(crystal, Crystal):
         return [(crystal.out_a, crystal.out_b)]
     return [(ModeLabel(crystal.path_a, m), ModeLabel(crystal.path_b, m)) for m in crystal.modes]
-
-
-def crystal_order(crystal: Crystal | MultimodeCrystal, default_order: int) -> int:
-    """The series order of a source: its own, else the experiment's."""
-    return crystal.order if crystal.order is not None else default_order
 
 
 def taylor_weights(g: float, order: int) -> list[float]:
@@ -203,13 +192,13 @@ def apply_crystal(
     state: StateVector,
     crystal: Crystal | MultimodeCrystal,
     *,
-    default_order: int = 2,
+    order: int = 2,
     creation_only: bool = False,
     limit: int | None = None,
 ) -> StateVector:
-    """Apply a single- or multimode pair source, keeping terms of at most
-    ``limit`` photons when given; prunes once, at the end."""
-    weights = taylor_weights(crystal.g, crystal_order(crystal, default_order))
+    """Apply a single- or multimode pair source to series ``order``, keeping
+    terms of at most ``limit`` photons when given; prunes once, at the end."""
+    weights = taylor_weights(crystal.g, order)
     return StateVector(
         expand_crystal(state.terms, crystal, weights, creation_only=creation_only, limit=limit)
     )
@@ -269,9 +258,10 @@ def apply_misalignment(state: StateVector, mis: Misalignment) -> StateVector:
     An occupation ``n`` at ``(path, m)`` becomes
     ``sum_k sqrt(C(n, k)) T^k R^(n-k) |k at path, n-k at loss>``; the
     square-root binomials keep the transform exactly unitary on the
-    enlarged mode set.
+    enlarged mode set.  The loss path must be named (``resolve_loss_paths``).
     """
-    loss = mis.loss if mis.loss is not None else _fresh_loss_path(state)
+    if mis.loss is None:
+        raise ValueError(f"{mis!r} has no loss path; name it with resolve_loss_paths")
     t = mis.transmissivity
     r = math.sqrt(1.0 - t * t)
     out: dict[Occupation, complex] = {}
@@ -282,7 +272,7 @@ def apply_misalignment(state: StateVector, mis: Misalignment) -> StateVector:
                 for counts, _ in branches:
                     counts[label] = n
                 continue
-            loss_label = ModeLabel(loss, label.mode)
+            loss_label = ModeLabel(mis.loss, label.mode)
             grown: list[tuple[dict[ModeLabel, int], complex]] = []
             for counts, value in branches:
                 for k in range(n, -1, -1):
@@ -298,14 +288,6 @@ def apply_misalignment(state: StateVector, mis: Misalignment) -> StateVector:
             key = make_occupation(counts)
             out[key] = out.get(key, 0j) + value
     return StateVector(out)
-
-
-def _fresh_loss_path(state: StateVector) -> str:
-    used = {p for p in state.paths() if p.startswith(LOSS_PREFIX)}
-    k = 0
-    while loss_path(k) in used:
-        k += 1
-    return loss_path(k)
 
 
 def apply_relabel(state: StateVector, relabel: Relabel) -> StateVector:
@@ -325,15 +307,14 @@ def apply_element(
     state: StateVector,
     element: Element,
     *,
-    default_order: int = 2,
+    order: int = 2,
     creation_only: bool = False,
     limit: int | None = None,
 ) -> StateVector:
-    """Dispatch one element application; ``limit`` caps a source's photons."""
+    """Dispatch one element application; ``order`` and ``limit`` apply to
+    a source (its series order and photon cap)."""
     if isinstance(element, (Crystal, MultimodeCrystal)):
-        return apply_crystal(
-            state, element, default_order=default_order, creation_only=creation_only, limit=limit
-        )
+        return apply_crystal(state, element, order=order, creation_only=creation_only, limit=limit)
     if isinstance(element, ModeShifter):
         return apply_mode_shift(state, element)
     if isinstance(element, PhaseShifter):

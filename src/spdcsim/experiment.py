@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .elements import (
     Crystal,
@@ -18,7 +18,7 @@ from .elements import (
     crystal_pairs,
     resolve_loss_paths,
 )
-from .fock import LOSS_PREFIX, StateVector, occupation_photons, vacuum
+from .fock import LOSS_PREFIX, Occupation, StateVector, occupation_photons, vacuum
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class Experiment:
 
     ``max_pairs`` bounds the retained photon number (``2 * max_pairs``)
     and defaults to half the detector count.  ``expansion_order`` is the
-    per-crystal series order used when a crystal does not fix its own.
+    series order of every crystal.
     ``creation_only`` switches every pair source to the pure emission
     expansion, whose amplitudes are exact monomials in the couplings.
     """
@@ -120,7 +120,7 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
         state = apply_element(
             state,
             element,
-            default_order=exp.expansion_order,
+            order=exp.expansion_order,
             creation_only=exp.creation_only,
             limit=limit,
         )
@@ -136,18 +136,19 @@ def post_select_pattern(
     photons.  The selected component is normalized; its squared norm
     before normalization is reported as the success weight.
     """
-    selected: dict = {}
-    for occ, amp in state.terms.items():
-        counts: dict[str, int] = {}
-        for label, n in occ:
-            counts[label.path] = counts.get(label.path, 0) + n
-        if all(counts.get(path, 0) == want for path, want in pattern.items()) and all(
-            path in pattern for path in counts
-        ):
-            selected[occ] = amp
+    selected = {occ: amp for occ, amp in state.terms.items() if _matches(occ, pattern)}
     component = StateVector(selected)
     weight = sum(abs(a) ** 2 for a in selected.values())
     return PostSelectionResult(component.normalized(), weight)
+
+
+def _matches(occ: Occupation, pattern: Mapping[str, int]) -> bool:
+    counts: dict[str, int] = {}
+    for label, n in occ:
+        counts[label.path] = counts.get(label.path, 0) + n
+    return all(counts.get(path, 0) == want for path, want in pattern.items()) and all(
+        path in pattern for path in counts
+    )
 
 
 def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionResult:
@@ -174,6 +175,29 @@ def success_fraction(full: StateVector, selected: PostSelectionResult, n: int) -
     if denom == 0.0:
         raise ValueError(f"no {n}-photon component in the supplied state")
     return selected.success_weight / denom
+
+
+def coincidence_weights(
+    weighted: Iterable[tuple[Occupation, Any]], detectors: Sequence[str]
+) -> tuple[Any, Any]:
+    """``(valid, total)`` weight of weighted terms under the n-fold rule.
+
+    ``total`` sums the weights of the terms holding ``n = len(detectors)``
+    photons over non-loss paths, as :func:`success_fraction` counts them;
+    ``valid`` those of the terms :func:`post_select` keeps.  Both sums
+    run in input order from the integer 0, so integer weights give
+    integers.
+    """
+    n = len(detectors)
+    pattern = {path: 1 for path in detectors}
+    valid = total = 0
+    for occ, weight in weighted:
+        if occupation_photons(occ, include_loss=False) != n:
+            continue
+        total += weight
+        if _matches(occ, pattern):
+            valid += weight
+    return valid, total
 
 
 def with_uniform_misalignment(exp: Experiment, transmissivity: float) -> Experiment:

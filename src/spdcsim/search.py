@@ -21,6 +21,15 @@ from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShif
 from .experiment import Experiment, post_select, run
 from .fock import ModeLabel, StateVector
 
+#: Mode lists a multimode crystal may draw.
+MULTIMODE_LISTS = ((0, 1), (0, 1, 2), (0, 1, 2, 3))
+#: Mode shifts a mode shifter may draw.
+SHIFT_DELTAS = (-1, 1)
+#: Phases a phase shifter may draw.
+PHASE_VALUES = (math.pi / 2, math.pi, -math.pi / 2)
+#: Coupling of every drawn crystal.
+COUPLING = 0.1
+
 
 @dataclass(frozen=True)
 class FidelityTarget:
@@ -28,7 +37,6 @@ class FidelityTarget:
 
     state: StateVector
     threshold: float = 0.999
-    label: str = "target"
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
@@ -41,7 +49,6 @@ class SrvTarget:
 
     parties: tuple[str, ...]
     ranks: tuple[int, ...]
-    label: str = "srv"
 
     def __post_init__(self):
         if len(self.parties) != len(self.ranks):
@@ -53,15 +60,14 @@ Target = Union[FidelityTarget, SrvTarget]
 
 @dataclass(frozen=True)
 class ElementPool:
-    """What the sampler may draw: element kinds and their parameter choices."""
+    """What the sampler may draw: paths, element kinds and crystal mode pairs.
+
+    The other parameter choices are the module constants above.
+    """
 
     paths: tuple[str, ...]
     kinds: tuple[str, ...] = ("crystal",)
     crystal_modes: tuple[tuple[int, int], ...] = ((0, 0), (1, 1))
-    multimode_lists: tuple[tuple[int, ...], ...] = ((0, 1), (0, 1, 2), (0, 1, 2, 3))
-    shift_deltas: tuple[int, ...] = (-1, 1)
-    phase_values: tuple[float, ...] = (math.pi / 2, math.pi, -math.pi / 2)
-    g: float = 0.1
 
     def __post_init__(self):
         known = {"crystal", "multimode", "shift", "phase", "relabel"}
@@ -80,7 +86,6 @@ class SearchConfig:
     max_elements: int = 4
     budget: int = 1000
     seed: int = 0
-    expansion_order: int = 2
 
     def __post_init__(self):
         if self.budget < 1:
@@ -115,28 +120,20 @@ def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
             pair = rng.choice(len(pool.paths), size=2, replace=False)
             a, b = sorted(pool.paths[int(i)] for i in pair)
             mode_a, mode_b = _choice(rng, pool.crystal_modes)
-            elements.append(Crystal(ModeLabel(a, mode_a), ModeLabel(b, mode_b), g=pool.g))
+            elements.append(Crystal(ModeLabel(a, mode_a), ModeLabel(b, mode_b), g=COUPLING))
         elif kind == "multimode":
             pair = rng.choice(len(pool.paths), size=2, replace=False)
             a, b = sorted(pool.paths[int(i)] for i in pair)
-            modes = _choice(rng, pool.multimode_lists)
-            elements.append(MultimodeCrystal(a, b, modes=modes, g=pool.g))
+            modes = _choice(rng, MULTIMODE_LISTS)
+            elements.append(MultimodeCrystal(a, b, modes=modes, g=COUPLING))
         elif kind == "shift":
-            elements.append(
-                ModeShifter(_choice(rng, pool.paths), _choice(rng, pool.shift_deltas))
-            )
+            elements.append(ModeShifter(_choice(rng, pool.paths), _choice(rng, SHIFT_DELTAS)))
         elif kind == "phase":
-            elements.append(
-                PhaseShifter(_choice(rng, pool.paths), _choice(rng, pool.phase_values))
-            )
+            elements.append(PhaseShifter(_choice(rng, pool.paths), _choice(rng, PHASE_VALUES)))
         else:  # relabel
             pair = rng.choice(len(pool.paths), size=2, replace=False)
             elements.append(Relabel(pool.paths[int(pair[0])], pool.paths[int(pair[1])]))
-    return Experiment(
-        elements=tuple(elements),
-        detectors=config.detectors,
-        expansion_order=config.expansion_order,
-    )
+    return Experiment(elements=tuple(elements), detectors=config.detectors)
 
 
 def evaluate(exp: Experiment, target: Target) -> float:

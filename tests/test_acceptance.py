@@ -374,7 +374,7 @@ def test_criterion_13_seeded_search():
                 crystal_modes=((0, 0), (1, 1)),
             ),
             detectors=("a", "b", "c", "d"),
-            target=FidelityTarget(ghz_target(4, 2), threshold=0.999, label="ghz:4:2"),
+            target=FidelityTarget(ghz_target(4, 2), threshold=0.999),
             max_elements=4,
             budget=100_000,
             seed=20240817,

@@ -72,6 +72,27 @@ def test_fidelity_against_state_file(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "ghz:4"), "ghz:4"),
+        (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "ghz:x:2"), "ghz:x:2"),
+        (("search", "srv:a,b", "--budget", 1), "srv:a,b"),
+        (("search", "ghz:4:2", "--pool", "crystal,bogus", "--budget", 1), "crystal,bogus"),
+    ],
+    ids=["ghz-missing-d", "ghz-non-integer", "srv-non-integer", "unknown-pool-kind"],
+)
+def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert repr(spec) in captured.err
+
+
 def test_srv_drops_separable_trigger_by_default(capsys):
     code, out, _ = invoke(capsys, "srv", EXPERIMENTS_DIR / "asym_rank422_triggered.exp")
     assert code == 0

@@ -92,6 +92,17 @@ def test_all_errors_collected_in_one_pass():
     assert lines == [1, 1, 2, 3]
 
 
+def test_mode_token_overridden_by_modes_list_is_rejected():
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse("detectors a b\ncrystal a:H b:2 modes=0,1\n")
+    (issue,) = err.value.issues
+    assert issue.span == dsl.SourceSpan(line=2, column=13, length=3)
+    assert "b:2" in issue.message
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse("detectors a b\ncrystal a:1 b:V g=0.05 modes=0,1\n")
+    assert [(i.span.line, i.span.column) for i in err.value.issues] == [(2, 9), (2, 13)]
+
+
 def test_mode_aliases_lower_to_integers():
     exp = dsl.parse("detectors a b\ncrystal a:H b:V\n")
     assert exp.elements[0].out_a.mode == 0
@@ -131,20 +142,6 @@ def test_round_trip_normalizes_whitespace_only():
 def test_serialize_of_bare_experiment_is_two_lines():
     exp = Experiment(elements=(), detectors=("a", "b"), max_pairs=1)
     assert dsl.serialize(exp) == "pairs 1\ndetectors a b\n"
-
-
-@pytest.mark.parametrize(
-    "crystal",
-    [
-        Crystal(label("a:0"), label("b:0"), order=3),
-        MultimodeCrystal("a", "b", modes=(0, 1), order=3),
-    ],
-    ids=["single", "multimode"],
-)
-def test_serialize_rejects_per_crystal_order(crystal):
-    exp = Experiment(elements=(crystal,), detectors=("a", "b"))
-    with pytest.raises(ValueError, match="the order field"):
-        dsl.serialize(exp)
 
 
 def test_serialize_rejects_creation_only():

@@ -11,6 +11,7 @@ from spdcsim.elements import (
     PhaseShifter,
     Relabel,
     apply_crystal,
+    apply_element,
     apply_misalignment,
     apply_mode_shift,
     apply_multimode_crystal,
@@ -34,7 +35,7 @@ def test_crystal_coupling_validation():
 
 def test_crystal_first_order_pair():
     c = Crystal(label("a:0"), label("b:0"), g=0.1)
-    out = apply_crystal(vacuum(), c, default_order=1)
+    out = apply_crystal(vacuum(), c, order=1)
     assert out.amplitude({label("a:0"): 0}) == 1  # vacuum survives
     assert out.amplitude({label("a:0"): 1, label("b:0"): 1}) == pytest.approx(0.1)
 
@@ -44,7 +45,7 @@ def test_crystal_second_order_double_emission_oracle():
     # because each squared raising operator contributes sqrt(2).
     g = 0.1
     c = Crystal(label("a:0"), label("b:0"), g=g)
-    out = apply_crystal(vacuum(), c, default_order=2)
+    out = apply_crystal(vacuum(), c, order=2)
     amp = out.amplitude({label("a:0"): 2, label("b:0"): 2})
     assert amp == pytest.approx(g * g, abs=1e-15)
 
@@ -64,8 +65,8 @@ def test_crystal_expansion_includes_lowering_terms():
     g = 0.1
     c = Crystal(label("a:0"), label("b:0"), g=g)
     pair = basis("a:0 b:0")
-    full = apply_crystal(pair, c, default_order=1)
-    emission_only = apply_crystal(pair, c, default_order=1, creation_only=True)
+    full = apply_crystal(pair, c, order=1)
+    emission_only = apply_crystal(pair, c, order=1, creation_only=True)
     assert full.amplitude({}) == pytest.approx(-g)
     assert emission_only.amplitude({}) == 0
 
@@ -73,13 +74,13 @@ def test_crystal_expansion_includes_lowering_terms():
 def test_crystal_unitarity_deviation_bounded():
     g = 0.1
     c = Crystal(label("a:0"), label("b:0"), g=g)
-    out = apply_crystal(vacuum(), c, default_order=2)
+    out = apply_crystal(vacuum(), c, order=2)
     assert abs(out.norm() - 1.0) <= g**4
 
 
 def test_multimode_first_order_matches_mode_sum():
     mc = MultimodeCrystal("a", "b", modes=(0, 1, 2), g=0.1)
-    out = apply_multimode_crystal(vacuum(), mc, default_order=1)
+    out = apply_multimode_crystal(vacuum(), mc, order=1)
     for m in (0, 1, 2):
         assert out.amplitude(
             {ModeLabel("a", m): 1, ModeLabel("b", m): 1}
@@ -98,7 +99,7 @@ def test_multimode_second_order_matches_squared_sum_oracle():
     # equal modes give (g^2/2) * 2 = g^2 on |2m> x |2m>.
     g = 0.1
     mc = MultimodeCrystal("a", "b", modes=(0, 1, 2), g=g)
-    out = apply_multimode_crystal(vacuum(), mc, default_order=2)
+    out = apply_multimode_crystal(vacuum(), mc, order=2)
     four = out.photon_sector(4)
     expected_patterns = 0
     for m in range(3):
@@ -192,6 +193,12 @@ def test_misalignment_two_photon_binomial_oracle():
         {label("a:0"): 1, ModeLabel("loss#0", 0): 1}
     ) == pytest.approx(math.sqrt(2) * t * r)
     assert out.amplitude({ModeLabel("loss#0", 0): 2}) == pytest.approx(r * r)
+
+
+def test_misalignment_without_loss_path_is_rejected():
+    # Loss paths are named only by resolve_loss_paths, by element position.
+    with pytest.raises(ValueError, match="no loss path"):
+        apply_element(basis("a:0"), Misalignment("a", 0.9))
 
 
 def test_relabel_moves_single_photon():

@@ -62,7 +62,7 @@ couplings = st.one_of(
     st.floats(min_value=0.01, max_value=0.2), st.sampled_from([0.125, 0.0625, 0.1875])
 )
 elements = st.one_of(
-    st.builds(Crystal, labels, labels, g=couplings, order=st.one_of(st.none(), st.integers(1, 3))),
+    st.builds(Crystal, labels, labels, g=couplings),
     st.builds(
         MultimodeCrystal,
         st.sampled_from(PATHS),

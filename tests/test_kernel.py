@@ -135,7 +135,7 @@ def test_monomial_convention_gives_ladder_fractions(n, d, expected):
 
 couplings = st.floats(min_value=0.01, max_value=0.2)
 orders = st.integers(min_value=1, max_value=4)
-single_crystals = st.builds(Crystal, pair_labels, pair_labels, g=couplings, order=orders)
+single_crystals = st.builds(Crystal, pair_labels, pair_labels, g=couplings)
 multimode_crystals = st.builds(
     MultimodeCrystal,
     st.sampled_from("abcd"),
@@ -144,7 +144,6 @@ multimode_crystals = st.builds(
         tuple
     ),
     g=couplings,
-    order=orders,
 )
 crystals = st.one_of(single_crystals, multimode_crystals)
 
@@ -154,9 +153,11 @@ def cut_to(terms, limit):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_states(), crystals, st.integers(min_value=0, max_value=6), st.booleans())
-def test_capped_float_expansion_equals_filtered_full_expansion(state, crystal, budget, creation_only):
-    weights = taylor_weights(crystal.g, crystal.order)
+@given(sparse_states(), crystals, orders, st.integers(min_value=0, max_value=6), st.booleans())
+def test_capped_float_expansion_equals_filtered_full_expansion(
+    state, crystal, order, budget, creation_only
+):
+    weights = taylor_weights(crystal.g, order)
     full = expand_crystal(state.terms, crystal, weights, creation_only=creation_only)
     capped = expand_crystal(
         state.terms, crystal, weights, creation_only=creation_only, limit=2 * budget
@@ -173,14 +174,15 @@ integer_terms = st.dictionaries(
 @given(
     integer_terms,
     crystals,
+    orders,
     st.integers(min_value=0, max_value=6),
     st.booleans(),
     st.data(),
 )
 def test_capped_monomial_expansion_equals_filtered_full_expansion(
-    terms, crystal, budget, creation_only, data
+    terms, crystal, order, budget, creation_only, data
 ):
-    size = crystal.order + 1
+    size = order + 1
     weights = data.draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=size, max_size=size))
     full = expand_crystal(terms, crystal, weights, creation_only=creation_only, bosonic=False)
     capped = expand_crystal(

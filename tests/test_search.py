@@ -1,8 +1,9 @@
 import pytest
 
 from spdcsim.analysis import ghz_target
-from spdcsim.elements import Crystal, MultimodeCrystal
+from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from spdcsim.experiment import Experiment
+from spdcsim.fock import ModeLabel
 from spdcsim.search import (
     ElementPool,
     FidelityTarget,
@@ -19,11 +20,23 @@ from conftest import load_experiment
 POL_POOL = ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal",), crystal_modes=((0, 0), (1, 1)))
 
 
+MIXED_CONFIG = SearchConfig(
+    pool=ElementPool(
+        paths=("t", "a", "b", "c"),
+        kinds=("crystal", "multimode", "shift", "phase", "relabel"),
+        crystal_modes=((0, 0), (0, 1), (1, 0), (1, 1)),
+    ),
+    detectors=("t", "a", "b", "c"),
+    target=SrvTarget(parties=("a", "b", "c"), ranks=(4, 2, 2)),
+    max_elements=6,
+)
+
+
 def pol_config(**overrides):
     base = dict(
         pool=POL_POOL,
         detectors=("a", "b", "c", "d"),
-        target=FidelityTarget(ghz_target(4, 2), threshold=0.999, label="ghz:4:2"),
+        target=FidelityTarget(ghz_target(4, 2), threshold=0.999),
         max_elements=4,
         budget=3000,
         seed=20240817,
@@ -56,8 +69,6 @@ def test_random_setup_reaches_four_crystal_layouts():
 def test_pool_restriction_to_crystals_and_shifters():
     pool = ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal", "shift"))
     config = pol_config(pool=pool, max_elements=6)
-    from spdcsim.elements import ModeShifter
-
     seen = set()
     for trial in range(100):
         exp = random_setup(_trial_rng(config.seed, trial), config)
@@ -65,6 +76,52 @@ def test_pool_restriction_to_crystals_and_shifters():
             assert isinstance(element, (Crystal, ModeShifter))
             seen.add(type(element))
     assert seen == {Crystal, ModeShifter}
+
+
+# Exact draws on the five-kind pool: they pin the drawn parameter values
+# and the order of the draws.  Together the trials draw every crystal mode
+# pair, multimode list, shift and phase.
+PINNED_MIXED_DRAWS = {
+    (0, 2): (
+        Crystal(ModeLabel("a", 1), ModeLabel("t", 0), g=0.1),
+        Relabel("a", "t"),
+        Crystal(ModeLabel("c", 1), ModeLabel("t", 1), g=0.1),
+        MultimodeCrystal("a", "t", modes=(0, 1), g=0.1),
+        MultimodeCrystal("a", "c", modes=(0, 1, 2), g=0.1),
+        PhaseShifter("b", -1.5707963267948966),
+    ),
+    (0, 46): (
+        Relabel("b", "a"),
+        PhaseShifter("b", 1.5707963267948966),
+        ModeShifter("b", -1),
+        MultimodeCrystal("a", "t", modes=(0, 1, 2, 3), g=0.1),
+        PhaseShifter("a", 3.141592653589793),
+        Crystal(ModeLabel("b", 0), ModeLabel("c", 0), g=0.1),
+    ),
+    (0, 51): (
+        ModeShifter("c", 1),
+        ModeShifter("a", 1),
+        Crystal(ModeLabel("a", 0), ModeLabel("c", 1), g=0.1),
+        Relabel("b", "t"),
+        Relabel("t", "b"),
+    ),
+    (7, 12): (
+        Crystal(ModeLabel("b", 0), ModeLabel("c", 0), g=0.1),
+        ModeShifter("c", -1),
+        PhaseShifter("t", 1.5707963267948966),
+        Relabel("c", "t"),
+        Crystal(ModeLabel("b", 1), ModeLabel("t", 0), g=0.1),
+        PhaseShifter("t", 1.5707963267948966),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, trial", sorted(PINNED_MIXED_DRAWS))
+def test_random_setup_draws_are_pinned(seed, trial):
+    exp = random_setup(_trial_rng(seed, trial), MIXED_CONFIG)
+    assert exp.elements == PINNED_MIXED_DRAWS[seed, trial]
+    assert exp.detectors == ("t", "a", "b", "c")
+    assert exp.expansion_order == 2
 
 
 def test_sampler_is_deterministic_per_trial():
