@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .elements import expand_crystal, relabel_terms
+from .elements import expand_crystal, substitute
 from .experiment import Experiment, coincidence_weights, run
 from .fock import ModeLabel, Occupation, StateVector
 
@@ -227,7 +227,7 @@ def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
                 terms, element, weights, creation_only=True, bosonic=False, limit=limit
             )
         else:
-            terms = relabel_terms(terms, element, bosonic=False)
+            terms = substitute(terms, element, bosonic=False)
     for occ, coeff in terms.items():
         yield occ, coeff * coeff * math.prod(math.factorial(cnt) for _, cnt in occ)
 

@@ -38,6 +38,22 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _checked(convert, ok, rule: str):
+    """``argparse`` type: ``convert(text)``, rejected unless ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value >= 1, ">= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, ">= 0")
+_UNIT_INTERVAL = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]")
+
+
 def _print_state(state: StateVector, as_json: bool) -> None:
     if as_json:
         for occ, amp in sorted(state.terms.items()):
@@ -124,14 +140,14 @@ def _cmd_srv(args: argparse.Namespace) -> int:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
-    value = analysis.efficiency_formula(args.n, args.d)
+    try:
+        value = analysis.efficiency_formula(args.n, args.d)
+        layout = analysis.ghz_layout(args.n, args.d) if args.simulate == "" else None
+    except ValueError as exc:
+        return _usage_error(f"bad n={args.n} d={args.d}: {exc}")
     print(f"formula {value}")
     if args.simulate is not None:
-        exp = (
-            analysis.ghz_layout(args.n, args.d)
-            if args.simulate == ""
-            else _read_experiment(args.simulate)
-        )
+        exp = layout or _read_experiment(args.simulate)
         simulated = analysis.efficiency_simulated(exp)
         print(f"simulated {simulated}")
         report = analysis.EfficiencyReport(
@@ -149,7 +165,10 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
 def _cmd_layout(args: argparse.Namespace) -> int:
     if args.kind != "ghz":
         return _usage_error(f"unknown layout kind {args.kind!r}")
-    exp = analysis.ghz_layout(args.n, args.d)
+    try:
+        exp = analysis.ghz_layout(args.n, args.d)
+    except ValueError as exc:
+        return _usage_error(f"bad n={args.n} d={args.d}: {exc}")
     sys.stdout.write(dsl.serialize(exp))
     return 0
 
@@ -229,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate an experiment file and print the state")
     p.add_argument("file")
-    p.add_argument("--order", type=int, default=None, help="override the expansion order")
+    p.add_argument("--order", type=_POSITIVE_INT, default=None, help="override the expansion order")
     p.add_argument("--no-postselect", action="store_true", help="print the full state")
     p.add_argument("--json", action="store_true", help="one JSON object per term")
     p.set_defaults(func=_cmd_run)
@@ -273,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="random search for experiments hitting a target")
     p.add_argument("target", help="ghz:<n>:<d>, w:<n>, srv:<r1,r2,...>, or a state file")
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_POSITIVE_INT, default=10000)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--paths", default="a,b,c,d", help="comma-separated path pool")
     p.add_argument("--detectors", default=None, help="defaults to the path pool")
     p.add_argument("--pool", default="crystal", help="element kinds, comma-separated")
     p.add_argument("--parties", default=None, help="party paths for srv targets")
-    p.add_argument("--max-elements", type=int, default=4)
-    p.add_argument("--threshold", type=float, default=0.999)
+    p.add_argument("--max-elements", type=_POSITIVE_INT, default=4)
+    p.add_argument("--threshold", type=_UNIT_INTERVAL, default=0.999)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="directory for hit files")
     p.set_defaults(func=_cmd_search)

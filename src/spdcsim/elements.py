@@ -8,7 +8,8 @@ with ``D = a^dag_A a^dag_B - a_A a_B`` for a single-mode crystal and a
 mode-summed ``D`` for a multimode crystal.  The lowering part of ``D``
 carries the stimulated- and frustrated-emission physics; it can be
 switched off to obtain the pure emission expansion whose amplitudes are
-exact monomials in the pump couplings.
+exact monomials in the pump couplings.  Every passive element is one
+substitution of the raising operators on one path (:func:`substitute`).
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Any, Mapping, Sequence, Union
 
-from .fock import LOSS_PREFIX, ModeLabel, Occupation, StateVector, loss_path, make_occupation
-from .fock import apply_pair_generator, occupation_photons
+from .fock import LOSS_PREFIX, ModeLabel, Occupation, StateVector, loss_path
+from .fock import apply_pair_generator, occupation_photons, raise_occupation
 
 #: Couplings above this trip a warning: the perturbative picture degrades.
 G_WARN = 0.2
@@ -105,7 +108,7 @@ class Misalignment:
 
     @property
     def reflectivity(self) -> float:
-        return math.sqrt(1.0 - self.transmissivity**2)
+        return math.sqrt(1.0 - self.transmissivity * self.transmissivity)
 
 
 @dataclass(frozen=True)
@@ -188,119 +191,97 @@ def expand_crystal(
     return result
 
 
-def apply_crystal(
-    state: StateVector,
-    crystal: Crystal | MultimodeCrystal,
-    *,
-    order: int = 2,
-    creation_only: bool = False,
-    limit: int | None = None,
-) -> StateVector:
-    """Apply a single- or multimode pair source to series ``order``, keeping
-    terms of at most ``limit`` photons when given; prunes once, at the end."""
-    weights = taylor_weights(crystal.g, order)
-    return StateVector(
-        expand_crystal(state.terms, crystal, weights, creation_only=creation_only, limit=limit)
-    )
-
-
-apply_multimode_crystal = apply_crystal
-
-
 # -- passive elements -------------------------------------------------------
 
 
-def relabel_terms(
-    terms: Mapping[Occupation, Any], element: ModeShifter | Relabel, *, bosonic: bool = True
-) -> dict[Occupation, Any]:
-    """Move the labels of a mode shift or a path merge on a coefficient dict.
-
-    Merging ``n`` and ``m`` photons in one mode multiplies a bosonic
-    amplitude by ``sqrt((n+m)! / (n! m!))``, as if the merged term were
-    rebuilt from raising operators; a monomial coefficient is unchanged.
-    """
+def _substitution(element: Element) -> tuple[str, int, list[tuple[str, Any]]]:
+    """``(path, delta, [(t_j, c_j), ...])`` of the substitution
+    ``a^dag_(path, m) -> sum_j c_j a^dag_(t_j, m + delta)`` that a passive
+    element makes: one or two targets, none with a zero ``c_j``."""
     if isinstance(element, ModeShifter):
-        source, delta, target = element.path, element.delta, element.path
-    else:
-        source, delta, target = element.source, 0, element.target
-    out: dict[Occupation, Any] = {}
-    for occ, amp in terms.items():
-        counts: dict[ModeLabel, int] = {}
-        for label, n in occ:
-            if label.path == source:
-                label = ModeLabel(target, label.mode + delta)
-            already = counts.get(label, 0)
-            if already and bosonic:
-                amp = amp * math.sqrt(math.comb(already + n, n))
-            counts[label] = already + n
-        key = tuple(sorted(counts.items()))
-        out[key] = out.get(key, 0) + amp
+        return element.path, element.delta, [(element.path, 1)]
+    if isinstance(element, PhaseShifter):
+        return element.path, 0, [(element.path, cmath.exp(1j * element.phi))]
+    if isinstance(element, Relabel):
+        return element.source, 0, [(element.target, 1)]
+    if isinstance(element, Misalignment):
+        if element.loss is None:
+            raise ValueError(f"{element!r} has no loss path; name it with resolve_loss_paths")
+        split = [(element.path, element.transmissivity), (element.loss, element.reflectivity)]
+        return element.path, 0, [(t, c) for t, c in split if c]
+    raise TypeError(f"unknown element {element!r}")
+
+
+def _splits(n: int, targets: Sequence[tuple[str, Any]], bosonic: bool) -> list[tuple[Any, tuple]]:
+    """Each way of sharing ``n`` photons among the one or two targets,
+    the first target's count ``k`` largest first, as its weight and its
+    nonzero ``(target path, count)`` placements.  The weight in
+    ``(sum_j c_j a^dag_j)^n`` is ``prod c_j^k_j`` times ``C(n, k)``
+    (monomial) or ``sqrt(C(n, k))`` (bosonic)."""
+    shares = [(n,)] if len(targets) == 1 else [(k, n - k) for k in range(n, -1, -1)]
+    out = []
+    for share in shares:
+        weight = math.sqrt(math.comb(n, share[0])) if bosonic else math.comb(n, share[0])
+        for (_, c), k in zip(targets, share):
+            weight = weight * c**k
+        out.append((weight, tuple((t, k) for (t, _), k in zip(targets, share) if k)))
     return out
 
 
-def apply_mode_shift(state: StateVector, shifter: ModeShifter) -> StateVector:
-    if shifter.delta == 0:
-        return state
-    return StateVector(relabel_terms(state.terms, shifter))
+def substitute(
+    terms: Mapping[Occupation, Any], element: Element, *, bosonic: bool = True
+) -> dict[Occupation, Any]:
+    """Apply a passive element to a coefficient dict, unpruned.
 
-
-def apply_phase_shift(state: StateVector, shifter: PhaseShifter) -> StateVector:
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        n = sum(count for label, count in occ if label.path == shifter.path)
-        out[occ] = amp * cmath.exp(1j * shifter.phi * n)
-    return StateVector(out)
-
-
-def apply_misalignment(state: StateVector, mis: Misalignment) -> StateVector:
-    """Term-wise binomial split of ``mis.path`` photons into the loss path.
-
-    An occupation ``n`` at ``(path, m)`` becomes
-    ``sum_k sqrt(C(n, k)) T^k R^(n-k) |k at path, n-k at loss>``; the
-    square-root binomials keep the transform exactly unitary on the
-    enlarged mode set.  The loss path must be named (``resolve_loss_paths``).
+    The element substitutes ``a^dag_(p, m) -> sum_j c_j a^dag_(t_j, m + delta)``
+    (:func:`_substitution`); ``bosonic`` selects the coefficient
+    convention of :func:`~spdcsim.fock.apply_pair_generator`.  A split of
+    ``n`` photons as ``k`` and ``n - k`` carries ``sqrt(C(n, k))``
+    (bosonic) or ``C(n, k)`` (monomial), and ``m`` photons landing on
+    ``n`` in one mode carry ``sqrt(C(n + m, n))`` (bosonic) or 1.  With
+    one target on ``p`` itself (a shift, a phase, a misalignment at
+    ``T = 1``) ``p``'s labels stay one in-order run of the sorted key and
+    nothing merges, so each key is rebuilt in place.
     """
-    if mis.loss is None:
-        raise ValueError(f"{mis!r} has no loss path; name it with resolve_loss_paths")
-    t = mis.transmissivity
-    r = math.sqrt(1.0 - t * t)
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        branches: list[tuple[dict[ModeLabel, int], complex]] = [({}, amp)]
-        for label, n in occ:
-            if label.path != mis.path:
-                for counts, _ in branches:
-                    counts[label] = n
-                continue
-            loss_label = ModeLabel(mis.loss, label.mode)
-            grown: list[tuple[dict[ModeLabel, int], complex]] = []
-            for counts, value in branches:
-                for k in range(n, -1, -1):
-                    split = dict(counts)
-                    if k:
-                        split[label] = k
-                    if n - k:
-                        split[loss_label] = n - k
-                    weight = math.sqrt(math.comb(n, k)) * (t**k) * (r ** (n - k))
-                    grown.append((split, value * weight))
-            branches = grown
-        for counts, value in branches:
-            key = make_occupation(counts)
-            out[key] = out.get(key, 0j) + value
-    return StateVector(out)
-
-
-def apply_relabel(state: StateVector, relabel: Relabel) -> StateVector:
-    """Merge occupations of the source path into the target path.
-
-    Amplitudes are recomputed as if each merged term were rebuilt from
-    raising operators, so two photons landing in one mode pick up the
-    correct bosonic enhancement: merging ``n`` and ``m`` photons in the
-    same mode multiplies the amplitude by ``sqrt((n+m)! / (n! m!))``.
-    """
-    if relabel.source == relabel.target:
-        return state
-    return StateVector(relabel_terms(state.terms, relabel))
+    path, delta, targets = _substitution(element)
+    in_order = len(targets) == 1 and targets[0][0] == path
+    coeff = targets[0][1]
+    start = ((path,),)
+    splits: dict[int, list] = {}
+    out: dict[Occupation, Any] = {}
+    for occ, amp in terms.items():
+        # ``path``'s labels are the run ``occ[i:j]`` of the sorted tuple.
+        i = j = bisect_left(occ, start)
+        while j < len(occ) and occ[j][0].path == path:
+            j += 1
+        if i == j:
+            out[occ] = out.get(occ, 0) + amp
+        elif in_order:
+            if coeff != 1:
+                amp = amp * coeff ** sum(n for _, n in occ[i:j])
+            if delta:
+                run = tuple([(ModeLabel(path, label.mode + delta), n) for label, n in occ[i:j]])
+                occ = occ[:i] + run + occ[j:]
+            out[occ] = amp
+        else:
+            run = occ[i:j]
+            for _, n in run:
+                if n not in splits:
+                    splits[n] = _splits(n, targets, bosonic)
+            # One branch per way of sharing every label's photons, in the
+            # order of the labels; each share is spliced into the sorted key.
+            for branch in product(*[splits[n] for _, n in run]):
+                key = occ[:i] + occ[j:]
+                value = amp
+                for (label, _), (weight, placed) in zip(run, branch):
+                    if weight != 1:
+                        value = value * weight
+                    for target, k in placed:
+                        key, now = raise_occupation(key, ModeLabel(target, label.mode + delta), k)
+                        if now > k and bosonic:
+                            value = value * math.sqrt(math.comb(now, k))
+                out[key] = out.get(key, 0) + value
+    return out
 
 
 def apply_element(
@@ -311,19 +292,14 @@ def apply_element(
     creation_only: bool = False,
     limit: int | None = None,
 ) -> StateVector:
-    """Dispatch one element application; ``order`` and ``limit`` apply to
-    a source (its series order and photon cap)."""
+    """Apply one element; ``order`` and ``limit`` apply to a source (its
+    series order and photon cap), which prunes once, at the end."""
     if isinstance(element, (Crystal, MultimodeCrystal)):
-        return apply_crystal(state, element, order=order, creation_only=creation_only, limit=limit)
-    if isinstance(element, ModeShifter):
-        return apply_mode_shift(state, element)
-    if isinstance(element, PhaseShifter):
-        return apply_phase_shift(state, element)
-    if isinstance(element, Misalignment):
-        return apply_misalignment(state, element)
-    if isinstance(element, Relabel):
-        return apply_relabel(state, element)
-    raise TypeError(f"unknown element {element!r}")
+        weights = taylor_weights(element.g, order)
+        terms = expand_crystal(state.terms, element, weights, creation_only=creation_only, limit=limit)
+    else:
+        terms = substitute(state.terms, element)
+    return StateVector(terms)
 
 
 def resolve_loss_paths(elements: tuple[Element, ...]) -> tuple[Element, ...]:

@@ -66,14 +66,14 @@ def make_occupation(counts: Mapping[ModeLabel, int]) -> Occupation:
     return tuple(sorted(items))
 
 
-def raise_occupation(occ: Occupation, label: ModeLabel) -> tuple[Occupation, int]:
-    """Splice one more photon at ``label`` into ``occ``; returns the new
+def raise_occupation(occ: Occupation, label: ModeLabel, k: int = 1) -> tuple[Occupation, int]:
+    """Splice ``k`` more photons at ``label`` into ``occ``; returns the new
     pattern and the count at ``label`` after raising."""
     i = bisect_left(occ, (label,))
     if i < len(occ) and occ[i][0] == label:
-        n = occ[i][1] + 1
+        n = occ[i][1] + k
         return occ[:i] + ((label, n),) + occ[i + 1 :], n
-    return occ[:i] + ((label, 1),) + occ[i:], 1
+    return occ[:i] + ((label, k),) + occ[i:], k
 
 
 def lower_occupation(occ: Occupation, label: ModeLabel) -> tuple[Occupation, int] | None:

@@ -93,6 +93,50 @@ def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
     assert repr(spec) in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("search", "ghz:4:2", "--budget", 0), "--budget"),
+        (("search", "ghz:4:2", "--threshold", 2), "--threshold"),
+        (("search", "ghz:4:2", "--max-elements", 0), "--max-elements"),
+        (("search", "ghz:4:2", "--seed", -1), "--seed"),
+        (("run", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--order", 0), "--order"),
+        (("efficiency", 3, 2), "n=3"),
+        (("layout", "ghz", 5, 2), "n=5"),
+        (("layout", "ghz", 4, 9), "d=9"),
+    ],
+    ids=[
+        "budget",
+        "threshold",
+        "max-elements",
+        "seed",
+        "order",
+        "efficiency-odd-n",
+        "layout-odd-n",
+        "layout-too-many-levels",
+    ],
+)
+def test_bad_numeric_argument_exits_2(capsys, argv, name):
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert name in captured.err
+
+
+def test_empty_simulated_efficiency_exits_1(capsys):
+    # A valid request whose experiment has no n-photon component is an
+    # empty result, not bad input.
+    code, _, err = invoke(
+        capsys, "efficiency", 4, 2, "--simulate", EXPERIMENTS_DIR / "induced_coherence.exp"
+    )
+    assert code == 1
+    assert "no 3-photon component" in err
+
+
 def test_srv_drops_separable_trigger_by_default(capsys):
     code, out, _ = invoke(capsys, "srv", EXPERIMENTS_DIR / "asym_rank422_triggered.exp")
     assert code == 0

@@ -10,13 +10,7 @@ from spdcsim.elements import (
     MultimodeCrystal,
     PhaseShifter,
     Relabel,
-    apply_crystal,
     apply_element,
-    apply_misalignment,
-    apply_mode_shift,
-    apply_multimode_crystal,
-    apply_phase_shift,
-    apply_relabel,
     resolve_loss_paths,
 )
 from spdcsim.fock import ModeLabel, StateVector, vacuum
@@ -35,7 +29,7 @@ def test_crystal_coupling_validation():
 
 def test_crystal_first_order_pair():
     c = Crystal(label("a:0"), label("b:0"), g=0.1)
-    out = apply_crystal(vacuum(), c, order=1)
+    out = apply_element(vacuum(), c, order=1)
     assert out.amplitude({label("a:0"): 0}) == 1  # vacuum survives
     assert out.amplitude({label("a:0"): 1, label("b:0"): 1}) == pytest.approx(0.1)
 
@@ -45,7 +39,7 @@ def test_crystal_second_order_double_emission_oracle():
     # because each squared raising operator contributes sqrt(2).
     g = 0.1
     c = Crystal(label("a:0"), label("b:0"), g=g)
-    out = apply_crystal(vacuum(), c, order=2)
+    out = apply_element(vacuum(), c, order=2)
     amp = out.amplitude({label("a:0"): 2, label("b:0"): 2})
     assert amp == pytest.approx(g * g, abs=1e-15)
 
@@ -54,7 +48,7 @@ def test_two_crystals_product_amplitude():
     g = 0.1
     c1 = Crystal(label("a:0"), label("b:0"), g=g)
     c2 = Crystal(label("c:0"), label("d:0"), g=g)
-    out = apply_crystal(apply_crystal(vacuum(), c1), c2)
+    out = apply_element(apply_element(vacuum(), c1), c2)
     amp = out.amplitude({label(p): 1 for p in ("a:0", "b:0", "c:0", "d:0")})
     assert amp == pytest.approx(g * g, abs=1e-15)
 
@@ -65,8 +59,8 @@ def test_crystal_expansion_includes_lowering_terms():
     g = 0.1
     c = Crystal(label("a:0"), label("b:0"), g=g)
     pair = basis("a:0 b:0")
-    full = apply_crystal(pair, c, order=1)
-    emission_only = apply_crystal(pair, c, order=1, creation_only=True)
+    full = apply_element(pair, c, order=1)
+    emission_only = apply_element(pair, c, order=1, creation_only=True)
     assert full.amplitude({}) == pytest.approx(-g)
     assert emission_only.amplitude({}) == 0
 
@@ -74,13 +68,13 @@ def test_crystal_expansion_includes_lowering_terms():
 def test_crystal_unitarity_deviation_bounded():
     g = 0.1
     c = Crystal(label("a:0"), label("b:0"), g=g)
-    out = apply_crystal(vacuum(), c, order=2)
+    out = apply_element(vacuum(), c, order=2)
     assert abs(out.norm() - 1.0) <= g**4
 
 
 def test_multimode_first_order_matches_mode_sum():
     mc = MultimodeCrystal("a", "b", modes=(0, 1, 2), g=0.1)
-    out = apply_multimode_crystal(vacuum(), mc, order=1)
+    out = apply_element(vacuum(), mc, order=1)
     for m in (0, 1, 2):
         assert out.amplitude(
             {ModeLabel("a", m): 1, ModeLabel("b", m): 1}
@@ -90,7 +84,7 @@ def test_multimode_first_order_matches_mode_sum():
 def test_multimode_single_mode_degenerates_to_crystal():
     mc = MultimodeCrystal("a", "b", modes=(0,), g=0.1)
     c = Crystal(label("a:0"), label("b:0"), g=0.1)
-    assert apply_multimode_crystal(vacuum(), mc) == apply_crystal(vacuum(), c)
+    assert apply_element(vacuum(), mc) == apply_element(vacuum(), c)
 
 
 def test_multimode_second_order_matches_squared_sum_oracle():
@@ -99,7 +93,7 @@ def test_multimode_second_order_matches_squared_sum_oracle():
     # equal modes give (g^2/2) * 2 = g^2 on |2m> x |2m>.
     g = 0.1
     mc = MultimodeCrystal("a", "b", modes=(0, 1, 2), g=g)
-    out = apply_multimode_crystal(vacuum(), mc, order=2)
+    out = apply_element(vacuum(), mc, order=2)
     four = out.photon_sector(4)
     expected_patterns = 0
     for m in range(3):
@@ -122,41 +116,41 @@ def test_multimode_second_order_matches_squared_sum_oracle():
 
 
 def test_mode_shift_single_photon():
-    out = apply_mode_shift(basis("a:0"), ModeShifter("a", 1))
+    out = apply_element(basis("a:0"), ModeShifter("a", 1))
     assert out == basis("a:1")
 
 
 def test_mode_shift_zero_is_identity():
     s = basis("a:0 b:2", 0.5j)
-    assert apply_mode_shift(s, ModeShifter("a", 0)) == s
+    assert apply_element(s, ModeShifter("a", 0)) == s
 
 
 def test_mode_shift_moves_every_photon_in_path():
     # Conjugating the doubled raising operator by the shift map sends
     # a^dag_{a,0}^2 to a^dag_{a,1}^2, amplitudes untouched.
     s = basis({"a:0": 2}, 0.7)
-    out = apply_mode_shift(s, ModeShifter("a", 1))
+    out = apply_element(s, ModeShifter("a", 1))
     assert out == basis({"a:1": 2}, 0.7)
 
 
 def test_mode_shift_round_trip_is_identity():
     s = basis("a:0 a:1 b:-1", 1 - 1j)
-    out = apply_mode_shift(apply_mode_shift(s, ModeShifter("a", 3)), ModeShifter("a", -3))
+    out = apply_element(apply_element(s, ModeShifter("a", 3)), ModeShifter("a", -3))
     assert out == s
 
 
 def test_phase_shift_single_photon():
-    out = apply_phase_shift(basis("b:0"), PhaseShifter("b", math.pi / 2))
+    out = apply_element(basis("b:0"), PhaseShifter("b", math.pi / 2))
     assert out.amplitude({label("b:0"): 1}) == pytest.approx(1j)
 
 
 def test_phase_shift_zero_is_identity():
     s = basis("a:0 b:0")
-    assert apply_phase_shift(s, PhaseShifter("b", 0.0)) == s
+    assert apply_element(s, PhaseShifter("b", 0.0)) == s
 
 
 def test_phase_shift_counts_photons():
-    out = apply_phase_shift(basis({"b:0": 2}), PhaseShifter("b", math.pi / 2))
+    out = apply_element(basis({"b:0": 2}), PhaseShifter("b", math.pi / 2))
     assert out.amplitude({label("b:0"): 2}) == pytest.approx(-1)
 
 
@@ -164,20 +158,20 @@ def test_phase_and_mode_shift_commute_on_disjoint_paths():
     s = basis("a:0 b:0", 0.8) + basis({"a:1": 2}, 0.2j)
     shift = ModeShifter("a", 2)
     phase = PhaseShifter("b", 0.7)
-    one = apply_phase_shift(apply_mode_shift(s, shift), phase)
-    other = apply_mode_shift(apply_phase_shift(s, phase), shift)
+    one = apply_element(apply_element(s, shift), phase)
+    other = apply_element(apply_element(s, phase), shift)
     assert one == other
 
 
 def test_misalignment_perfect_transmission_is_identity():
     s = basis("a:0 b:1", 0.6)
-    out = apply_misalignment(s, Misalignment("a", 1.0, loss="loss#0"))
+    out = apply_element(s, Misalignment("a", 1.0, loss="loss#0"))
     assert out == s
 
 
 def test_misalignment_single_photon_split():
     t = 0.9
-    out = apply_misalignment(basis("a:0"), Misalignment("a", t, loss="loss#0"))
+    out = apply_element(basis("a:0"), Misalignment("a", t, loss="loss#0"))
     assert out.amplitude({label("a:0"): 1}) == pytest.approx(t)
     assert out.amplitude({ModeLabel("loss#0", 0): 1}) == pytest.approx(math.sqrt(1 - t * t))
 
@@ -187,7 +181,7 @@ def test_misalignment_two_photon_binomial_oracle():
     # T^2 |2,0> + sqrt(2) T R |1,1> + R^2 |0,2>.
     t = 0.8
     r = math.sqrt(1 - t * t)
-    out = apply_misalignment(basis({"a:0": 2}), Misalignment("a", t, loss="loss#0"))
+    out = apply_element(basis({"a:0": 2}), Misalignment("a", t, loss="loss#0"))
     assert out.amplitude({label("a:0"): 2}) == pytest.approx(t * t)
     assert out.amplitude(
         {label("a:0"): 1, ModeLabel("loss#0", 0): 1}
@@ -202,23 +196,23 @@ def test_misalignment_without_loss_path_is_rejected():
 
 
 def test_relabel_moves_single_photon():
-    assert apply_relabel(basis("b:0"), Relabel("b", "d")) == basis("d:0")
+    assert apply_element(basis("b:0"), Relabel("b", "d")) == basis("d:0")
 
 
 def test_relabel_of_absent_path_is_identity():
     s = basis("a:0 c:1")
-    assert apply_relabel(s, Relabel("b", "d")) == s
+    assert apply_element(s, Relabel("b", "d")) == s
 
 
 def test_relabel_merge_rebuilds_bosonic_factor():
     # Rebuilding from raising operators: a^dag_b a^dag_d |vac> with b -> d
     # becomes a^dag_d^2 |vac> = sqrt(2) |2_d>.
-    out = apply_relabel(basis("b:0 d:0"), Relabel("b", "d"))
+    out = apply_element(basis("b:0 d:0"), Relabel("b", "d"))
     assert out.amplitude({label("d:0"): 2}) == pytest.approx(math.sqrt(2))
 
 
 def test_relabel_merges_only_matching_modes():
-    out = apply_relabel(basis("b:1 d:0"), Relabel("b", "d"))
+    out = apply_element(basis("b:1 d:0"), Relabel("b", "d"))
     assert out == basis("d:0 d:1")
 
 
@@ -258,8 +252,24 @@ def small_states(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_states(), st.floats(min_value=0.0, max_value=1.0))
 def test_misalignment_preserves_norm(s, t):
-    out = apply_misalignment(s, Misalignment("a", t, loss="loss#0"))
+    out = apply_element(s, Misalignment("a", t, loss="loss#0"))
     assert out.norm() == pytest.approx(s.norm(), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_states(), paths, st.integers(min_value=-3, max_value=3), st.floats(min_value=-7, max_value=7))
+def test_shift_and_phase_preserve_norm_and_term_count(s, path, delta, phi):
+    for element in (ModeShifter(path, delta), PhaseShifter(path, phi)):
+        out = apply_element(s, element)
+        assert len(out) == len(s)
+        assert out.norm() == pytest.approx(s.norm(), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_states(), paths, st.integers(min_value=-3, max_value=3))
+def test_shift_there_and_back_is_identity(s, path, delta):
+    there = apply_element(s, ModeShifter(path, delta))
+    assert apply_element(there, ModeShifter(path, -delta)) == s
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +277,7 @@ def test_misalignment_preserves_norm(s, t):
 def test_disjoint_crystals_commute(g1, g2):
     c1 = Crystal(label("a:0"), label("b:0"), g=g1)
     c2 = Crystal(label("c:1"), label("d:1"), g=g2)
-    one = apply_crystal(apply_crystal(vacuum(), c1), c2)
-    other = apply_crystal(apply_crystal(vacuum(), c2), c1)
+    one = apply_element(apply_element(vacuum(), c1), c2)
+    other = apply_element(apply_element(vacuum(), c2), c1)
     # Equality in canonical form: the difference prunes to nothing.
     assert (one - other).is_zero()

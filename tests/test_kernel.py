@@ -1,4 +1,5 @@
-"""Property tests for the fused pair-generator kernel and its splices."""
+"""Property tests for the fused pair-generator kernel and its splices,
+and for the passive-element kernel."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim.analysis import efficiency_simulated, ghz_layout
-from spdcsim.elements import Crystal, MultimodeCrystal, expand_crystal, taylor_weights
+from spdcsim.elements import (
+    Crystal,
+    Misalignment,
+    ModeShifter,
+    MultimodeCrystal,
+    PhaseShifter,
+    Relabel,
+    expand_crystal,
+    substitute,
+    taylor_weights,
+)
 from spdcsim.fock import (
     ModeLabel,
     StateVector,
@@ -62,11 +73,11 @@ def assert_close(fused, reference):
 
 
 @settings(max_examples=200, deadline=None)
-@given(occupations, pair_labels)
-def test_splices_match_canonical_rebuild(occ, lab):
+@given(occupations, pair_labels, st.integers(min_value=1, max_value=3))
+def test_splices_match_canonical_rebuild(occ, lab, k):
     counts = dict(occ)
-    raised, n = raise_occupation(occ, lab)
-    assert n == counts.get(lab, 0) + 1
+    raised, n = raise_occupation(occ, lab, k)
+    assert n == counts.get(lab, 0) + k
     assert raised == make_occupation({**counts, lab: n})
     lowered = lower_occupation(occ, lab)
     if lab not in counts:
@@ -93,7 +104,7 @@ def monomial_to_bosonic(terms):
     """Amplitude of ``c prod a_dag^n |vac>`` is ``c sqrt(prod n!)``."""
     return StateVector(
         {
-            occ: float(c) * math.sqrt(math.prod(math.factorial(n) for _, n in occ))
+            occ: complex(c) * math.sqrt(math.prod(math.factorial(n) for _, n in occ))
             for occ, c in terms.items()
         }
     )
@@ -109,6 +120,30 @@ def test_monomial_convention_is_exact_and_agrees_with_bosonic(terms, label_pairs
     bosonic = apply_pair_generator(
         monomial_to_bosonic(terms).terms, label_pairs, creation_only=creation_only
     )
+    assert_close(StateVector(bosonic), monomial_to_bosonic(monomial))
+
+
+# Sources and targets on the state paths a-c, so a relabel often lands
+# on occupied labels and merges.
+state_paths = st.sampled_from("abc")
+passive_elements = st.one_of(
+    st.builds(ModeShifter, state_paths, st.integers(min_value=-2, max_value=2)),
+    st.builds(PhaseShifter, state_paths, st.floats(min_value=-7, max_value=7)),
+    st.builds(
+        Misalignment,
+        state_paths,
+        st.floats(min_value=0.05, max_value=0.95),
+        loss=st.just("loss#0"),
+    ),
+    st.builds(Relabel, state_paths, state_paths),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(occupations, rationals, min_size=1, max_size=6), passive_elements)
+def test_passive_kernel_conventions_agree(terms, element):
+    monomial = substitute(terms, element, bosonic=False)
+    bosonic = substitute(monomial_to_bosonic(terms).terms, element)
     assert_close(StateVector(bosonic), monomial_to_bosonic(monomial))
 
 
