@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .elements import expand_crystal, substitute
+from .elements import compile_layout, expand_crystal, substitute
 from .experiment import Experiment, coincidence_weights, run
 from .fock import ModeLabel, Occupation, StateVector
 
@@ -205,9 +205,10 @@ def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
     """Squared norms of the pure emission expansion's terms, all scaled
     by one common positive integer.
 
-    Runs the element code in the monomial convention: a term maps a
-    canonical occupation to the coefficient of ``prod a_dag^n |vac>``,
-    so its squared norm is ``coeff^2 * prod n!``.  A crystal of coupling
+    Runs the element code in the monomial convention on the experiment's
+    packed keys, decoded once at the end: a term maps a canonical
+    occupation to the coefficient of ``prod a_dag^n |vac>``, so its
+    squared norm is ``coeff^2 * prod n!``.  A crystal of coupling
     ``g = p / q`` and order ``N`` is expanded as ``q^N N!`` times its
     series, with integer weights ``p^k q^(N-k) N! / k!``, so every
     coefficient stays an integer; a ratio of weights does not depend on
@@ -215,7 +216,8 @@ def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
     """
     limit = 2 * exp.pair_budget
     order = exp.expansion_order
-    terms: dict[Occupation, int] = {(): 1}
+    layout = compile_layout(exp.elements, limit + 2 * order)
+    terms = {0: 1}
     for element in exp.elements:
         if isinstance(element, (Crystal, MultimodeCrystal)):
             p, q = element.g.as_integer_ratio()
@@ -224,11 +226,12 @@ def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
                 for k in range(order + 1)
             ]
             terms = expand_crystal(
-                terms, element, weights, creation_only=True, bosonic=False, limit=limit
+                terms, element, weights, layout, creation_only=True, bosonic=False, limit=limit
             )
         else:
-            terms = substitute(terms, element, bosonic=False)
-    for occ, coeff in terms.items():
+            terms = substitute(terms, element, layout, bosonic=False)
+    for key, coeff in terms.items():
+        occ = layout.decode(key)
         yield occ, coeff * coeff * math.prod(math.factorial(cnt) for _, cnt in occ)
 
 

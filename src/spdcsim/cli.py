@@ -123,11 +123,14 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 def _cmd_srv(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
+    parties = args.parties.split(",") if args.parties else list(exp.detectors)
+    for party in parties:
+        if party not in exp.detectors:
+            return _usage_error(f"bad --parties {args.parties!r}: {party!r} is not a detector path")
     selected = post_select(run(exp), exp.detectors)
     if selected.state.is_zero():
         print("post-selected component is zero", file=sys.stderr)
         return 1
-    parties = args.parties.split(",") if args.parties else list(exp.detectors)
     srv = analysis.schmidt_rank_vector(selected.state, parties)
     ranks = srv.ranks
     if args.parties is None:

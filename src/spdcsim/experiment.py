@@ -14,11 +14,12 @@ from .elements import (
     MultimodeCrystal,
     PhaseShifter,
     Relabel,
-    apply_element,
+    compile_layout,
     crystal_pairs,
+    evolve,
     resolve_loss_paths,
 )
-from .fock import LOSS_PREFIX, Occupation, StateVector, occupation_photons, vacuum
+from .fock import LOSS_PREFIX, Occupation, StateVector, occupation_photons
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,13 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     """Apply the element list to vacuum, cutting each source's output to
     the pair budget.
 
+    The resolved element list is compiled once into a packed-key layout
+    (``elements.compile_layout``) wide enough for ``2 * pair_budget``
+    photons plus the ``2 * expansion_order`` a crystal's expansion adds
+    on the way; every element then evolves the ``int``-keyed terms
+    (``elements.evolve``), pruned after each element, and the keys are
+    decoded to canonical occupation tuples once, at the end.
+
     Every crystal keeps only terms of at most ``2 * pair_budget``
     photons; the cut is made inside the expansion, which never generates
     terms that could only end above it (``elements.expand_crystal``).
@@ -115,16 +123,14 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     if strict:
         validate_paths(exp)
     limit = 2 * exp.pair_budget
-    state = vacuum()
-    for element in resolve_loss_paths(exp.elements):
-        state = apply_element(
-            state,
-            element,
-            order=exp.expansion_order,
-            creation_only=exp.creation_only,
-            limit=limit,
-        )
-    return state
+    order = exp.expansion_order
+    elements = resolve_loss_paths(exp.elements)
+    layout = compile_layout(elements, limit + 2 * order)
+    terms = {0: 1.0 + 0j}
+    for element in elements:
+        terms = evolve(terms, element, layout, order=order, creation_only=exp.creation_only, limit=limit)
+    decode = layout.decode
+    return StateVector({decode(key): amp for key, amp in terms.items()})
 
 
 def post_select_pattern(

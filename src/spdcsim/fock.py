@@ -7,9 +7,12 @@ convention, so raising and lowering carry the usual square-root factors:
 raising an occupation ``n`` multiplies the amplitude by ``sqrt(n + 1)``,
 lowering by ``sqrt(n)``.
 
-The pair-generator kernel :func:`apply_pair_generator` also works on
-plain coefficient dicts in the monomial convention, where a term stands
-for ``prod a_dag^n |vac>`` and raising leaves the coefficient unchanged.
+Evolution runs on packed keys instead: :class:`KeyLayout` packs an
+occupation into one ``int``, and the pair-generator kernel
+:func:`apply_pair_generator` works on plain coefficient dicts over those
+keys, in the convention above or in the monomial convention, where a
+term stands for ``prod a_dag^n |vac>`` and raising leaves the
+coefficient unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 #: Amplitudes at or below this magnitude are dropped from sparse states.
 PRUNE_EPSILON = 1e-14
@@ -89,42 +92,106 @@ def lower_occupation(occ: Occupation, label: ModeLabel) -> tuple[Occupation, int
     return occ[:i] + ((label, n - 1),) + occ[i + 1 :], n
 
 
+class KeyLayout:
+    """Packing of occupations into one ``int``: each ``(path, mode)`` label
+    owns a ``width``-bit field.
+
+    Fields run in canonical label order, and each path owns one block of
+    fields, one per mode from its lowest to its highest, so a mode shift
+    moves the block's bits.  ``width`` is the smallest with
+    ``2^width - 1 > bound``: no term of at most ``bound`` photons overflows
+    a field, and since ``2^width`` is 1 modulo ``mask = 2^width - 1`` the
+    digit sum ``key % mask`` is the term's exact photon count.
+    """
+
+    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels")
+
+    def __init__(self, modes: Mapping[str, Iterable[int]], bound: int):
+        width = (bound + 1).bit_length()
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.bound = bound
+        #: label -> bit offset of its field
+        self.fields: dict[ModeLabel, int] = {}
+        #: path -> (bit offset of the block, lowest mode, field count)
+        self.blocks: dict[str, tuple[int, int, int]] = {}
+        #: the label of each field, in field order
+        self.labels: list[ModeLabel] = []
+        for path in sorted(modes):
+            reach = modes[path]
+            low, high = min(reach), max(reach)
+            self.blocks[path] = (len(self.labels) * width, low, high - low + 1)
+            for mode in range(low, high + 1):
+                label = ModeLabel(path, mode)
+                self.fields[label] = len(self.labels) * width
+                self.labels.append(label)
+
+    def encode(self, occ: Occupation) -> int:
+        """The key of ``occ``; ``ValueError`` for a label without a field
+        or a term above the bound, which could overflow."""
+        fields = self.fields
+        key = total = 0
+        for label, n in occ:
+            offset = fields.get(label)
+            if offset is None:
+                raise ValueError(f"label {label.text()} has no field in this key layout")
+            key += n << offset
+            total += n
+        if total > self.bound:
+            raise ValueError(f"{total} photons exceed the key layout's bound of {self.bound}")
+        return key
+
+    def decode(self, key: int) -> Occupation:
+        """The canonical occupation tuple of ``key``."""
+        width, mask, labels = self.width, self.mask, self.labels
+        out = []
+        i = 0
+        while key:
+            n = key & mask
+            if n:
+                out.append((labels[i], n))
+            key >>= width
+            i += 1
+        return tuple(out)
+
+
 def apply_pair_generator(
-    terms: Mapping[Occupation, object],
-    pairs: list[tuple[ModeLabel, ModeLabel]],
+    terms: Mapping[int, object],
+    slots: list[tuple[int, int]],
+    mask: int,
     *,
     creation_only: bool = False,
     bosonic: bool = True,
-) -> dict[Occupation, object]:
+) -> dict[int, object]:
     """Apply ``D = sum_pairs (a^dag_A a^dag_B - a_A a_B)`` once to a
-    coefficient dict, in one pass and without pruning.
+    coefficient dict on packed keys, in one pass and without pruning.
 
-    Bosonic convention: raising to ``n`` and lowering from ``n`` both
-    multiply by ``sqrt(n)``.  Monomial convention (``bosonic=False``):
-    raising multiplies by 1 and lowering from ``n`` by ``n``, so
-    ``Fraction`` coefficients stay exact.
+    ``slots`` holds each pair's two field offsets and ``mask`` one
+    field's bits (:class:`KeyLayout`).  Bosonic convention: raising to
+    ``n`` and lowering from ``n`` both multiply by ``sqrt(n)``.  Monomial
+    convention (``bosonic=False``): raising multiplies by 1 and lowering
+    from ``n`` by ``n``, so integer and ``Fraction`` coefficients stay
+    exact.
     """
-    out: dict[Occupation, object] = {}
+    # ``same`` is 1 when A is B: the second raise then sees the first.
+    steps = [(a, b, int(a == b), (1 << a) + (1 << b)) for a, b in slots]
+    out: dict[int, object] = {}
     get = out.get
     sqrt = math.sqrt
-    for occ, amp in terms.items():
-        for label_a, label_b in pairs:
-            raised, na = raise_occupation(occ, label_a)
-            raised, nb = raise_occupation(raised, label_b)
-            value = amp * sqrt(na * nb) if bosonic else amp
+    for key, amp in terms.items():
+        for a, b, same, step in steps:
+            na = key >> a & mask
+            nb = key >> b & mask
+            raised = key + step
+            value = amp * sqrt((na + 1) * (nb + 1 + same)) if bosonic else amp
             out[raised] = get(raised, 0) + value
             if creation_only:
                 continue
-            first = lower_occupation(occ, label_a)
-            if first is None:
-                continue
-            second = lower_occupation(first[0], label_b)
-            if second is None:
-                continue
-            lowered, nb = second
-            na = first[1]
-            value = amp * sqrt(na * nb) if bosonic else amp * (na * nb)
-            out[lowered] = get(lowered, 0) - value
+            nb -= same
+            if na and nb > 0:
+                lowered = key - step
+                value = amp * sqrt(na * nb) if bosonic else amp * (na * nb)
+                out[lowered] = get(lowered, 0) - value
     return out
 
 

@@ -155,6 +155,20 @@ def test_srv_explicit_parties(capsys):
     assert out.strip() == "4 2 2 1"
 
 
+@pytest.mark.parametrize(
+    "parties, bad",
+    [("a,b,zz", "zz"), ("a,,b", ""), ("a,loss#0", "loss#0")],
+    ids=["unknown-path", "empty-name", "loss-path"],
+)
+def test_srv_rejects_a_party_that_is_no_detector(capsys, parties, bad):
+    code, out, err = invoke(
+        capsys, "srv", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--parties", parties
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{bad!r} is not a detector path" in err
+
+
 def test_efficiency_formula_only(capsys):
     code, out, _ = invoke(capsys, "efficiency", 4, 2)
     assert code == 0
