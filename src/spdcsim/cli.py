@@ -16,8 +16,7 @@ from pathlib import Path
 from . import analysis, coherence, dsl
 from .experiment import Experiment, post_select, run
 from .fock import StateVector, parse_state
-from .search import ElementPool, FidelityTarget, SearchConfig, SrvTarget, Target
-from .search import search as run_search
+from .search import ElementPool, FidelityTarget, SearchConfig, SrvTarget, Target, search_with_stats
 
 
 def _read_experiment(path: str) -> Experiment:
@@ -70,7 +69,8 @@ def _print_state(state: StateVector, as_json: bool) -> None:
         sys.stdout.write(state.serialize())
 
 
-def _target_state(spec: str) -> StateVector:
+def _target_state(spec: str, paths: tuple[str, ...] | None = None) -> StateVector:
+    """The named target; ``ghz:``/``w:`` targets sit on ``paths`` when given."""
     kind, _, sizes = spec.partition(":")
     if kind in ("ghz", "w"):
         form = "ghz:<n>:<d>" if kind == "ghz" else "w:<n>"
@@ -80,8 +80,14 @@ def _target_state(spec: str) -> StateVector:
             numbers = []
         if len(numbers) != form.count(":"):
             raise SystemExit(_usage_error(f"bad target {spec!r}: expected {form} with integers"))
+        if paths is not None and numbers[0] != len(paths):
+            raise SystemExit(_usage_error(
+                f"bad target {spec!r}: {numbers[0]} parties, but {len(paths)} detectors {','.join(paths)}"
+            ))
         try:
-            return analysis.ghz_target(*numbers) if kind == "ghz" else analysis.w_target(*numbers)
+            if kind == "ghz":
+                return analysis.ghz_target(*numbers, paths=paths)
+            return analysis.w_target(*numbers, paths=paths)
         except ValueError as exc:
             raise SystemExit(_usage_error(f"bad target {spec!r}: {exc}"))
     path = Path(spec)
@@ -212,15 +218,27 @@ def _cmd_search(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(f"bad --pool {args.pool!r} or --paths {args.paths!r}: {exc}")
     detectors = tuple(args.detectors.split(",")) if args.detectors else paths
+    for path in detectors:
+        if path not in paths:
+            return _usage_error(f"bad --detectors {args.detectors!r}: {path!r} is not in --paths {args.paths!r}")
+    parties = tuple(args.parties.split(",")) if args.parties else detectors
+    for party in parties:
+        if party not in detectors:
+            return _usage_error(f"bad --parties {args.parties!r}: {party!r} is not a detector path")
     if args.target.startswith("srv:"):
-        parties = tuple(args.parties.split(",")) if args.parties else detectors
         try:
             ranks = tuple(int(r) for r in args.target[len("srv:"):].split(","))
             target: Target = SrvTarget(parties=parties, ranks=ranks)
         except ValueError as exc:
             return _usage_error(f"bad target {args.target!r}: {exc}")
     else:
-        target = FidelityTarget(_target_state(args.target), threshold=args.threshold)
+        state = _target_state(args.target, detectors)
+        if state.paths() != set(detectors):
+            return _usage_error(
+                f"bad target {args.target!r}: its paths {','.join(sorted(state.paths()))} "
+                f"are not the detectors {','.join(detectors)}"
+            )
+        target = FidelityTarget(state, threshold=args.threshold)
     config = SearchConfig(
         pool=pool,
         detectors=detectors,
@@ -229,7 +247,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    hits = run_search(config, workers=args.workers)
+    hits, stats = search_with_stats(config, workers=args.workers)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,6 +257,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             name = out_dir / f"hit_{hit.trial_index:06d}.exp"
             name.write_text(dsl.serialize(hit.experiment))
     print(f"{len(hits)} hit(s) in {config.budget} trials", file=sys.stderr)
+    if args.stats:
+        print(json.dumps(stats.record()), file=sys.stderr)
     return 0 if hits else 1
 
 
@@ -303,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parties", default=None, help="party paths for srv targets")
     p.add_argument("--max-elements", type=_POSITIVE_INT, default=4)
     p.add_argument("--threshold", type=_UNIT_INTERVAL, default=0.999)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_POSITIVE_INT, default=1)
     p.add_argument("--out", default=None, help="directory for hit files")
+    p.add_argument("--stats", action="store_true", help="one JSON line of search statistics on stderr")
     p.set_defaults(func=_cmd_search)
 
     return parser

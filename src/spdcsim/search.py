@@ -5,11 +5,17 @@ post-selects on the configured detectors, and scores the result against
 the acceptance target.  Trial randomness comes from an independent
 stream derived from ``(seed, trial_index)``, so results are identical
 bit for bit no matter how trials are distributed over workers.
+
+A trial's draw is a compact key, one small int per element.  Equal
+setups draw equal keys, and each process of a search scores each
+distinct key once: later trials with that key reuse the cached score
+and build no ``Experiment`` unless they are hits.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -101,6 +107,44 @@ class SearchHit:
     trial_index: int
 
 
+@dataclass
+class SearchStats:
+    """What one search did, summed over its workers.
+
+    ``evaluated`` counts cache misses, each scored once by ``evaluate``;
+    every other trial is a cache hit.  ``histogram`` counts the evaluated
+    scores in ten equal bins on [0, 1] for a fidelity target, or scores 0
+    and 1 for a rank target.  ``draw_s`` and ``score_s`` add up the
+    workers' times; ``wall_s`` is the search's elapsed time.
+    """
+
+    trials: int
+    accepted: int
+    evaluated: int
+    cache_hits: int
+    draw_s: float
+    score_s: float
+    histogram: list[int]
+    wall_s: float = 0.0
+
+    def record(self) -> dict:
+        """The stats as one JSON-ready mapping."""
+        if len(self.histogram) == 10:
+            labels = [f"[{k / 10:.1f},{(k + 1) / 10:.1f}{']' if k == 9 else ')'}" for k in range(10)]
+        else:
+            labels = ["0", "1"]
+        return {
+            "trials": self.trials,
+            "trials_per_s": self.trials / self.wall_s if self.wall_s else 0.0,
+            "accepted": self.accepted,
+            "evaluated": self.evaluated,
+            "cache_hits": self.cache_hits,
+            "draw_s": self.draw_s,
+            "score_s": self.score_s,
+            "score_histogram": dict(zip(labels, self.histogram)),
+        }
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
@@ -109,31 +153,96 @@ def _choice(rng: np.random.Generator, items: Sequence):
     return items[int(rng.integers(len(items)))]
 
 
-def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
-    """Draw one candidate: uniform element count, kinds, and parameters."""
+# A drawn element is one int, an index into the elements the pool can draw.
+# The index runs over five blocks, one per kind, each a mixed-radix number
+# of the draw's parameter indices: crystal (pair, mode pair), multimode
+# (pair, mode list), shift (path, delta), phase (path, phase) and relabel
+# (source, target).  A pair is ``i * n + j`` over the path indices with
+# ``i < j``, so the two orders of a crystal's paths give one index; a
+# relabel keeps its order.
+
+
+def _blocks(pool: ElementPool) -> tuple[int, int, int, int]:
+    """First index of the multimode, shift, phase and relabel blocks."""
+    n = len(pool.paths)
+    multimode = n * n * len(pool.crystal_modes)
+    shift = multimode + n * n * len(MULTIMODE_LISTS)
+    phase = shift + n * len(SHIFT_DELTAS)
+    return multimode, shift, phase, phase + n * len(PHASE_VALUES)
+
+
+def _unordered_pair(rng: np.random.Generator, n: int) -> int:
+    i, j = rng.choice(n, size=2, replace=False).tolist()
+    return i * n + j if i < j else j * n + i
+
+
+def _draw(rng: np.random.Generator, config: SearchConfig) -> tuple[int, ...]:
+    """One candidate as a key: uniform element count, kinds, and parameters.
+
+    Makes the RNG calls ``random_setup`` makes, in the same order.
+    """
     pool = config.pool
-    count = int(rng.integers(1, config.max_elements + 1))
-    elements: list[Element] = []
-    for _ in range(count):
+    n = len(pool.paths)
+    multimode, shift, phase, relabel = _blocks(pool)
+    key = []
+    for _ in range(int(rng.integers(1, config.max_elements + 1))):
         kind = _choice(rng, pool.kinds)
         if kind == "crystal":
-            pair = rng.choice(len(pool.paths), size=2, replace=False)
-            a, b = sorted(pool.paths[int(i)] for i in pair)
-            mode_a, mode_b = _choice(rng, pool.crystal_modes)
-            elements.append(Crystal(ModeLabel(a, mode_a), ModeLabel(b, mode_b), g=COUPLING))
+            modes = len(pool.crystal_modes)
+            key.append(_unordered_pair(rng, n) * modes + int(rng.integers(modes)))
         elif kind == "multimode":
-            pair = rng.choice(len(pool.paths), size=2, replace=False)
-            a, b = sorted(pool.paths[int(i)] for i in pair)
-            modes = _choice(rng, MULTIMODE_LISTS)
-            elements.append(MultimodeCrystal(a, b, modes=modes, g=COUPLING))
+            lists = len(MULTIMODE_LISTS)
+            key.append(multimode + _unordered_pair(rng, n) * lists + int(rng.integers(lists)))
         elif kind == "shift":
-            elements.append(ModeShifter(_choice(rng, pool.paths), _choice(rng, SHIFT_DELTAS)))
+            deltas = len(SHIFT_DELTAS)
+            key.append(shift + int(rng.integers(n)) * deltas + int(rng.integers(deltas)))
         elif kind == "phase":
-            elements.append(PhaseShifter(_choice(rng, pool.paths), _choice(rng, PHASE_VALUES)))
+            phases = len(PHASE_VALUES)
+            key.append(phase + int(rng.integers(n)) * phases + int(rng.integers(phases)))
         else:  # relabel
-            pair = rng.choice(len(pool.paths), size=2, replace=False)
-            elements.append(Relabel(pool.paths[int(pair[0])], pool.paths[int(pair[1])]))
+            source, target = rng.choice(n, size=2, replace=False).tolist()
+            key.append(relabel + source * n + target)
+    return tuple(key)
+
+
+def _element(index: int, pool: ElementPool) -> Element:
+    """The element a drawn index names; crystal paths sorted by name."""
+    paths = pool.paths
+    n = len(paths)
+    multimode, shift, phase, relabel = _blocks(pool)
+    if index >= relabel:
+        source, target = divmod(index - relabel, n)
+        return Relabel(paths[source], paths[target])
+    if index >= phase:
+        path, value = divmod(index - phase, len(PHASE_VALUES))
+        return PhaseShifter(paths[path], PHASE_VALUES[value])
+    if index >= shift:
+        path, delta = divmod(index - shift, len(SHIFT_DELTAS))
+        return ModeShifter(paths[path], SHIFT_DELTAS[delta])
+    if index >= multimode:
+        pair, modes = divmod(index - multimode, len(MULTIMODE_LISTS))
+        a, b = sorted(paths[i] for i in divmod(pair, n))
+        return MultimodeCrystal(a, b, modes=MULTIMODE_LISTS[modes], g=COUPLING)
+    pair, modes = divmod(index, len(pool.crystal_modes))
+    a, b = sorted(paths[i] for i in divmod(pair, n))
+    mode_a, mode_b = pool.crystal_modes[modes]
+    return Crystal(ModeLabel(a, mode_a), ModeLabel(b, mode_b), g=COUPLING)
+
+
+def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, Element]) -> Experiment:
+    """The experiment a key names, its elements shared through ``table``."""
+    elements = []
+    for index in key:
+        element = table.get(index)
+        if element is None:
+            element = table[index] = _element(index, config.pool)
+        elements.append(element)
     return Experiment(elements=tuple(elements), detectors=config.detectors)
+
+
+def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
+    """Draw one candidate: uniform element count, kinds, and parameters."""
+    return _build(_draw(rng, config), config, {})
 
 
 def evaluate(exp: Experiment, target: Target) -> float:
@@ -156,14 +265,92 @@ def _accepts(target: Target, score: float) -> bool:
     return score == 1.0
 
 
-def _run_block(config: SearchConfig, start: int, stop: int) -> list[SearchHit]:
+def _run_block(
+    config: SearchConfig,
+    start: int,
+    stop: int,
+    table: dict[int, Element],
+    scores: dict[tuple[int, ...], float],
+) -> tuple[list[SearchHit], SearchStats]:
+    """Trials ``start`` to ``stop``; each key not yet in ``scores`` is scored once.
+
+    An experiment is built only to score a new key or to report a hit.
+    """
+    target = config.target
+    bins = 10 if isinstance(target, FidelityTarget) else 2
+    histogram = [0] * bins
     hits = []
+    evaluated = cache_hits = 0
+    draw_s = score_s = 0.0
+    clock = time.perf_counter
+    last = clock()
     for trial in range(start, stop):
-        exp = random_setup(_trial_rng(config.seed, trial), config)
-        score = evaluate(exp, config.target)
-        if _accepts(config.target, score):
+        key = _draw(_trial_rng(config.seed, trial), config)
+        drawn = clock()
+        draw_s += drawn - last
+        score = scores.get(key)
+        exp = None
+        if score is None:
+            exp = _build(key, config, table)
+            score = scores[key] = evaluate(exp, target)
+            evaluated += 1
+            histogram[min(int(score * bins), bins - 1)] += 1
+        else:
+            cache_hits += 1
+        if _accepts(target, score):
+            if exp is None:
+                exp = _build(key, config, table)
             hits.append(SearchHit(exp, score, trial))
-    return hits
+        last = clock()
+        score_s += last - drawn
+    stats = SearchStats(stop - start, len(hits), evaluated, cache_hits, draw_s, score_s, histogram)
+    return hits, stats
+
+
+# The search a pool process serves: its config, element table and score
+# cache.  Set by ``_start_worker`` in each process of one ``search``; the
+# cache spans that process's blocks and ends with the pool.
+_worker: tuple[SearchConfig, dict[int, Element], dict[tuple[int, ...], float]] | None = None
+
+
+def _start_worker(config: SearchConfig) -> None:
+    global _worker
+    _worker = (config, {}, {})
+
+
+def _worker_block(span: tuple[int, int]) -> tuple[list[SearchHit], SearchStats]:
+    config, table, scores = _worker
+    return _run_block(config, *span, table, scores)
+
+
+def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[SearchHit], SearchStats]:
+    """``search``, plus what it did.
+
+    Each distinct key is scored once per process: the serial search keeps
+    one score cache, and each pool process keeps one for all its blocks.
+    No cache outlives the call.
+    """
+    start = time.perf_counter()
+    if workers <= 1:
+        hits, stats = _run_block(config, 0, config.budget, {}, {})
+    else:
+        block = max(1, math.ceil(config.budget / (workers * 8)))
+        spans = [(a, min(a + block, config.budget)) for a in range(0, config.budget, block)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(config,)) as pool:
+            parts = list(pool.map(_worker_block, spans))
+        # ``map`` keeps the span order, so the hits stay in trial order.
+        hits = [hit for block_hits, _ in parts for hit in block_hits]
+        stats = SearchStats(
+            trials=sum(s.trials for _, s in parts),
+            accepted=sum(s.accepted for _, s in parts),
+            evaluated=sum(s.evaluated for _, s in parts),
+            cache_hits=sum(s.cache_hits for _, s in parts),
+            draw_s=sum(s.draw_s for _, s in parts),
+            score_s=sum(s.score_s for _, s in parts),
+            histogram=[sum(counts) for counts in zip(*(s.histogram for _, s in parts))],
+        )
+    stats.wall_s = time.perf_counter() - start
+    return hits, stats
 
 
 def search(config: SearchConfig, *, workers: int = 1) -> list[SearchHit]:
@@ -172,19 +359,4 @@ def search(config: SearchConfig, *, workers: int = 1) -> list[SearchHit]:
     The per-trial random streams make the result independent of the
     worker count and of scheduling.
     """
-    if workers <= 1:
-        return _run_block(config, 0, config.budget)
-    block = max(1, math.ceil(config.budget / (workers * 8)))
-    spans = [
-        (start, min(start + block, config.budget))
-        for start in range(0, config.budget, block)
-    ]
-    hits: list[SearchHit] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for block_hits in pool.map(_search_block_star, [(config, a, b) for a, b in spans]):
-            hits.extend(block_hits)
-    return sorted(hits, key=lambda h: h.trial_index)
-
-
-def _search_block_star(args: tuple[SearchConfig, int, int]) -> list[SearchHit]:
-    return _run_block(*args)
+    return search_with_stats(config, workers=workers)[0]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spdcsim.analysis import ghz_target
 from spdcsim.cli import main
 
 from conftest import EXPERIMENTS_DIR
@@ -79,8 +80,23 @@ def test_fidelity_against_state_file(tmp_path, capsys):
         (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "ghz:x:2"), "ghz:x:2"),
         (("search", "srv:a,b", "--budget", 1), "srv:a,b"),
         (("search", "ghz:4:2", "--pool", "crystal,bogus", "--budget", 1), "crystal,bogus"),
+        (("search", "ghz:3:2", "--budget", 1), "ghz:3:2"),
+        (("search", "w:5", "--budget", 1), "w:5"),
+        (("search", "ghz:4:2", "--detectors", "a,b,c", "--budget", 1), "ghz:4:2"),
+        (("search", "ghz:4:2", "--detectors", "a,b,zz,d", "--budget", 1), "a,b,zz,d"),
+        (("search", "srv:2,2", "--parties", "a,zz", "--budget", 1), "a,zz"),
     ],
-    ids=["ghz-missing-d", "ghz-non-integer", "srv-non-integer", "unknown-pool-kind"],
+    ids=[
+        "ghz-missing-d",
+        "ghz-non-integer",
+        "srv-non-integer",
+        "unknown-pool-kind",
+        "ghz-fewer-parties-than-detectors",
+        "w-more-parties-than-detectors",
+        "ghz-more-parties-than-detectors",
+        "detector-outside-paths",
+        "party-no-detector",
+    ],
 )
 def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
     try:
@@ -100,6 +116,7 @@ def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
         (("search", "ghz:4:2", "--threshold", 2), "--threshold"),
         (("search", "ghz:4:2", "--max-elements", 0), "--max-elements"),
         (("search", "ghz:4:2", "--seed", -1), "--seed"),
+        (("search", "ghz:4:2", "--workers", -3), "--workers"),
         (("run", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--order", 0), "--order"),
         (("efficiency", 3, 2), "n=3"),
         (("layout", "ghz", 5, 2), "n=5"),
@@ -110,6 +127,7 @@ def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
         "threshold",
         "max-elements",
         "seed",
+        "workers",
         "order",
         "efficiency-odd-n",
         "layout-odd-n",
@@ -243,3 +261,67 @@ def test_search_writes_hits(tmp_path, capsys):
     files = list(out_dir.glob("hit_*.exp"))
     assert files
     assert "hit(s)" in err
+
+
+def search_stats(err):
+    """The ``--stats`` record: the last line on stderr."""
+    return json.loads(err.splitlines()[-1])
+
+
+def test_search_stats_line_accounts_for_every_trial(capsys):
+    argv = ("search", "ghz:4:2", "--budget", 3000, "--seed", 20240817)
+    code, out, err = invoke(capsys, *argv)
+    code_stats, out_stats, err_stats = invoke(capsys, *argv, "--stats")
+    assert code == code_stats == 0
+    assert out_stats == out
+    assert err_stats.splitlines()[:-1] == err.splitlines()
+    stats = search_stats(err_stats)
+    assert stats["trials"] == 3000
+    assert stats["evaluated"] + stats["cache_hits"] == stats["trials"]
+    assert stats["evaluated"] < stats["trials"]
+    assert stats["accepted"] == out.count("hit trial=")
+    assert len(stats["score_histogram"]) == 10
+    assert sum(stats["score_histogram"].values()) == stats["evaluated"]
+    assert stats["trials_per_s"] > 0 and stats["draw_s"] > 0 and stats["score_s"] > 0
+
+
+def test_search_stats_for_a_rank_target_count_scores_0_and_1(capsys):
+    code, _, err = invoke(
+        capsys, "search", "srv:4,2,2", "--paths", "t,a,b,c", "--parties", "a,b,c",
+        "--pool", "multimode", "--max-elements", 2, "--budget", 1000, "--seed", 7,
+        "--workers", 2, "--stats",
+    )
+    assert code == 0
+    stats = search_stats(err)
+    assert list(stats["score_histogram"]) == ["0", "1"]
+    assert stats["score_histogram"]["1"] >= 1
+    assert sum(stats["score_histogram"].values()) == stats["evaluated"]
+    assert stats["evaluated"] + stats["cache_hits"] == stats["trials"] == 1000
+
+
+def test_search_target_sits_on_the_detector_paths(capsys):
+    argv = ("search", "ghz:4:2", "--budget", 3000, "--seed", 20240817)
+    code, default, _ = invoke(capsys, *argv)
+    renamed_code, renamed, _ = invoke(capsys, *argv, "--paths", "p,q,r,s")
+    assert code == renamed_code == 0
+    assert renamed == default
+
+
+def test_search_accepts_a_state_file_on_the_detectors(tmp_path, capsys):
+    target = tmp_path / "ghz.state"
+    target.write_text(ghz_target(4, 2, paths=("p", "q", "r", "s")).serialize())
+    code, out, _ = invoke(
+        capsys, "search", target, "--paths", "p,q,r,s", "--budget", 1000, "--seed", 20240817
+    )
+    assert code == 0
+    assert "hit trial=147" in out
+
+
+@pytest.mark.parametrize("paths", ["p,q,r,t", "a,b,c,d"], ids=["one-path-off", "default-paths"])
+def test_search_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths):
+    target = tmp_path / "target.state"
+    target.write_text(ghz_target(4, 2, paths=paths.split(",")).serialize())
+    code, out, err = invoke(capsys, "search", target, "--paths", "p,q,r,s", "--budget", 50)
+    assert code == 2
+    assert out == ""
+    assert f"bad target {str(target)!r}" in err

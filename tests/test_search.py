@@ -1,21 +1,28 @@
+import importlib
+
 import pytest
 
 from spdcsim.analysis import ghz_target
 from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from spdcsim.experiment import Experiment
-from spdcsim.fock import ModeLabel
+from spdcsim.fock import ModeLabel, StateVector
 from spdcsim.search import (
     ElementPool,
     FidelityTarget,
     SearchConfig,
     SrvTarget,
+    _accepts,
     _trial_rng,
     evaluate,
     random_setup,
     search,
+    search_with_stats,
 )
 
 from conftest import load_experiment
+
+# The package re-exports the function ``search`` under the module's name.
+search_module = importlib.import_module("spdcsim.search")
 
 POL_POOL = ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal",), crystal_modes=((0, 0), (1, 1)))
 
@@ -205,3 +212,72 @@ def test_forced_single_trial_hit():
     config = pol_config(seed=20240817, budget=148)
     hits = search(config)
     assert [h.trial_index for h in hits] == [147]
+
+
+# -- the score cache ---------------------------------------------------------
+
+
+def uncached_hits(config):
+    """The search without a cache: draw, build and score every trial."""
+    hits = []
+    for trial in range(config.budget):
+        exp = random_setup(_trial_rng(config.seed, trial), config)
+        score = evaluate(exp, config.target)
+        if _accepts(config.target, score):
+            hits.append((trial, exp, repr(score)))
+    return hits
+
+
+def as_tuples(hits):
+    return [(h.trial_index, h.experiment, repr(h.score)) for h in hits]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config", [pol_config(), MIXED_CONFIG], ids=["ghz4", "mixed"])
+def test_cached_search_equals_the_uncached_loop(config, workers):
+    reference = uncached_hits(config)
+    assert reference
+    assert as_tuples(search(config, workers=workers)) == reference
+
+
+def test_serial_search_scores_each_distinct_setup_once(monkeypatch):
+    config = pol_config(budget=1500)
+    scored = []
+
+    def counting_evaluate(exp, target):
+        scored.append(exp.elements)
+        return evaluate(exp, target)
+
+    monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
+    hits, stats = search_with_stats(config)
+    drawn = {random_setup(_trial_rng(config.seed, t), config).elements for t in range(config.budget)}
+    assert len(scored) == len(set(scored)) == len(drawn) == stats.evaluated
+    assert set(scored) == drawn
+    assert stats.evaluated + stats.cache_hits == stats.trials == config.budget
+    assert stats.cache_hits > 0
+    assert sum(stats.histogram) == stats.evaluated
+    assert stats.accepted == len(hits)
+
+
+def test_equal_elements_are_shared_within_a_search():
+    hits = search(pol_config())
+    seen = {}
+    for hit in hits:
+        for element in hit.experiment.elements:
+            assert seen.setdefault(element, element) is element
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_score_survives_into_the_next_search(workers):
+    # Same seed and pool, so the two searches draw the same keys; a score
+    # cached under the first target would turn up as a hit of the second.
+    ghz = pol_config(budget=1500)
+    product = pol_config(
+        budget=1500,
+        target=FidelityTarget(StateVector.from_occupations({ModeLabel(p, 0): 1 for p in "abcd"})),
+    )
+    first = as_tuples(search(ghz, workers=workers))
+    second = as_tuples(search(product, workers=workers))
+    assert first == uncached_hits(ghz)
+    assert second == uncached_hits(product)
+    assert first and second and first != second
