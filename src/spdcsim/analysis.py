@@ -7,14 +7,14 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .elements import compile_layout, expand_crystal, substitute
-from .experiment import Experiment, coincidence_weights, run
-from .fock import ModeLabel, Occupation, StateVector
+from .elements import expand_crystal, substitute
+from .experiment import Experiment, compile_run, nfold_rule, run_keys, sector_rule
+from .fock import KeyLayout, ModeLabel, StateVector
 
 #: Singular values below this count as zero when ranking reduced states.
 SRV_TOLERANCE = 1e-10
@@ -184,41 +184,58 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     amplitudes are exact monomials in the couplings.  When the element
     list allows it (crystals, mode shifters, relabelings) the expansion
     is carried out in raising-operator monomial form with integer
-    coefficients (:func:`_monomial_weights`), so the double-emission
+    coefficients (:func:`_monomial_terms`), so the double-emission
     enhancement factors are integer factorials and the returned ratio is
     an exact fraction.  Elements that introduce irrational amplitudes
-    fall back to a float ratio.
+    fall back to a float ratio, from ``run_keys`` with ``creation_only``.
+
+    Both branches compile the experiment once and count on its packed
+    keys, decoding nothing: the total sums the weights of the terms
+    holding ``n = len(detectors)`` photons outside the loss paths
+    (``sector_rule``, as :func:`~spdcsim.experiment.success_fraction`
+    counts them), and the valid weight those of the terms that pass the
+    n-fold rule of ``post_select`` (``nfold_rule``).  A weight is
+    ``|amp|^2``, or ``coeff^2 * prod n!`` in the monomial form, and is
+    computed only for terms in the sector.  Both sums run in term order
+    from the integer 0.
     """
     exact = all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements)
+    elements, layout = compile_run(exp)
     if exact:
-        weighted = _monomial_weights(exp)
+        terms = _monomial_terms(exp, elements, layout)
     else:
-        full = run(replace(exp, creation_only=True))
-        weighted = ((occ, abs(amp) ** 2) for occ, amp in full.terms.items())
-    valid, total = coincidence_weights(weighted, exp.detectors)
+        terms = run_keys(replace(exp, creation_only=True), elements, layout)
+    in_sector = sector_rule(layout, len(exp.detectors))
+    passes = nfold_rule(layout, exp.detectors)
+    valid = total = 0
+    for key, coeff in terms.items():
+        if not in_sector(key):
+            continue
+        weight = _monomial_norm(key, coeff, layout) if exact else abs(coeff) ** 2
+        total += weight
+        if passes(key):
+            valid += weight
     if total == 0:
         raise ValueError(f"no {len(exp.detectors)}-photon component in the experiment output")
     return Fraction(valid, total) if exact else valid / total
 
 
-def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
-    """Squared norms of the pure emission expansion's terms, all scaled
-    by one common positive integer.
+def _monomial_terms(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, int]:
+    """The pure emission expansion of the compiled ``elements`` on
+    ``layout``'s packed keys, all coefficients scaled by one common
+    positive integer.
 
-    Runs the element code in the monomial convention on the experiment's
-    packed keys, decoded once at the end: a term maps a canonical
-    occupation to the coefficient of ``prod a_dag^n |vac>``, so its
-    squared norm is ``coeff^2 * prod n!``.  A crystal of coupling
-    ``g = p / q`` and order ``N`` is expanded as ``q^N N!`` times its
-    series, with integer weights ``p^k q^(N-k) N! / k!``, so every
-    coefficient stays an integer; a ratio of weights does not depend on
-    the common scale.
+    Runs the element code in the monomial convention: a term maps a key
+    to the coefficient of ``prod a_dag^n |vac>``, so its squared norm is
+    ``coeff^2 * prod n!``.  A crystal of coupling ``g = p / q`` and
+    order ``N`` is expanded as ``q^N N!`` times its series, with integer
+    weights ``p^k q^(N-k) N! / k!``, so every coefficient stays an
+    integer; a ratio of weights does not depend on the common scale.
     """
     limit = 2 * exp.pair_budget
     order = exp.expansion_order
-    layout = compile_layout(exp.elements, limit + 2 * order)
     terms = {0: 1}
-    for element in exp.elements:
+    for element in elements:
         if isinstance(element, (Crystal, MultimodeCrystal)):
             p, q = element.g.as_integer_ratio()
             weights = [
@@ -230,9 +247,20 @@ def _monomial_weights(exp: Experiment) -> Iterator[tuple[Occupation, int]]:
             )
         else:
             terms = substitute(terms, element, layout, bosonic=False)
-    for key, coeff in terms.items():
-        occ = layout.decode(key)
-        yield occ, coeff * coeff * math.prod(math.factorial(cnt) for _, cnt in occ)
+    return terms
+
+
+def _monomial_norm(key: int, coeff: int, layout: KeyLayout) -> int:
+    """``coeff^2 * prod n!`` over the fields of ``key``: the squared norm
+    of ``coeff * prod a_dag^n |vac>``."""
+    width, mask = layout.width, layout.mask
+    norm = coeff * coeff
+    while key:
+        count = key & mask
+        if count > 1:
+            norm *= math.factorial(count)
+        key >>= width
+    return norm
 
 
 def efficiency_report(n: int, d: int, *, simulate: Experiment | None = None) -> EfficiencyReport:

@@ -69,8 +69,8 @@ def _print_state(state: StateVector, as_json: bool) -> None:
         sys.stdout.write(state.serialize())
 
 
-def _target_state(spec: str, paths: tuple[str, ...] | None = None) -> StateVector:
-    """The named target; ``ghz:``/``w:`` targets sit on ``paths`` when given."""
+def _target_state(spec: str, paths: tuple[str, ...]) -> StateVector:
+    """The named target; ``ghz:``/``w:`` targets sit on the detector ``paths``."""
     kind, _, sizes = spec.partition(":")
     if kind in ("ghz", "w"):
         form = "ghz:<n>:<d>" if kind == "ghz" else "w:<n>"
@@ -80,7 +80,7 @@ def _target_state(spec: str, paths: tuple[str, ...] | None = None) -> StateVecto
             numbers = []
         if len(numbers) != form.count(":"):
             raise SystemExit(_usage_error(f"bad target {spec!r}: expected {form} with integers"))
-        if paths is not None and numbers[0] != len(paths):
+        if numbers[0] != len(paths):
             raise SystemExit(_usage_error(
                 f"bad target {spec!r}: {numbers[0]} parties, but {len(paths)} detectors {','.join(paths)}"
             ))
@@ -118,11 +118,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
+    target = _target_state(args.target, exp.detectors)
     selected = post_select(run(exp), exp.detectors)
     if selected.state.is_zero():
         print("post-selected component is zero", file=sys.stderr)
         return 1
-    value = analysis.fidelity(selected.state, _target_state(args.target))
+    value = analysis.fidelity(selected.state, target)
     print(repr(value))
     return 0
 
@@ -211,13 +212,28 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _path_names(option: str, text: str) -> tuple[str, ...]:
+    """The comma-separated path names of ``option``; exit 2 naming it for
+    an empty or a repeated name, or one that a hit file could not write
+    (the experiment language splits on whitespace, ``:`` and ``#``)."""
+    names = tuple(text.split(","))
+    for i, name in enumerate(names):
+        if not name:
+            raise SystemExit(_usage_error(f"bad {option} {text!r}: empty path name"))
+        if name in names[:i]:
+            raise SystemExit(_usage_error(f"bad {option} {text!r}: {name!r} appears twice"))
+        if any(c.isspace() or c in ":#" for c in name):
+            raise SystemExit(_usage_error(f"bad {option} {text!r}: {name!r} holds whitespace, ':' or '#'"))
+    return names
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
-    paths = tuple(args.paths.split(","))
+    paths = _path_names("--paths", args.paths)
     try:
         pool = ElementPool(paths=paths, kinds=tuple(args.pool.split(",")))
     except ValueError as exc:
         return _usage_error(f"bad --pool {args.pool!r} or --paths {args.paths!r}: {exc}")
-    detectors = tuple(args.detectors.split(",")) if args.detectors else paths
+    detectors = _path_names("--detectors", args.detectors) if args.detectors else paths
     for path in detectors:
         if path not in paths:
             return _usage_error(f"bad --detectors {args.detectors!r}: {path!r} is not in --paths {args.paths!r}")

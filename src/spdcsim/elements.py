@@ -284,8 +284,8 @@ def substitute(
     out: dict[int, Any] = {}
     get = out.get
     width, mask = layout.width, layout.mask
-    offset, low, size = layout.blocks[path]
-    path_bits = ((1 << size * width) - 1) << offset
+    offset, low, _ = layout.blocks[path]
+    path_bits = layout.block_bits((path,))
     if len(targets) == 1 and targets[0][0] == path:
         coeff = targets[0][1]
         move = delta * width

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .elements import (
     Crystal,
@@ -19,7 +19,7 @@ from .elements import (
     evolve,
     resolve_loss_paths,
 )
-from .fock import LOSS_PREFIX, Occupation, StateVector, occupation_photons
+from .fock import LOSS_PREFIX, KeyLayout, Occupation, StateVector, occupation_photons
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,36 @@ def validate_paths(exp: Experiment) -> None:
             )
 
 
+def compile_run(exp: Experiment) -> tuple[tuple[Element, ...], KeyLayout]:
+    """The resolved element list of ``exp`` (``resolve_loss_paths``) and
+    its packed-key layout (``elements.compile_layout``), wide enough for
+    ``2 * pair_budget`` photons plus the ``2 * expansion_order`` a
+    crystal's expansion adds on the way."""
+    elements = resolve_loss_paths(exp.elements)
+    return elements, compile_layout(elements, 2 * exp.pair_budget + 2 * exp.expansion_order)
+
+
+def run_keys(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, complex]:
+    """Evolve vacuum through the compiled ``elements`` (:func:`compile_run`)
+    on ``layout``'s packed keys, pruned after each element; :func:`run`
+    without the decode."""
+    limit = 2 * exp.pair_budget
+    order = exp.expansion_order
+    terms = {0: 1.0 + 0j}
+    for element in elements:
+        terms = evolve(terms, element, layout, order=order, creation_only=exp.creation_only, limit=limit)
+    return terms
+
+
 def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     """Apply the element list to vacuum, cutting each source's output to
     the pair budget.
 
-    The resolved element list is compiled once into a packed-key layout
-    (``elements.compile_layout``) wide enough for ``2 * pair_budget``
-    photons plus the ``2 * expansion_order`` a crystal's expansion adds
-    on the way; every element then evolves the ``int``-keyed terms
-    (``elements.evolve``), pruned after each element, and the keys are
-    decoded to canonical occupation tuples once, at the end.
+    Two steps: :func:`compile_run` compiles the resolved element list
+    once into a packed-key layout, and :func:`run_keys` evolves the
+    ``int``-keyed terms (``elements.evolve``), pruned after each
+    element.  The keys are decoded to canonical occupation tuples once,
+    at the end.
 
     Every crystal keeps only terms of at most ``2 * pair_budget``
     photons; the cut is made inside the expansion, which never generates
@@ -122,15 +142,45 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     """
     if strict:
         validate_paths(exp)
-    limit = 2 * exp.pair_budget
-    order = exp.expansion_order
-    elements = resolve_loss_paths(exp.elements)
-    layout = compile_layout(elements, limit + 2 * order)
-    terms = {0: 1.0 + 0j}
-    for element in elements:
-        terms = evolve(terms, element, layout, order=order, creation_only=exp.creation_only, limit=limit)
+    elements, layout = compile_run(exp)
     decode = layout.decode
-    return StateVector({decode(key): amp for key, amp in terms.items()})
+    return StateVector({decode(key): amp for key, amp in run_keys(exp, elements, layout).items()})
+
+
+def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], bool]:
+    """The n-fold coincidence rule of :func:`post_select` on ``layout``'s
+    keys, for distinct ``detectors``: ``n = len(detectors)`` photons in
+    all (the digit sum ``key % mask``, loss paths included) and none of
+    the detector blocks empty.  The n photons then sit one in each
+    detector and none elsewhere.  A detector without a block can hold no
+    photon, and no key passes."""
+    n = len(detectors)
+    mask = layout.mask
+    blocks = [layout.block_bits((path,)) for path in detectors]
+    return lambda key: key % mask == n and all(key & bits for bits in blocks)
+
+
+def sector_rule(layout: KeyLayout, n: int) -> Callable[[int], bool]:
+    """Whether a key of ``layout`` holds ``n`` photons outside the loss
+    paths, as ``occupation_photons(occ, include_loss=False)`` counts."""
+    mask = layout.mask
+    kept = ~layout.block_bits(path for path in layout.blocks if path.startswith(LOSS_PREFIX))
+    return lambda key: (key & kept) % mask == n
+
+
+def post_select_keys(
+    terms: Mapping[int, complex], layout: KeyLayout, detectors: Sequence[str]
+) -> PostSelectionResult:
+    """:func:`post_select` on packed terms (:func:`run_keys`), decoding
+    only the kept ones.
+
+    Equals ``post_select(run(exp), exp.detectors)`` bit for bit: the
+    terms are kept in the same order and normalized and summed with the
+    same arithmetic.
+    """
+    passes = nfold_rule(layout, detectors)
+    decode = layout.decode
+    return _selection({decode(key): amp for key, amp in terms.items() if passes(key)})
 
 
 def post_select_pattern(
@@ -142,10 +192,14 @@ def post_select_pattern(
     photons.  The selected component is normalized; its squared norm
     before normalization is reported as the success weight.
     """
-    selected = {occ: amp for occ, amp in state.terms.items() if _matches(occ, pattern)}
-    component = StateVector(selected)
+    return _selection({occ: amp for occ, amp in state.terms.items() if _matches(occ, pattern)})
+
+
+def _selection(selected: dict[Occupation, complex]) -> PostSelectionResult:
+    """The normalized selected terms, with their squared norm before
+    normalization as the success weight."""
     weight = sum(abs(a) ** 2 for a in selected.values())
-    return PostSelectionResult(component.normalized(), weight)
+    return PostSelectionResult(StateVector(selected).normalized(), weight)
 
 
 def _matches(occ: Occupation, pattern: Mapping[str, int]) -> bool:
@@ -181,29 +235,6 @@ def success_fraction(full: StateVector, selected: PostSelectionResult, n: int) -
     if denom == 0.0:
         raise ValueError(f"no {n}-photon component in the supplied state")
     return selected.success_weight / denom
-
-
-def coincidence_weights(
-    weighted: Iterable[tuple[Occupation, Any]], detectors: Sequence[str]
-) -> tuple[Any, Any]:
-    """``(valid, total)`` weight of weighted terms under the n-fold rule.
-
-    ``total`` sums the weights of the terms holding ``n = len(detectors)``
-    photons over non-loss paths, as :func:`success_fraction` counts them;
-    ``valid`` those of the terms :func:`post_select` keeps.  Both sums
-    run in input order from the integer 0, so integer weights give
-    integers.
-    """
-    n = len(detectors)
-    pattern = {path: 1 for path in detectors}
-    valid = total = 0
-    for occ, weight in weighted:
-        if occupation_photons(occ, include_loss=False) != n:
-            continue
-        total += weight
-        if _matches(occ, pattern):
-            valid += weight
-    return valid, total
 
 
 def with_uniform_misalignment(exp: Experiment, transmissivity: float) -> Experiment:

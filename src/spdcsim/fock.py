@@ -141,6 +141,17 @@ class KeyLayout:
             raise ValueError(f"{total} photons exceed the key layout's bound of {self.bound}")
         return key
 
+    def block_bits(self, paths: Iterable[str]) -> int:
+        """The bits of the blocks of ``paths``; a path without a block has
+        none."""
+        bits = 0
+        for path in paths:
+            block = self.blocks.get(path)
+            if block is not None:
+                offset, _, size = block
+                bits |= ((1 << size * self.width) - 1) << offset
+        return bits
+
     def decode(self, key: int) -> Occupation:
         """The canonical occupation tuple of ``key``."""
         width, mask, labels = self.width, self.mask, self.labels

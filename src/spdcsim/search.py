@@ -6,6 +6,9 @@ the acceptance target.  Trial randomness comes from an independent
 stream derived from ``(seed, trial_index)``, so results are identical
 bit for bit no matter how trials are distributed over workers.
 
+A setup whose compiled key layout shows that it cannot produce a
+coincidence scores 0 without being simulated (``evaluate``).
+
 A trial's draw is a compact key, one small int per element.  Equal
 setups draw equal keys, and each process of a search scores each
 distinct key once: later trials with that key reuse the cached score
@@ -24,8 +27,8 @@ import numpy as np
 
 from .analysis import fidelity, schmidt_rank_vector
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .experiment import Experiment, post_select, run
-from .fock import ModeLabel, StateVector
+from .experiment import Experiment, compile_run, post_select_keys, run_keys
+from .fock import KeyLayout, ModeLabel, StateVector
 
 #: Mode lists a multimode crystal may draw.
 MULTIMODE_LISTS = ((0, 1), (0, 1, 2), (0, 1, 2, 3))
@@ -112,9 +115,11 @@ class SearchStats:
     """What one search did, summed over its workers.
 
     ``evaluated`` counts cache misses, each scored once by ``evaluate``;
-    every other trial is a cache hit.  ``histogram`` counts the evaluated
-    scores in ten equal bins on [0, 1] for a fidelity target, or scores 0
-    and 1 for a rank target.  ``draw_s`` and ``score_s`` add up the
+    every other trial is a cache hit.  ``screened`` counts the misses
+    that ``evaluate`` scored 0 from the key layout alone, without
+    simulating.  ``histogram`` counts the evaluated scores, screened ones
+    included, in ten equal bins on [0, 1] for a fidelity target, or
+    scores 0 and 1 for a rank target.  ``draw_s`` and ``score_s`` add up the
     workers' times; ``wall_s`` is the search's elapsed time.
     """
 
@@ -122,6 +127,7 @@ class SearchStats:
     accepted: int
     evaluated: int
     cache_hits: int
+    screened: int
     draw_s: float
     score_s: float
     histogram: list[int]
@@ -139,6 +145,7 @@ class SearchStats:
             "accepted": self.accepted,
             "evaluated": self.evaluated,
             "cache_hits": self.cache_hits,
+            "screened": self.screened,
             "draw_s": self.draw_s,
             "score_s": self.score_s,
             "score_histogram": dict(zip(labels, self.histogram)),
@@ -245,9 +252,27 @@ def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
     return _build(_draw(rng, config), config, {})
 
 
+# Setups this process's ``evaluate`` has screened out; ``_run_block``
+# reports the growth over its trials as ``SearchStats.screened``.
+_screened = 0
+
+
 def evaluate(exp: Experiment, target: Target) -> float:
-    """Simulate, post-select, and score; empty selections score zero."""
-    selected = post_select(run(exp), exp.detectors)
+    """Simulate, post-select, and score; empty selections score zero.
+
+    The experiment is compiled once (``compile_run``), and its key
+    layout screens it before anything is evolved: a setup that cannot
+    produce a coincidence scores ``0.0`` at once (:func:`_can_click`).
+    Otherwise its packed terms are evolved and post-selected on keys
+    (``post_select_keys``, the same selection as
+    ``post_select(run(exp), exp.detectors)``) and scored.
+    """
+    global _screened
+    elements, layout = compile_run(exp)
+    if not _can_click(layout, exp.detectors, target):
+        _screened += 1
+        return 0.0
+    selected = post_select_keys(run_keys(exp, elements, layout), layout, exp.detectors)
     if selected.state.is_zero() or selected.success_weight == 0.0:
         return 0.0
     if isinstance(target, FidelityTarget):
@@ -257,6 +282,27 @@ def evaluate(exp: Experiment, target: Target) -> float:
     except ValueError:
         return 0.0
     return 1.0 if srv.ranks == target.ranks else 0.0
+
+
+def _can_click(layout: KeyLayout, detectors: Sequence[str], target: Target) -> bool:
+    """False only when the score is 0 whatever the amplitudes.
+
+    A detector path without a block in the layout can hold no photon, so
+    the n-fold selection is empty.  For a rank target, a party keeps one
+    photon after selection, so its rank is at most its block's field
+    count: a party without a block, or with fewer fields than its rank,
+    cannot match (a party that is no detector holds no photon after
+    selection, which ``schmidt_rank_vector`` refuses, also a 0).
+    """
+    blocks = layout.blocks
+    if any(path not in blocks for path in detectors):
+        return False
+    if isinstance(target, SrvTarget):
+        for party, rank in zip(target.parties, target.ranks):
+            block = blocks.get(party)
+            if block is None or block[2] < rank:
+                return False
+    return True
 
 
 def _accepts(target: Target, score: float) -> bool:
@@ -282,6 +328,7 @@ def _run_block(
     hits = []
     evaluated = cache_hits = 0
     draw_s = score_s = 0.0
+    screened = _screened
     clock = time.perf_counter
     last = clock()
     for trial in range(start, stop):
@@ -303,7 +350,8 @@ def _run_block(
             hits.append(SearchHit(exp, score, trial))
         last = clock()
         score_s += last - drawn
-    stats = SearchStats(stop - start, len(hits), evaluated, cache_hits, draw_s, score_s, histogram)
+    screened = _screened - screened
+    stats = SearchStats(stop - start, len(hits), evaluated, cache_hits, screened, draw_s, score_s, histogram)
     return hits, stats
 
 
@@ -345,6 +393,7 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
             accepted=sum(s.accepted for _, s in parts),
             evaluated=sum(s.evaluated for _, s in parts),
             cache_hits=sum(s.cache_hits for _, s in parts),
+            screened=sum(s.screened for _, s in parts),
             draw_s=sum(s.draw_s for _, s in parts),
             score_s=sum(s.score_s for _, s in parts),
             histogram=[sum(counts) for counts in zip(*(s.histogram for _, s in parts))],

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from spdcsim.analysis import ghz_target
+from spdcsim import dsl
+from spdcsim.analysis import ghz_layout, ghz_target
 from spdcsim.cli import main
 
 from conftest import EXPERIMENTS_DIR
@@ -56,6 +57,15 @@ def test_fidelity_against_named_target(capsys):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("paths", ["a,b,c,d", "p,q,r,s"], ids=["default-paths", "renamed-paths"])
+def test_fidelity_target_sits_on_the_detector_paths(tmp_path, capsys, paths):
+    layout = tmp_path / "ghz.exp"
+    layout.write_text(dsl.serialize(ghz_layout(4, 2, paths=paths.split(","))))
+    code, out, _ = invoke(capsys, "fidelity", layout, "--target", "ghz:4:2")
+    assert code == 0
+    assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fidelity_against_state_file(tmp_path, capsys):
     target = tmp_path / "target.state"
     amp = 1 / math.sqrt(2)
@@ -85,6 +95,15 @@ def test_fidelity_against_state_file(tmp_path, capsys):
         (("search", "ghz:4:2", "--detectors", "a,b,c", "--budget", 1), "ghz:4:2"),
         (("search", "ghz:4:2", "--detectors", "a,b,zz,d", "--budget", 1), "a,b,zz,d"),
         (("search", "srv:2,2", "--parties", "a,zz", "--budget", 1), "a,zz"),
+        (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "ghz:6:2"), "ghz:6:2"),
+        (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "w:3"), "w:3"),
+        (("search", "ghz:4:2", "--paths", "a,,b,c", "--budget", 1), "a,,b,c"),
+        (("search", "srv:2,2,2,2", "--paths", "a,a,b,c", "--budget", 1), "a,a,b,c"),
+        (("search", "ghz:4:2", "--paths", "a,b,c,d,e", "--detectors", "a,a,b,c", "--budget", 1), "a,a,b,c"),
+        (("search", "ghz:4:2", "--detectors", "a,b,,c", "--budget", 1), "a,b,,c"),
+        (("search", "ghz:4:2", "--paths", "a b,c,d,e", "--budget", 1), "a b,c,d,e"),
+        (("search", "ghz:4:2", "--paths", "a,b:1,c,d", "--budget", 1), "a,b:1,c,d"),
+        (("search", "ghz:4:2", "--paths", "a,b,c,d#", "--budget", 1), "a,b,c,d#"),
     ],
     ids=[
         "ghz-missing-d",
@@ -96,6 +115,15 @@ def test_fidelity_against_state_file(tmp_path, capsys):
         "ghz-more-parties-than-detectors",
         "detector-outside-paths",
         "party-no-detector",
+        "fidelity-ghz-more-parties-than-detectors",
+        "fidelity-w-fewer-parties-than-detectors",
+        "empty-path-name",
+        "repeated-path",
+        "repeated-detector",
+        "empty-detector-name",
+        "path-name-with-space",
+        "path-name-with-colon",
+        "path-name-with-hash",
     ],
 )
 def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
@@ -279,6 +307,7 @@ def test_search_stats_line_accounts_for_every_trial(capsys):
     assert stats["trials"] == 3000
     assert stats["evaluated"] + stats["cache_hits"] == stats["trials"]
     assert stats["evaluated"] < stats["trials"]
+    assert 0 < stats["screened"] <= stats["evaluated"]
     assert stats["accepted"] == out.count("hit trial=")
     assert len(stats["score_histogram"]) == 10
     assert sum(stats["score_histogram"].values()) == stats["evaluated"]
