@@ -69,8 +69,17 @@ def _print_state(state: StateVector, as_json: bool) -> None:
         sys.stdout.write(state.serialize())
 
 
-def _target_state(spec: str, paths: tuple[str, ...]) -> StateVector:
-    """The named target; ``ghz:``/``w:`` targets sit on the detector ``paths``."""
+def _target_state(spec: str, paths: tuple[str, ...]) -> StateVector | None:
+    """The named target on the detector ``paths``; None, once said why, for bad input."""
+    try:
+        return _parse_target(spec, paths)
+    except ValueError as exc:
+        _usage_error(f"bad target {spec!r}: {exc}")
+        return None
+
+
+def _parse_target(spec: str, paths: tuple[str, ...]) -> StateVector:
+    """``ghz:``/``w:`` targets are built on ``paths``; a state file must sit on them."""
     kind, _, sizes = spec.partition(":")
     if kind in ("ghz", "w"):
         form = "ghz:<n>:<d>" if kind == "ghz" else "w:<n>"
@@ -79,21 +88,19 @@ def _target_state(spec: str, paths: tuple[str, ...]) -> StateVector:
         except ValueError:
             numbers = []
         if len(numbers) != form.count(":"):
-            raise SystemExit(_usage_error(f"bad target {spec!r}: expected {form} with integers"))
+            raise ValueError(f"expected {form} with integers")
         if numbers[0] != len(paths):
-            raise SystemExit(_usage_error(
-                f"bad target {spec!r}: {numbers[0]} parties, but {len(paths)} detectors {','.join(paths)}"
-            ))
-        try:
-            if kind == "ghz":
-                return analysis.ghz_target(*numbers, paths=paths)
-            return analysis.w_target(*numbers, paths=paths)
-        except ValueError as exc:
-            raise SystemExit(_usage_error(f"bad target {spec!r}: {exc}"))
+            raise ValueError(f"{numbers[0]} parties, but {len(paths)} detectors {','.join(paths)}")
+        if kind == "ghz":
+            return analysis.ghz_target(*numbers, paths=paths)
+        return analysis.w_target(*numbers, paths=paths)
     path = Path(spec)
-    if path.exists():
-        return parse_state(path.read_text())
-    raise SystemExit(_usage_error(f"unknown target {spec!r}: use ghz:<n>:<d>, w:<n>, or a state file"))
+    if not path.exists():
+        raise ValueError("not ghz:<n>:<d>, w:<n>, or a state file")
+    state = parse_state(path.read_text())
+    if state.paths() != set(paths):
+        raise ValueError(f"its paths {','.join(sorted(state.paths()))} are not the detectors {','.join(paths)}")
+    return state
 
 
 # -- subcommands ---------------------------------------------------------
@@ -119,6 +126,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
     target = _target_state(args.target, exp.detectors)
+    if target is None:
+        return 2
     selected = post_select(run(exp), exp.detectors)
     if selected.state.is_zero():
         print("post-selected component is zero", file=sys.stderr)
@@ -249,11 +258,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             return _usage_error(f"bad target {args.target!r}: {exc}")
     else:
         state = _target_state(args.target, detectors)
-        if state.paths() != set(detectors):
-            return _usage_error(
-                f"bad target {args.target!r}: its paths {','.join(sorted(state.paths()))} "
-                f"are not the detectors {','.join(detectors)}"
-            )
+        if state is None:
+            return 2
         target = FidelityTarget(state, threshold=args.threshold)
     config = SearchConfig(
         pool=pool,

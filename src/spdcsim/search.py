@@ -2,9 +2,11 @@
 
 Each trial draws an element list from a configurable pool, simulates it,
 post-selects on the configured detectors, and scores the result against
-the acceptance target.  Trial randomness comes from an independent
-stream derived from ``(seed, trial_index)``, so results are identical
-bit for bit no matter how trials are distributed over workers.
+the acceptance target.  Trial ``t`` draws from its own stream,
+``default_rng(SeedSequence((seed, t)))``, so results are identical bit
+for bit no matter how trials are distributed over workers.  A block of
+trials computes its streams' PCG64 seed words in one numpy pass
+(``_trial_rngs``) instead of building a ``SeedSequence`` per trial.
 
 A setup whose compiled key layout shows that it cannot produce a
 coincidence scores 0 without being simulated (``evaluate``).
@@ -17,11 +19,12 @@ and build no ``Experiment`` unless they are hits.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -101,6 +104,8 @@ class SearchConfig:
             raise ValueError("budget must be >= 1")
         if self.max_elements < 1:
             raise ValueError("max_elements must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -152,12 +157,134 @@ class SearchStats:
         }
 
 
+# Trial ``t`` of a search draws from ``default_rng(SeedSequence((seed, t)))``.
+# ``_trial_rngs`` builds those generators without a SeedSequence each: it
+# replays SeedSequence's entropy coercion, pool mixing and
+# ``generate_state(4, np.uint64)`` on uint32 arrays, one row per trial, and
+# hands each row to PCG64, which does its own 128-bit seeding.  The
+# constants are numpy's (``numpy/random/bit_generator.pyx``); every value is
+# a uint32 array or an ``np.uint32``, so products wrap mod 2**32 as in C.
+
+#: Trials whose seed words one numpy pass computes; bounds the pass's memory.
+_SEED_CHUNK = 256
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# The other pool words, in order, that pool word ``src`` is mixed into.
+_OTHERS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for ``k < n``, as a read-only ``(n, 1)`` column."""
+    column = np.array([[init * pow(mult, k, 1 << 32) & _MASK32] for k in range(n)], dtype=np.uint32)
+    column.flags.writeable = False
+    return column
+
+
+# ``generate_state(4, np.uint64)`` hashes the pool words in turn, twice round.
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence takes it: little-endian 32-bit words, at least one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row ``t - start`` is ``SeedSequence((seed, t)).generate_state(4, np.uint64)``.
+
+    The trials must not straddle a multiple of 2**32, so that they share
+    every entropy word but the lowest word of ``t``.
+    """
+    seed_part = _uint32_words(seed)
+    words = np.array(seed_part + _uint32_words(start), dtype=np.uint32)
+    entropy = np.repeat(words[:, None], stop - start, axis=1)
+    entropy[len(seed_part)] += np.arange(stop - start, dtype=np.uint32)
+    # The k-th hash of the pool mixing xors with constant k and multiplies
+    # by constant k + 1: the first pool fill, the all-pairs mix, then one
+    # pass over the pool per entropy word beyond it.
+    extra = max(0, len(entropy) - _POOL_SIZE)
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra) + 1)
+    xor, mul = constants[:-1], constants[1:]
+    pool = np.zeros((_POOL_SIZE, stop - start), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    # Word ``src`` is hashed into the other three in turn and does not
+    # change meanwhile, so its three hashes are one array operation.
+    for src, dst in enumerate(_OTHERS):
+        hashed = _hashmix(pool[src], xor[k : k + len(dst)], mul[k : k + len(dst)])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, xor[k : k + _POOL_SIZE], mul[k : k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
+    # Word pairs, low word first, make the uint64 words, as in numpy.
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 one trial's words.
+
+    Defined on first use: it subclasses a ``numpy.random`` class, and
+    importing ``numpy.random`` adds about 6 MB to every command that
+    never draws.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+            return self.words  # PCG64's one call: generate_state(4, np.uint64)
+
+    return SeedWords
+
+
+def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """Trials ``start`` to ``stop``'s generators, seed words computed a chunk at a time."""
+    seed_words = _seed_words_type()
+    while start < stop:
+        end = min(stop, start + _SEED_CHUNK, (start | _MASK32) + 1)
+        for words in _seed_words(seed, start, end):
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
+        start = end
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, trial)))
+    """``default_rng(SeedSequence((seed, trial)))``, state for state."""
+    return next(_trial_rngs(seed, trial, trial + 1))
+
+
+def _index(rng: np.random.Generator, k: int) -> int:
+    """``rng.integers(k)``; for ``k == 1`` numpy draws nothing, so neither do we."""
+    return int(rng.integers(k)) if k > 1 else 0
 
 
 def _choice(rng: np.random.Generator, items: Sequence):
-    return items[int(rng.integers(len(items)))]
+    return items[_index(rng, len(items))]
 
 
 # A drawn element is one int, an index into the elements the pool can draw.
@@ -169,13 +296,13 @@ def _choice(rng: np.random.Generator, items: Sequence):
 # relabel keeps its order.
 
 
-def _blocks(pool: ElementPool) -> tuple[int, int, int, int]:
-    """First index of the multimode, shift, phase and relabel blocks."""
+def _blocks(pool: ElementPool) -> tuple[int, int, int, int, int]:
+    """The path count, then the first index of the multimode, shift, phase and relabel blocks."""
     n = len(pool.paths)
     multimode = n * n * len(pool.crystal_modes)
     shift = multimode + n * n * len(MULTIMODE_LISTS)
     phase = shift + n * len(SHIFT_DELTAS)
-    return multimode, shift, phase, phase + n * len(PHASE_VALUES)
+    return n, multimode, shift, phase, phase + n * len(PHASE_VALUES)
 
 
 def _unordered_pair(rng: np.random.Generator, n: int) -> int:
@@ -183,29 +310,29 @@ def _unordered_pair(rng: np.random.Generator, n: int) -> int:
     return i * n + j if i < j else j * n + i
 
 
-def _draw(rng: np.random.Generator, config: SearchConfig) -> tuple[int, ...]:
+def _draw(rng: np.random.Generator, config: SearchConfig, blocks: tuple[int, ...]) -> tuple[int, ...]:
     """One candidate as a key: uniform element count, kinds, and parameters.
 
-    Makes the RNG calls ``random_setup`` makes, in the same order.
+    Makes the RNG calls ``random_setup`` makes, in the same order;
+    ``blocks`` is ``_blocks(config.pool)``, computed once per search.
     """
     pool = config.pool
-    n = len(pool.paths)
-    multimode, shift, phase, relabel = _blocks(pool)
+    n, multimode, shift, phase, relabel = blocks
+    modes = len(pool.crystal_modes)
     key = []
     for _ in range(int(rng.integers(1, config.max_elements + 1))):
         kind = _choice(rng, pool.kinds)
         if kind == "crystal":
-            modes = len(pool.crystal_modes)
-            key.append(_unordered_pair(rng, n) * modes + int(rng.integers(modes)))
+            key.append(_unordered_pair(rng, n) * modes + _index(rng, modes))
         elif kind == "multimode":
             lists = len(MULTIMODE_LISTS)
-            key.append(multimode + _unordered_pair(rng, n) * lists + int(rng.integers(lists)))
+            key.append(multimode + _unordered_pair(rng, n) * lists + _index(rng, lists))
         elif kind == "shift":
             deltas = len(SHIFT_DELTAS)
-            key.append(shift + int(rng.integers(n)) * deltas + int(rng.integers(deltas)))
+            key.append(shift + _index(rng, n) * deltas + _index(rng, deltas))
         elif kind == "phase":
             phases = len(PHASE_VALUES)
-            key.append(phase + int(rng.integers(n)) * phases + int(rng.integers(phases)))
+            key.append(phase + _index(rng, n) * phases + _index(rng, phases))
         else:  # relabel
             source, target = rng.choice(n, size=2, replace=False).tolist()
             key.append(relabel + source * n + target)
@@ -215,8 +342,7 @@ def _draw(rng: np.random.Generator, config: SearchConfig) -> tuple[int, ...]:
 def _element(index: int, pool: ElementPool) -> Element:
     """The element a drawn index names; crystal paths sorted by name."""
     paths = pool.paths
-    n = len(paths)
-    multimode, shift, phase, relabel = _blocks(pool)
+    n, multimode, shift, phase, relabel = _blocks(pool)
     if index >= relabel:
         source, target = divmod(index - relabel, n)
         return Relabel(paths[source], paths[target])
@@ -249,7 +375,7 @@ def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, Element]
 
 def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
     """Draw one candidate: uniform element count, kinds, and parameters."""
-    return _build(_draw(rng, config), config, {})
+    return _build(_draw(rng, config, _blocks(config.pool)), config, {})
 
 
 # Setups this process's ``evaluate`` has screened out; ``_run_block``
@@ -323,6 +449,7 @@ def _run_block(
     An experiment is built only to score a new key or to report a hit.
     """
     target = config.target
+    blocks = _blocks(config.pool)
     bins = 10 if isinstance(target, FidelityTarget) else 2
     histogram = [0] * bins
     hits = []
@@ -331,8 +458,8 @@ def _run_block(
     screened = _screened
     clock = time.perf_counter
     last = clock()
-    for trial in range(start, stop):
-        key = _draw(_trial_rng(config.seed, trial), config)
+    for trial, rng in zip(range(start, stop), _trial_rngs(config.seed, start, stop)):
+        key = _draw(rng, config, blocks)
         drawn = clock()
         draw_s += drawn - last
         score = scores.get(key)

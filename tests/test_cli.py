@@ -83,6 +83,17 @@ def test_fidelity_against_state_file(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("paths", ["p,q,r,s", "a,b,c,e"], ids=["renamed-paths", "one-path-off"])
+def test_fidelity_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths):
+    target = tmp_path / "target.state"
+    target.write_text(ghz_target(4, 2, paths=paths.split(",")).serialize())
+    code, out, err = invoke(capsys, "fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", target)
+    assert code == 2
+    assert out == ""
+    assert f"bad target {str(target)!r}" in err
+    assert "are not the detectors a,b,c,d" in err
+
+
 @pytest.mark.parametrize(
     "argv, spec",
     [

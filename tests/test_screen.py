@@ -29,7 +29,15 @@ from spdcsim.experiment import (
     sector_rule,
 )
 from spdcsim.fock import KeyLayout, ModeLabel, occupation_photons
-from spdcsim.search import FidelityTarget, SrvTarget, _trial_rng, evaluate, random_setup, search_with_stats
+from spdcsim.search import (
+    FidelityTarget,
+    SrvTarget,
+    _trial_rng,
+    _trial_rngs,
+    evaluate,
+    random_setup,
+    search_with_stats,
+)
 
 from conftest import CORPUS, load_experiment
 from test_search import MIXED_CONFIG, pol_config
@@ -140,8 +148,8 @@ def test_screen_rejects_only_setups_that_score_zero(name):
     # Every distinct setup of the first 1500 trials, hits among them.
     config = CONFIGS[name]
     setups = {}
-    for trial in range(1500):
-        exp = random_setup(_trial_rng(config.seed, trial), config)
+    for rng in _trial_rngs(config.seed, 0, 1500):
+        exp = random_setup(rng, config)
         setups.setdefault(exp.elements, exp)
     rejected = scored = 0
     for exp in setups.values():
@@ -203,8 +211,8 @@ def test_screened_counts_the_misses_the_screen_rejects(workers):
     config = replace(MIXED_CONFIG, budget=1200)
     hits, stats = search_with_stats(config, workers=workers)
     setups = {}
-    for trial in range(config.budget):
-        exp = random_setup(_trial_rng(config.seed, trial), config)
+    for rng in _trial_rngs(config.seed, 0, config.budget):
+        exp = random_setup(rng, config)
         setups.setdefault(exp.elements, exp)
     rejected = sum(screens_out(exp, config.target) for exp in setups.values())
     if workers == 1:

@@ -1,6 +1,9 @@
 import importlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdcsim.analysis import ghz_target
 from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
@@ -12,7 +15,9 @@ from spdcsim.search import (
     SearchConfig,
     SrvTarget,
     _accepts,
+    _run_block,
     _trial_rng,
+    _trial_rngs,
     evaluate,
     random_setup,
     search,
@@ -214,14 +219,94 @@ def test_forced_single_trial_hit():
     assert [h.trial_index for h in hits] == [147]
 
 
+def test_a_negative_seed_is_rejected_up_front():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        pol_config(seed=-1)
+
+
+# -- the per-trial streams ---------------------------------------------------
+
+
+def reference_rng(seed, trial):
+    """Trial ``trial``'s stream as the search promises it, built without ``search``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, trial)))
+
+
+# Entropy lengths SeedSequence treats apart: 0 is the one word [0], and
+# from 2**96 on a seed takes four words or more, which with the trial's
+# word overflow the four-word pool.
+EDGES = (0, 2**32 - 1, 2**32, 2**96, 2**128 + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(EDGES), st.integers(0, 2**160)),
+    start=st.one_of(st.sampled_from(EDGES), st.integers(2**32 - 60, 2**32), st.integers(0, 2**70)),
+    length=st.integers(1, 60),
+)
+@example(seed=0, start=0, length=1)
+@example(seed=2**32 - 1, start=2**32 - 30, length=60)
+@example(seed=2**96, start=2**64 - 2, length=4)
+@example(seed=2**160, start=2**128 + 1, length=3)
+def test_trial_streams_are_the_seed_sequence_streams(seed, start, length):
+    rngs = list(_trial_rngs(seed, start, start + length))
+    assert len(rngs) == length
+    for trial, rng in zip(range(start, start + length), rngs):
+        assert rng.bit_generator.state == reference_rng(seed, trial).bit_generator.state
+    assert _trial_rng(seed, start).bit_generator.state == reference_rng(seed, start).bit_generator.state
+
+
+def test_trial_streams_run_on_across_seed_chunks():
+    chunk = search_module._SEED_CHUNK
+    seed, start = 2**96 + 20240817, 2**32 - chunk // 2
+    rngs = list(_trial_rngs(seed, start, start + chunk + 7))
+    assert len(rngs) == chunk + 7
+    for trial, rng in enumerate(rngs, start):
+        assert rng.bit_generator.state == reference_rng(seed, trial).bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "config, start, stop",
+    [(pol_config(), 700, 2400), (pol_config(), 1, 150), (MIXED_CONFIG, 555, 1000)],
+    ids=["ghz4-across-chunks", "ghz4-from-1", "mixed"],
+)
+def test_a_block_draws_what_its_trials_draw_in_a_block_from_0(monkeypatch, config, start, stop):
+    draw = search_module._draw
+    keys = []
+
+    def recording_draw(rng, config, blocks):
+        keys.append(draw(rng, config, blocks))
+        return keys[-1]
+
+    monkeypatch.setattr(search_module, "_draw", recording_draw)
+    hits, _ = _run_block(config, start, stop, {}, {})
+    block_keys = keys[:]
+    keys.clear()
+    whole, _ = _run_block(config, 0, stop, {}, {})
+    assert block_keys == keys[start:]
+    assert hits
+    assert as_tuples(hits) == [hit for hit in as_tuples(whole) if hit[0] >= start]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240817])
+def test_a_one_value_draw_leaves_the_stream_alone(seed):
+    # ``_index`` skips ``rng.integers(1)``; that keeps the streams only
+    # because numpy's call draws nothing either.
+    rng = reference_rng(seed, 3)
+    rng.integers(5)
+    before = rng.bit_generator.state
+    assert rng.integers(1) == 0
+    assert rng.bit_generator.state == before
+
+
 # -- the score cache ---------------------------------------------------------
 
 
 def uncached_hits(config):
-    """The search without a cache: draw, build and score every trial."""
+    """The search without a cache or bulk seeding: draw, build and score every trial."""
     hits = []
     for trial in range(config.budget):
-        exp = random_setup(_trial_rng(config.seed, trial), config)
+        exp = random_setup(reference_rng(config.seed, trial), config)
         score = evaluate(exp, config.target)
         if _accepts(config.target, score):
             hits.append((trial, exp, repr(score)))
@@ -250,7 +335,7 @@ def test_serial_search_scores_each_distinct_setup_once(monkeypatch):
 
     monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
     hits, stats = search_with_stats(config)
-    drawn = {random_setup(_trial_rng(config.seed, t), config).elements for t in range(config.budget)}
+    drawn = {random_setup(rng, config).elements for rng in _trial_rngs(config.seed, 0, config.budget)}
     assert len(scored) == len(set(scored)) == len(drawn) == stats.evaluated
     assert set(scored) == drawn
     assert stats.evaluated + stats.cache_hits == stats.trials == config.budget
