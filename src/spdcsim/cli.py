@@ -97,7 +97,11 @@ def _parse_target(spec: str, paths: tuple[str, ...]) -> StateVector:
     path = Path(spec)
     if not path.exists():
         raise ValueError("not ghz:<n>:<d>, w:<n>, or a state file")
-    state = parse_state(path.read_text())
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read it: {exc}") from None
+    state = parse_state(text)
     if state.paths() != set(paths):
         raise ValueError(f"its paths {','.join(sorted(state.paths()))} are not the detectors {','.join(paths)}")
     return state
@@ -269,10 +273,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    hits, stats = search_with_stats(config, workers=args.workers)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _usage_error(f"bad --out {args.out!r}: {exc}")
+    hits, stats = search_with_stats(config, workers=args.workers)
     for hit in hits:
         print(f"hit trial={hit.trial_index} score={hit.score!r}")
         if out_dir is not None:

@@ -414,7 +414,10 @@ def parse_state(text: str) -> StateVector:
                 raise ValueError(f"line {line_no}: bad occupation token {token!r}") from None
             label = ModeLabel(path, mode)
             counts[label] = counts.get(label, 0) + count
-        occ = make_occupation(counts)
+        try:
+            occ = make_occupation(counts)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
         if occ in terms:
             raise ValueError(f"line {line_no}: duplicate occupation pattern")
         terms[occ] = amp

@@ -4,7 +4,7 @@ Each trial draws an element list from a configurable pool, simulates it,
 post-selects on the configured detectors, and scores the result against
 the acceptance target.  Trial ``t`` draws from its own stream,
 ``default_rng(SeedSequence((seed, t)))``, so results are identical bit
-for bit no matter how trials are distributed over workers.  A block of
+for bit no matter how trials are distributed over workers.  A span of
 trials computes its streams' PCG64 seed words in one numpy pass
 (``_trial_rngs``) instead of building a ``SeedSequence`` per trial.
 
@@ -12,7 +12,7 @@ A setup whose compiled key layout shows that it cannot produce a
 coincidence scores 0 without being simulated (``evaluate``).
 
 A trial's draw is a compact key, one small int per element.  Equal
-setups draw equal keys, and each process of a search scores each
+setups draw equal keys, and each contiguous span of trials scores each
 distinct key once: later trials with that key reuse the cached score
 and build no ``Experiment`` unless they are hits.
 """
@@ -65,6 +65,8 @@ class SrvTarget:
     def __post_init__(self):
         if len(self.parties) != len(self.ranks):
             raise ValueError("one rank per party required")
+        if any(rank < 1 for rank in self.ranks):
+            raise ValueError("ranks must be >= 1")
 
 
 Target = Union[FidelityTarget, SrvTarget]
@@ -117,15 +119,17 @@ class SearchHit:
 
 @dataclass
 class SearchStats:
-    """What one search did, summed over its workers.
+    """What one search did; the counts do not depend on the worker count.
 
-    ``evaluated`` counts cache misses, each scored once by ``evaluate``;
-    every other trial is a cache hit.  ``screened`` counts the misses
-    that ``evaluate`` scored 0 from the key layout alone, without
-    simulating.  ``histogram`` counts the evaluated scores, screened ones
-    included, in ten equal bins on [0, 1] for a fidelity target, or
-    scores 0 and 1 for a rank target.  ``draw_s`` and ``score_s`` add up the
-    workers' times; ``wall_s`` is the search's elapsed time.
+    ``evaluated`` counts the distinct setups drawn, each scored by
+    ``evaluate``; every other trial is a cache hit.  ``screened`` counts
+    the distinct setups that ``evaluate`` scored 0 from the key layout
+    alone, without simulating.  ``histogram`` counts the distinct
+    setups' scores, screened ones included, in ten equal bins on [0, 1]
+    for a fidelity target, or scores 0 and 1 for a rank target.
+    ``draw_s`` and ``score_s`` add up the workers' times, including setups
+    that more than one span scored; ``wall_s`` is the search's elapsed
+    time.
     """
 
     trials: int
@@ -378,8 +382,8 @@ def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
     return _build(_draw(rng, config, _blocks(config.pool)), config, {})
 
 
-# Setups this process's ``evaluate`` has screened out; ``_run_block``
-# reports the growth over its trials as ``SearchStats.screened``.
+# Setups this process's ``evaluate`` has screened out; ``_run_span``
+# marks a key screened when its score call raised the count.
 _screened = 0
 
 
@@ -437,25 +441,23 @@ def _accepts(target: Target, score: float) -> bool:
     return score == 1.0
 
 
-def _run_block(
-    config: SearchConfig,
-    start: int,
-    stop: int,
-    table: dict[int, Element],
-    scores: dict[tuple[int, ...], float],
-) -> tuple[list[SearchHit], SearchStats]:
-    """Trials ``start`` to ``stop``; each key not yet in ``scores`` is scored once.
+def _run_span(
+    config: SearchConfig, start: int, stop: int
+) -> tuple[list[SearchHit], dict[tuple[int, ...], float], set[tuple[int, ...]], float, float]:
+    """Trials ``start`` to ``stop``, each distinct key scored once.
 
-    An experiment is built only to score a new key or to report a hit.
+    The span keeps its own element table and score cache; an experiment
+    is built only to score a new key or to report a hit.  Returns the
+    hits, the ``{key: score}`` it scored, the keys the screen rejected,
+    and its draw and score seconds.
     """
     target = config.target
     blocks = _blocks(config.pool)
-    bins = 10 if isinstance(target, FidelityTarget) else 2
-    histogram = [0] * bins
+    table: dict[int, Element] = {}
+    scores: dict[tuple[int, ...], float] = {}
+    screened: set[tuple[int, ...]] = set()
     hits = []
-    evaluated = cache_hits = 0
     draw_s = score_s = 0.0
-    screened = _screened
     clock = time.perf_counter
     last = clock()
     for trial, rng in zip(range(start, stop), _trial_rngs(config.seed, start, stop)):
@@ -466,66 +468,55 @@ def _run_block(
         exp = None
         if score is None:
             exp = _build(key, config, table)
+            before = _screened
             score = scores[key] = evaluate(exp, target)
-            evaluated += 1
-            histogram[min(int(score * bins), bins - 1)] += 1
-        else:
-            cache_hits += 1
+            if _screened != before:
+                screened.add(key)
         if _accepts(target, score):
             if exp is None:
                 exp = _build(key, config, table)
             hits.append(SearchHit(exp, score, trial))
         last = clock()
         score_s += last - drawn
-    screened = _screened - screened
-    stats = SearchStats(stop - start, len(hits), evaluated, cache_hits, screened, draw_s, score_s, histogram)
-    return hits, stats
-
-
-# The search a pool process serves: its config, element table and score
-# cache.  Set by ``_start_worker`` in each process of one ``search``; the
-# cache spans that process's blocks and ends with the pool.
-_worker: tuple[SearchConfig, dict[int, Element], dict[tuple[int, ...], float]] | None = None
-
-
-def _start_worker(config: SearchConfig) -> None:
-    global _worker
-    _worker = (config, {}, {})
-
-
-def _worker_block(span: tuple[int, int]) -> tuple[list[SearchHit], SearchStats]:
-    config, table, scores = _worker
-    return _run_block(config, *span, table, scores)
+    return hits, scores, screened, draw_s, score_s
 
 
 def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[SearchHit], SearchStats]:
     """``search``, plus what it did.
 
-    Each distinct key is scored once per process: the serial search keeps
-    one score cache, and each pool process keeps one for all its blocks.
-    No cache outlives the call.
+    The budget is split into ``min(workers, budget)`` contiguous spans,
+    run in this process when there is one and in a process pool
+    otherwise.  The stats count the union of the spans' scored keys, so
+    they are the serial search's for any worker count.  No cache
+    outlives the call.
     """
     start = time.perf_counter()
-    if workers <= 1:
-        hits, stats = _run_block(config, 0, config.budget, {}, {})
+    n = max(1, min(workers, config.budget))
+    bounds = [config.budget * k // n for k in range(n + 1)]
+    if n == 1:
+        parts = [_run_span(config, 0, config.budget)]
     else:
-        block = max(1, math.ceil(config.budget / (workers * 8)))
-        spans = [(a, min(a + block, config.budget)) for a in range(0, config.budget, block)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(config,)) as pool:
-            parts = list(pool.map(_worker_block, spans))
-        # ``map`` keeps the span order, so the hits stay in trial order.
-        hits = [hit for block_hits, _ in parts for hit in block_hits]
-        stats = SearchStats(
-            trials=sum(s.trials for _, s in parts),
-            accepted=sum(s.accepted for _, s in parts),
-            evaluated=sum(s.evaluated for _, s in parts),
-            cache_hits=sum(s.cache_hits for _, s in parts),
-            screened=sum(s.screened for _, s in parts),
-            draw_s=sum(s.draw_s for _, s in parts),
-            score_s=sum(s.score_s for _, s in parts),
-            histogram=[sum(counts) for counts in zip(*(s.histogram for _, s in parts))],
-        )
-    stats.wall_s = time.perf_counter() - start
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            # ``map`` keeps the span order, so the hits stay in trial order.
+            parts = list(pool.map(_run_span, [config] * n, bounds[:-1], bounds[1:]))
+    span_hits, span_scores, span_screened, draw_s, score_s = zip(*parts)
+    hits = [hit for part in span_hits for hit in part]
+    scores = {key: score for part in span_scores for key, score in part.items()}
+    bins = 10 if isinstance(config.target, FidelityTarget) else 2
+    histogram = [0] * bins
+    for score in scores.values():
+        histogram[min(int(score * bins), bins - 1)] += 1
+    stats = SearchStats(
+        trials=config.budget,
+        accepted=len(hits),
+        evaluated=len(scores),
+        cache_hits=config.budget - len(scores),
+        screened=len(set().union(*span_screened)),
+        draw_s=sum(draw_s),
+        score_s=sum(score_s),
+        histogram=histogram,
+        wall_s=time.perf_counter() - start,
+    )
     return hits, stats
 
 

@@ -94,6 +94,13 @@ def test_fidelity_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths
     assert "are not the detectors a,b,c,d" in err
 
 
+def test_fidelity_rejects_an_unreadable_state_file(tmp_path, capsys):
+    code, out, err = invoke(capsys, "fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", tmp_path)
+    assert code == 2
+    assert out == ""
+    assert f"bad target {str(tmp_path)!r}: cannot read it" in err
+
+
 @pytest.mark.parametrize(
     "argv, spec",
     [
@@ -115,6 +122,7 @@ def test_fidelity_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths
         (("search", "ghz:4:2", "--paths", "a b,c,d,e", "--budget", 1), "a b,c,d,e"),
         (("search", "ghz:4:2", "--paths", "a,b:1,c,d", "--budget", 1), "a,b:1,c,d"),
         (("search", "ghz:4:2", "--paths", "a,b,c,d#", "--budget", 1), "a,b,c,d#"),
+        (("search", "srv:0,2,2", "--paths", "t,a,b,c", "--parties", "a,b,c", "--budget", 1), "srv:0,2,2"),
     ],
     ids=[
         "ghz-missing-d",
@@ -135,6 +143,7 @@ def test_fidelity_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths
         "path-name-with-space",
         "path-name-with-colon",
         "path-name-with-hash",
+        "srv-rank-below-1",
     ],
 )
 def test_bad_target_or_pool_spec_exits_2(capsys, argv, spec):
@@ -300,6 +309,20 @@ def test_search_writes_hits(tmp_path, capsys):
     files = list(out_dir.glob("hit_*.exp"))
     assert files
     assert "hit(s)" in err
+
+
+def test_search_rejects_an_out_path_that_is_a_file_before_any_trial(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "hits"
+    taken.write_text("")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("spdcsim.cli.search_with_stats", no_search)
+    code, out, err = invoke(capsys, "search", "ghz:4:2", "--budget", 1000, "--out", taken)
+    assert code == 2
+    assert out == ""
+    assert f"bad --out {str(taken)!r}" in err
 
 
 def search_stats(err):

@@ -189,3 +189,8 @@ def test_parse_rejects_bad_lines():
         parse_state("1.0 0.0 : nonsense")
     with pytest.raises(ValueError):
         parse_state("1.0 0.0 : 1*a:0\n2.0 0.0 : 1*a:0")
+
+
+def test_parse_names_the_line_of_a_negative_count():
+    with pytest.raises(ValueError, match=r"^line 3: negative occupation -1 at a:0$"):
+        parse_state("1.0 0.0 : 1*a:0\n# comment\n1.0 0.0 : -1*a:0")

@@ -215,13 +215,8 @@ def test_screened_counts_the_misses_the_screen_rejects(workers):
         exp = random_setup(rng, config)
         setups.setdefault(exp.elements, exp)
     rejected = sum(screens_out(exp, config.target) for exp in setups.values())
-    if workers == 1:
-        assert stats.evaluated == len(setups)
-        assert stats.screened == rejected
-    else:
-        # Each pool process keeps its own cache, so a setup may be scored,
-        # and screened, once per process.
-        assert rejected <= stats.screened <= stats.evaluated
+    assert stats.evaluated == len(setups)
+    assert stats.screened == rejected
     assert 0 < stats.screened < stats.evaluated
     assert stats.record()["screened"] == stats.screened
     assert sum(stats.histogram) == stats.evaluated

@@ -15,7 +15,7 @@ from spdcsim.search import (
     SearchConfig,
     SrvTarget,
     _accepts,
-    _run_block,
+    _run_span,
     _trial_rng,
     _trial_rngs,
     evaluate,
@@ -279,10 +279,10 @@ def test_a_block_draws_what_its_trials_draw_in_a_block_from_0(monkeypatch, confi
         return keys[-1]
 
     monkeypatch.setattr(search_module, "_draw", recording_draw)
-    hits, _ = _run_block(config, start, stop, {}, {})
+    hits = _run_span(config, start, stop)[0]
     block_keys = keys[:]
     keys.clear()
-    whole, _ = _run_block(config, 0, stop, {}, {})
+    whole = _run_span(config, 0, stop)[0]
     assert block_keys == keys[start:]
     assert hits
     assert as_tuples(hits) == [hit for hit in as_tuples(whole) if hit[0] >= start]
@@ -342,6 +342,21 @@ def test_serial_search_scores_each_distinct_setup_once(monkeypatch):
     assert stats.cache_hits > 0
     assert sum(stats.histogram) == stats.evaluated
     assert stats.accepted == len(hits)
+
+
+def test_parallel_stats_are_the_serial_stats():
+    # Each span keeps its own cache, but the stats count the union of what
+    # the spans scored, so only the times depend on the worker count.
+    timing = ("draw_s", "score_s", "trials_per_s")
+    runs = []
+    for workers in (1, 3):
+        hits, stats = search_with_stats(MIXED_CONFIG, workers=workers)
+        record = {name: value for name, value in stats.record().items() if name not in timing}
+        runs.append((as_tuples(hits), record))
+    (serial_hits, serial), (parallel_hits, parallel) = runs
+    assert serial_hits and parallel_hits == serial_hits
+    assert 0 < serial["screened"] < serial["evaluated"] < serial["trials"]
+    assert parallel == serial
 
 
 def test_equal_elements_are_shared_within_a_search():
