@@ -330,6 +330,9 @@ def two_photon_builder(coefficients: Sequence[complex]) -> Experiment:
     the minimum.
     """
     coeffs = [complex(c) for c in coefficients]
+    for i, c in enumerate(coeffs):
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {i} = {c!r} is not finite")
     if len(coeffs) < 2:
         raise ValueError("need at least two coefficients")
     biggest = max(abs(c) for c in coeffs)

@@ -143,10 +143,9 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 def _cmd_srv(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
-    parties = args.parties.split(",") if args.parties else list(exp.detectors)
-    for party in parties:
-        if party not in exp.detectors:
-            return _usage_error(f"bad --parties {args.parties!r}: {party!r} is not a detector path")
+    parties = _parties(args.parties, exp.detectors)
+    if parties is None:
+        return 2
     selected = post_select(run(exp), exp.detectors)
     if selected.state.is_zero():
         print("post-selected component is zero", file=sys.stderr)
@@ -240,6 +239,22 @@ def _path_names(option: str, text: str) -> tuple[str, ...]:
     return names
 
 
+def _parties(text: str | None, detectors: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The comma-separated ``--parties``, by default the detectors; None,
+    once said why, for a party that is no detector path or appears twice."""
+    if not text:
+        return detectors
+    parties = tuple(text.split(","))
+    for i, party in enumerate(parties):
+        if party not in detectors:
+            _usage_error(f"bad --parties {text!r}: {party!r} is not a detector path")
+            return None
+        if party in parties[:i]:
+            _usage_error(f"bad --parties {text!r}: {party!r} appears twice")
+            return None
+    return parties
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     paths = _path_names("--paths", args.paths)
     try:
@@ -250,10 +265,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     for path in detectors:
         if path not in paths:
             return _usage_error(f"bad --detectors {args.detectors!r}: {path!r} is not in --paths {args.paths!r}")
-    parties = tuple(args.parties.split(",")) if args.parties else detectors
-    for party in parties:
-        if party not in detectors:
-            return _usage_error(f"bad --parties {args.parties!r}: {party!r} is not a detector path")
+    parties = _parties(args.parties, detectors)
+    if parties is None:
+        return 2
     if args.target.startswith("srv:"):
         try:
             ranks = tuple(int(r) for r in args.target[len("srv:"):].split(","))

@@ -210,8 +210,12 @@ class _LineParser:
         if not self._want(tokens, 2, "phase <path> <float>"):
             return
         phi = self._float(tokens[2])
-        if phi is not None:
+        if phi is None:
+            return
+        try:
             self.elements.append(PhaseShifter(tokens[1].text, phi))
+        except ValueError as exc:
+            self.fail(tokens[2], str(exc))
 
     def _misalign(self, tokens: list[_Token]) -> None:
         if not self._want(tokens, 2, "misalign <path> T=<float>"):

@@ -86,6 +86,10 @@ class PhaseShifter:
     path: str
     phi: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase phi={self.phi} is not finite")
+
 
 @dataclass(frozen=True)
 class Misalignment:
@@ -160,41 +164,80 @@ def expand_crystal(
     common factor.  ``bosonic`` selects the coefficient convention of
     :func:`~spdcsim.fock.apply_pair_generator`.
 
-    With ``limit``, only terms of at most ``limit`` photons are returned,
-    and terms are not generated when no later step can bring their
-    descendants back to the limit: ``D`` moves the photon count by
-    exactly 2, so before the k-th step a term above ``limit - 2``
-    (emission only) or ``limit + 2 (order - k + 1)`` (with lowering) is
-    dropped.  The result equals the uncut expansion filtered to
-    ``limit``, with the same coefficients.
+    ``D`` reads and writes only the crystal's own fields, so the series
+    acting on a term depends only on the term's *local* occupation, its
+    bits in those fields.  A transfer table, built per call and keyed by
+    the local bits, holds the series of each distinct local occupation,
+    expanded once, as entries ``(photons, key delta, sum_k weights[k]
+    c_k)``, where ``photons`` counts the entry's own local photons and
+    ``c_k`` is a coefficient of ``D^k``.  A term then costs one lookup
+    and one add per entry, and skips the entries that would take it
+    above the limit; a table lists its entries fewest photons first.
+
+    The powers come from :func:`~spdcsim.fock.apply_pair_generator`, one
+    step at a time, for all local occupations in one dict: each term of
+    it carries a copy of its occupation in bits above the layout's
+    fields, which ``D`` never touches, so the expansions of different
+    occupations never merge.  They are cut as a term's would be: ``D``
+    moves the photon count by exactly 2, so before the k-th step a power
+    above ``limit - 2`` (emission only) or ``limit + 2 (order - k + 1)``
+    (with lowering) is dropped, since none of its descendants can come
+    back to the limit.  A term holds at least its local photons, so the
+    cut drops nothing that a term could keep, and for terms within the
+    limit no entry holds more than ``limit + 2 order`` photons.
+
+    With ``limit``, only terms of at most ``limit`` photons are returned;
+    without, the limit is the layout's bound, which no input term of the
+    layout can pass.  The result equals the uncut expansion filtered to
+    the limit, with the same coefficients.
     """
-    fields = layout.fields
+    fields, mask = layout.fields, layout.mask
     slots = [(fields[a], fields[b]) for a, b in crystal_pairs(crystal)]
-    modulus = layout.mask  # 2^W - 1: ``key % modulus`` is the photon count
+    local_bits = 0
+    for a, b in slots:
+        local_bits |= mask << a | mask << b
+    if limit is None:
+        limit = layout.bound
+    tag = layout.width * len(layout.labels)  # the lowest bit above every field
+    untag = (1 << tag) - 1
+    table: dict[int, list[tuple[int, int, Any]]] = {}
+    power = {}
+    top = 0  # bounds the photon count of ``power``'s terms
+    for key in terms:
+        local = key & local_bits
+        if local not in table:
+            table[local] = []
+            power[local | local << tag] = 1
+            top = max(top, local % mask)
+    sums = dict.fromkeys(power, weights[0])
     order = len(weights) - 1
-    scale = weights[0]
-    result = dict(terms) if scale == 1 else {key: amp * scale for key, amp in terms.items()}
-    power = terms
-    if limit is not None:
-        # ``top`` bounds the photon count of ``power``'s terms, ``reach`` that of ``result``'s.
-        top = reach = max([key % modulus for key in terms], default=0)
     for k in range(1, order + 1):
-        if limit is not None:
-            cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
-            if top > cap:
-                power = {key: amp for key, amp in power.items() if key % modulus <= cap}
-                top = cap
-            top += 2
-            reach = max(reach, top)
-        power = apply_pair_generator(
-            power, slots, layout.mask, creation_only=creation_only, bosonic=bosonic
-        )
-        coeff = weights[k]
-        for key, amp in power.items():
-            result[key] = result.get(key, 0) + amp * coeff
-    if limit is not None and reach > limit:
-        result = {key: amp for key, amp in result.items() if key % modulus <= limit}
-    return result
+        cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
+        if top > cap:
+            power = {key: c for key, c in power.items() if (key & untag) % mask <= cap}
+            top = cap
+        top += 2
+        power = apply_pair_generator(power, slots, mask, creation_only=creation_only, bosonic=bosonic)
+        weight = weights[k]
+        for key, c in power.items():
+            sums[key] = sums.get(key, 0) + c * weight
+    for key, c in sums.items():
+        local = key >> tag
+        key &= untag
+        table[local].append((key % mask, key - local, c))
+    for entries in table.values():
+        entries.sort()
+    out: dict[int, Any] = {}
+    get = out.get
+    for key, amp in terms.items():
+        local = key & local_bits
+        spare = limit - (key - local) % mask  # the limit less the photons outside the crystal
+        for photons, delta, coeff in table[local]:
+            if photons > spare:
+                break
+            key_out = key + delta
+            out[key_out] = get(key_out, 0) + amp * coeff
+    return out
 
 
 # -- passive elements -------------------------------------------------------

@@ -126,9 +126,14 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     element.  The keys are decoded to canonical occupation tuples once,
     at the end.
 
+    Each crystal is expanded through a transfer table, built per crystal
+    and keyed by the crystal's local bits: the series is computed once
+    per distinct local occupation, and every term then takes one lookup
+    and one add per table entry (``elements.expand_crystal``).
     Every crystal keeps only terms of at most ``2 * pair_budget``
-    photons; the cut is made inside the expansion, which never generates
-    terms that could only end above it (``elements.expand_crystal``).
+    photons; the cut is made inside the expansion, which skips the
+    entries that would end above it and never expands a local term that
+    could only end above it.
     Where it is made changes nothing: the result equals the full
     expansion truncated after each crystal, and that truncation is an
     approximation, not an exact cut.  A dropped term, lowered by a later

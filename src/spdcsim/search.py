@@ -65,6 +65,8 @@ class SrvTarget:
     def __post_init__(self):
         if len(self.parties) != len(self.ranks):
             raise ValueError("one rank per party required")
+        if len(set(self.parties)) != len(self.parties):
+            raise ValueError("parties must be distinct")
         if any(rank < 1 for rank in self.ranks):
             raise ValueError("ranks must be >= 1")
 

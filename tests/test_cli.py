@@ -113,6 +113,7 @@ def test_fidelity_rejects_an_unreadable_state_file(tmp_path, capsys):
         (("search", "ghz:4:2", "--detectors", "a,b,c", "--budget", 1), "ghz:4:2"),
         (("search", "ghz:4:2", "--detectors", "a,b,zz,d", "--budget", 1), "a,b,zz,d"),
         (("search", "srv:2,2", "--parties", "a,zz", "--budget", 1), "a,zz"),
+        (("search", "srv:2,2", "--parties", "a,a", "--budget", 1), "a,a"),
         (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "ghz:6:2"), "ghz:6:2"),
         (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "w:3"), "w:3"),
         (("search", "ghz:4:2", "--paths", "a,,b,c", "--budget", 1), "a,,b,c"),
@@ -134,6 +135,7 @@ def test_fidelity_rejects_an_unreadable_state_file(tmp_path, capsys):
         "ghz-more-parties-than-detectors",
         "detector-outside-paths",
         "party-no-detector",
+        "repeated-party",
         "fidelity-ghz-more-parties-than-detectors",
         "fidelity-w-fewer-parties-than-detectors",
         "empty-path-name",
@@ -235,6 +237,24 @@ def test_srv_rejects_a_party_that_is_no_detector(capsys, parties, bad):
     assert f"{bad!r} is not a detector path" in err
 
 
+def test_srv_rejects_a_repeated_party(capsys):
+    code, out, err = invoke(
+        capsys, "srv", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--parties", "a,a"
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad --parties 'a,a': 'a' appears twice" in err
+
+
+def test_run_rejects_a_non_finite_phase_with_its_position(tmp_path, capsys):
+    bad = tmp_path / "nan.exp"
+    bad.write_text("detectors a b\ncrystal a:0 b:0\nphase a nan\n")
+    with pytest.raises(SystemExit) as err:
+        invoke(capsys, "run", bad)
+    assert err.value.code == 2
+    assert f"{bad}:3:9" in capsys.readouterr().err
+
+
 def test_efficiency_formula_only(capsys):
     code, out, _ = invoke(capsys, "efficiency", 4, 2)
     assert code == 0
@@ -268,6 +288,17 @@ def test_build2_chain_round_trip(capsys, tmp_path):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines() if line]
     assert len(records) == 4
+
+
+@pytest.mark.parametrize(
+    "coefficients, index",
+    [("nan,1", 0), ("1,nanj", 1), ("inf,1", 0), ("1,1,-infj", 2)],
+)
+def test_build2_rejects_a_non_finite_coefficient_by_index(capsys, coefficients, index):
+    code, out, err = invoke(capsys, "build2", coefficients)
+    assert code == 2
+    assert out == ""
+    assert f"coefficient {index} " in err and "is not finite" in err
 
 
 def test_coherence_pass_and_fail(tmp_path, capsys):

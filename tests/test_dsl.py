@@ -71,6 +71,21 @@ def test_malformed_number_span():
     assert issue.span.column == 9
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_non_finite_phase_points_at_token(phi):
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse(f"detectors a b\ncrystal a:0 b:0\nphase a {phi}\n")
+    issue = err.value.issues[0]
+    assert (issue.span.line, issue.span.column) == (3, 9)
+    assert "not finite" in issue.message
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_phase_shifter_rejects_a_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="not finite"):
+        PhaseShifter("a", phi)
+
+
 def test_duplicate_detectors_line():
     with pytest.raises(dsl.ExperimentParseError) as err:
         dsl.parse("detectors a b\ndetectors c d\n")

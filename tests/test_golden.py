@@ -1,10 +1,18 @@
 """The engine's outputs, bit for bit, against ``data/engine_golden.json``.
 
-The digests were written by ``data/make_engine_golden.py`` before the
-engine moved to packed occupation keys; any change to an amplitude's
-last bit, a term count, a success weight or an exact efficiency fails
-here.  Regenerate the file only for a change that means to move the
-outputs, and say so.
+The digests were written by ``data/make_engine_golden.py``; any change
+to an amplitude's last bit, a term count, a success weight or an exact
+efficiency fails here.  Regenerate the file only for a change that means
+to move the outputs, and say so.
+
+They were last rewritten when ``elements.expand_crystal`` moved to a
+transfer table, which sums ``amp * (sum_k w_k c_k)`` per term instead of
+summing the series power by power.  Only the summation order changed:
+against the power-by-power engine, over the corpus and the ladder at
+g in {0.1, 0.0731, 0.05, 0.15} with and without ``creation_only``, every
+term set and every exact efficiency is unchanged, the largest amplitude
+change is 6.7e-16 and the largest relative change of a success weight is
+8.8e-16.
 """
 
 import importlib.util

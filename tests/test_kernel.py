@@ -1,6 +1,7 @@
 """Property tests for the packed occupation keys, the fused
-pair-generator kernel, the passive-element kernel, and the splices that
-``StateVector.create`` and ``annihilate`` are built on.
+pair-generator kernel, the crystal expansion's transfer table, the
+passive-element kernel, and the splices that ``StateVector.create`` and
+``annihilate`` are built on.
 
 The kernels run on packed ``int`` keys; each test packs its states on a
 key layout, applies the kernel and unpacks, so the oracles stay the
@@ -22,6 +23,7 @@ from spdcsim.elements import (
     Relabel,
     apply_element,
     compile_layout,
+    crystal_pairs,
     expand_crystal,
     resolve_loss_paths,
     substitute,
@@ -264,6 +266,55 @@ def test_capped_monomial_expansion_equals_filtered_full_expansion(
         terms, crystal, weights, creation_only=creation_only, bosonic=False, limit=2 * budget
     )
     assert capped == cut_to(full, 2 * budget)
+
+
+# -- the transfer table against the power-by-power series -------------------
+
+
+def series(terms, crystal, weights, *, creation_only, bosonic, limit):
+    """``sum_k weights[k] D^k`` on occupation-keyed ``terms``, one
+    ``apply_pair_generator`` power at a time over the whole state, uncut,
+    then filtered to ``limit``."""
+    bound = most_photons(terms) + 2 * (len(weights) - 1)
+    layout = compile_layout((crystal,), bound, labels_of(terms))
+    slots = [(layout.fields[a], layout.fields[b]) for a, b in crystal_pairs(crystal)]
+    power = pack(layout, terms)
+    out = {}
+    for k, weight in enumerate(weights):
+        if k:
+            power = apply_pair_generator(
+                power, slots, layout.mask, creation_only=creation_only, bosonic=bosonic
+            )
+        for key, c in power.items():
+            out[key] = out.get(key, 0) + c * weight
+    out = unpack(layout, out)
+    return out if limit is None else cut_to(out, limit)
+
+
+limits = st.one_of(st.none(), st.integers(min_value=0, max_value=6).map(lambda budget: 2 * budget))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_states(), crystals, orders, limits, st.booleans())
+def test_float_transfer_table_equals_power_by_power_series(state, crystal, order, limit, creation_only):
+    weights = taylor_weights(crystal.g, order)
+    options = dict(creation_only=creation_only, limit=limit)
+    table = expansion(state.terms, crystal, weights, **options)
+    reference = series(state.terms, crystal, weights, bosonic=True, **options)
+    assert table.keys() == reference.keys()
+    for occ, amp in reference.items():
+        assert abs(table[occ] - amp) <= 1e-12 * max(1.0, abs(amp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_terms, crystals, orders, limits, st.booleans(), st.data())
+def test_monomial_transfer_table_equals_power_by_power_series(
+    terms, crystal, order, limit, creation_only, data
+):
+    size = order + 1
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=size, max_size=size))
+    options = dict(creation_only=creation_only, bosonic=False, limit=limit)
+    assert expansion(terms, crystal, weights, **options) == series(terms, crystal, weights, **options)
 
 
 # -- packed keys ---------------------------------------------------------------

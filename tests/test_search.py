@@ -224,6 +224,11 @@ def test_a_negative_seed_is_rejected_up_front():
         pol_config(seed=-1)
 
 
+def test_a_repeated_party_is_rejected():
+    with pytest.raises(ValueError, match="parties must be distinct"):
+        SrvTarget(parties=("a", "a"), ranks=(2, 2))
+
+
 # -- the per-trial streams ---------------------------------------------------
 
 
