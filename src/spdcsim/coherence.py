@@ -10,6 +10,7 @@ length; "far below" is operationalized as ``<= strictness * length``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -111,9 +112,12 @@ def parse_spec_file(text: str) -> CoherenceSpec:
         if not sep or key not in _FILE_KEYS:
             raise ValueError(f"line {line_no}: expected one of {_FILE_KEYS}, got {line!r}")
         try:
-            values[key] = float(value_text.strip())
+            value = float(value_text.strip())
         except ValueError:
             raise ValueError(f"line {line_no}: bad number {value_text.strip()!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {line_no}: {key} = {value_text.strip()} is not finite")
+        values[key] = value
     missing = [k for k in _FILE_KEYS if k not in values and k != "epsilon"]
     if missing:
         raise ValueError(f"missing keys: {missing}")

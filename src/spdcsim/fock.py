@@ -398,9 +398,12 @@ def parse_state(text: str) -> StateVector:
         if len(fields) != 2:
             raise ValueError(f"line {line_no}: expected 're im :' prefix")
         try:
-            amp = complex(float(fields[0]), float(fields[1]))
+            re_part, im_part = float(fields[0]), float(fields[1])
         except ValueError as exc:
             raise ValueError(f"line {line_no}: bad amplitude: {exc}") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise ValueError(f"line {line_no}: amplitude {fields[0]} {fields[1]} is not finite")
+        amp = complex(re_part, im_part)
         counts: dict[ModeLabel, int] = {}
         for token in tail.split():
             mult, sep, label_text = token.partition("*")

@@ -6,7 +6,10 @@ the acceptance target.  Trial ``t`` draws from its own stream,
 ``default_rng(SeedSequence((seed, t)))``, so results are identical bit
 for bit no matter how trials are distributed over workers.  A span of
 trials computes its streams' PCG64 seed words in one numpy pass
-(``_trial_rngs``) instead of building a ``SeedSequence`` per trial.
+(``_trial_rngs``) instead of building a ``SeedSequence`` per trial, and
+each trial draws from a pure-Python PCG64 (``TrialRng``) that makes
+numpy's ``Generator`` draws one for one; the search never imports
+``numpy.random``.
 
 A setup whose compiled key layout shows that it cannot produce a
 coincidence scores 0 without being simulated (``evaluate``).
@@ -164,10 +167,10 @@ class SearchStats:
 
 
 # Trial ``t`` of a search draws from ``default_rng(SeedSequence((seed, t)))``.
-# ``_trial_rngs`` builds those generators without a SeedSequence each: it
+# ``_trial_rngs`` builds those streams without a SeedSequence each: it
 # replays SeedSequence's entropy coercion, pool mixing and
 # ``generate_state(4, np.uint64)`` on uint32 arrays, one row per trial, and
-# hands each row to PCG64, which does its own 128-bit seeding.  The
+# hands each row to ``TrialRng``, which does PCG64's 128-bit seeding.  The
 # constants are numpy's (``numpy/random/bit_generator.pyx``); every value is
 # a uint32 array or an ``np.uint32``, so products wrap mod 2**32 as in C.
 
@@ -247,50 +250,82 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """The seed sequence that hands PCG64 one trial's words.
+# Trial ``t``'s PCG64, as numpy seeds and steps it
+# (``numpy/random/src/pcg64/pcg64.h``): a 128-bit LCG with numpy's
+# multiplier, XSL-RR output, and each 64-bit output split into two 32-bit
+# draws, low half first.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
-    Defined on first use: it subclasses a ``numpy.random`` class, and
-    importing ``numpy.random`` adds about 6 MB to every command that
-    never draws.
+
+class TrialRng:
+    """One trial's draws, those of ``default_rng(SeedSequence((seed, t)))``.
+
+    ``index(k)`` is ``integers(k)`` and ``two_of(n)`` is
+    ``choice(n, 2, replace=False)``, draw for draw, so the stream never
+    needs ``numpy.random``.
     """
-    from numpy.random.bit_generator import ISeedSequence
 
-    class SeedWords(ISeedSequence):
-        __slots__ = ("words",)
+    __slots__ = ("_state", "_inc", "_spare")
 
-        def __init__(self, words: np.ndarray):
-            self.words = words
+    def __init__(self, w0: int, w1: int, w2: int, w3: int):
+        """Seed from ``SeedSequence.generate_state(4, np.uint64)``'s words.
 
-        def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
-            return self.words  # PCG64's one call: generate_state(4, np.uint64)
+        As numpy's ``pcg64_set_seed``: state 0, one step, add the seed,
+        one more step.
+        """
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self._inc = inc
+        self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        self._spare = None  # numpy's ``uinteger`` while ``has_uint32`` is set
 
-    return SeedWords
+    def _next32(self) -> int:
+        spare = self._spare
+        if spare is not None:
+            self._spare = None
+            return spare
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        word, rot = (state >> 64) ^ (state & _MASK64), state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        self._spare = word >> 32
+        return word & _MASK32
+
+    def index(self, k: int) -> int:
+        """``integers(k)`` for ``1 <= k <= 2**32``: numpy's 32-bit Lemire draw.
+
+        ``k == 1`` draws nothing, as in numpy.
+        """
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & _MASK32 < k:
+            threshold = ((1 << 32) - k) % k
+            while m & _MASK32 < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def two_of(self, n: int) -> tuple[int, int]:
+        """``choice(n, 2, replace=False)``: Floyd's two draws, then one shuffle swap."""
+        first = self.index(n - 1)
+        second = self.index(n)
+        if second == first:
+            second = n - 1
+        return (second, first) if self.index(2) == 0 else (first, second)
 
 
-def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """Trials ``start`` to ``stop``'s generators, seed words computed a chunk at a time."""
-    seed_words = _seed_words_type()
+def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[TrialRng]:
+    """Trials ``start`` to ``stop``'s streams, seed words computed a chunk at a time."""
     while start < stop:
         end = min(stop, start + _SEED_CHUNK, (start | _MASK32) + 1)
-        for words in _seed_words(seed, start, end):
-            yield np.random.Generator(np.random.PCG64(seed_words(words)))
+        for words in _seed_words(seed, start, end).tolist():
+            yield TrialRng(*words)
         start = end
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """``default_rng(SeedSequence((seed, trial)))``, state for state."""
+def _trial_rng(seed: int, trial: int) -> TrialRng:
+    """Trial ``trial``'s stream: ``default_rng(SeedSequence((seed, trial)))``."""
     return next(_trial_rngs(seed, trial, trial + 1))
-
-
-def _index(rng: np.random.Generator, k: int) -> int:
-    """``rng.integers(k)``; for ``k == 1`` numpy draws nothing, so neither do we."""
-    return int(rng.integers(k)) if k > 1 else 0
-
-
-def _choice(rng: np.random.Generator, items: Sequence):
-    return items[_index(rng, len(items))]
 
 
 # A drawn element is one int, an index into the elements the pool can draw.
@@ -311,36 +346,37 @@ def _blocks(pool: ElementPool) -> tuple[int, int, int, int, int]:
     return n, multimode, shift, phase, phase + n * len(PHASE_VALUES)
 
 
-def _unordered_pair(rng: np.random.Generator, n: int) -> int:
-    i, j = rng.choice(n, size=2, replace=False).tolist()
+def _unordered_pair(rng: TrialRng, n: int) -> int:
+    i, j = rng.two_of(n)
     return i * n + j if i < j else j * n + i
 
 
-def _draw(rng: np.random.Generator, config: SearchConfig, blocks: tuple[int, ...]) -> tuple[int, ...]:
+def _draw(rng: TrialRng, config: SearchConfig, blocks: tuple[int, ...]) -> tuple[int, ...]:
     """One candidate as a key: uniform element count, kinds, and parameters.
 
-    Makes the RNG calls ``random_setup`` makes, in the same order;
     ``blocks`` is ``_blocks(config.pool)``, computed once per search.
     """
     pool = config.pool
+    kinds = pool.kinds
     n, multimode, shift, phase, relabel = blocks
     modes = len(pool.crystal_modes)
+    index = rng.index
     key = []
-    for _ in range(int(rng.integers(1, config.max_elements + 1))):
-        kind = _choice(rng, pool.kinds)
+    for _ in range(1 + index(config.max_elements)):
+        kind = kinds[index(len(kinds))]
         if kind == "crystal":
-            key.append(_unordered_pair(rng, n) * modes + _index(rng, modes))
+            key.append(_unordered_pair(rng, n) * modes + index(modes))
         elif kind == "multimode":
             lists = len(MULTIMODE_LISTS)
-            key.append(multimode + _unordered_pair(rng, n) * lists + _index(rng, lists))
+            key.append(multimode + _unordered_pair(rng, n) * lists + index(lists))
         elif kind == "shift":
             deltas = len(SHIFT_DELTAS)
-            key.append(shift + _index(rng, n) * deltas + _index(rng, deltas))
+            key.append(shift + index(n) * deltas + index(deltas))
         elif kind == "phase":
             phases = len(PHASE_VALUES)
-            key.append(phase + _index(rng, n) * phases + _index(rng, phases))
+            key.append(phase + index(n) * phases + index(phases))
         else:  # relabel
-            source, target = rng.choice(n, size=2, replace=False).tolist()
+            source, target = rng.two_of(n)
             key.append(relabel + source * n + target)
     return tuple(key)
 
@@ -379,9 +415,12 @@ def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, Element]
     return Experiment(elements=tuple(elements), detectors=config.detectors)
 
 
-def random_setup(rng: np.random.Generator, config: SearchConfig) -> Experiment:
-    """Draw one candidate: uniform element count, kinds, and parameters."""
-    return _build(_draw(rng, config, _blocks(config.pool)), config, {})
+def random_setup(config: SearchConfig, trial: int) -> Experiment:
+    """The setup that trial ``trial`` of the search ``config`` draws.
+
+    A uniform element count, then each element's kind and parameters.
+    """
+    return _build(_draw(_trial_rng(config.seed, trial), config, _blocks(config.pool)), config, {})
 
 
 # Setups this process's ``evaluate`` has screened out; ``_run_span``

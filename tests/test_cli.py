@@ -94,6 +94,18 @@ def test_fidelity_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths
     assert "are not the detectors a,b,c,d" in err
 
 
+NAN_GHZ_STATE = "nan 0 : 1*a:0 1*b:0 1*c:0 1*d:0\n1 0 : 1*a:1 1*b:1 1*c:1 1*d:1\n"
+
+
+def test_fidelity_rejects_a_non_finite_amplitude_with_its_line(tmp_path, capsys):
+    target = tmp_path / "nan.state"
+    target.write_text(NAN_GHZ_STATE)
+    code, out, err = invoke(capsys, "fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", target)
+    assert code == 2
+    assert out == ""
+    assert f"bad target {str(target)!r}: line 1: amplitude nan 0 is not finite" in err
+
+
 def test_fidelity_rejects_an_unreadable_state_file(tmp_path, capsys):
     code, out, err = invoke(capsys, "fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", tmp_path)
     assert code == 2
@@ -324,6 +336,20 @@ def test_coherence_pass_and_fail(tmp_path, capsys):
     assert out.strip().endswith("FAIL")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_coherence_rejects_a_non_finite_length_with_its_line(tmp_path, capsys, value):
+    spec = tmp_path / "nan.lengths"
+    spec.write_text(
+        f"lp1={value}\nlp2=1.0\nlp3=1.002\nlp4=1.002\n"
+        "l1=1.002\nl2=1.002\nl3=1.002\nl4=1.002\n"
+        "lc_spdc=1e-4\nlc_pump=1e-1\nepsilon=0.1\n"
+    )
+    code, out, err = invoke(capsys, "coherence", spec)
+    assert code == 2
+    assert out == ""
+    assert f"line 1: lp1 = {value} is not finite" in err
+
+
 def test_search_writes_hits(tmp_path, capsys):
     out_dir = tmp_path / "hits"
     code, out, err = invoke(
@@ -419,3 +445,12 @@ def test_search_rejects_a_state_file_off_the_detectors(tmp_path, capsys, paths):
     assert code == 2
     assert out == ""
     assert f"bad target {str(target)!r}" in err
+
+
+def test_search_rejects_a_non_finite_amplitude_before_any_trial(tmp_path, capsys):
+    target = tmp_path / "nan.state"
+    target.write_text(NAN_GHZ_STATE)
+    code, out, err = invoke(capsys, "search", target, "--budget", 50)
+    assert code == 2
+    assert out == ""
+    assert f"bad target {str(target)!r}: line 1: amplitude nan 0 is not finite" in err

@@ -139,3 +139,9 @@ def test_parse_spec_file_reports_problems():
         parse_spec_file("lp1 = abc")
     with pytest.raises(ValueError, match="expected one of"):
         parse_spec_file("bogus = 1.0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_spec_file_names_the_line_of_a_non_finite_value(value):
+    with pytest.raises(ValueError, match=rf"^line 2: l3 = {value} is not finite$"):
+        parse_spec_file(f"lp1 = 1.0\nl3 = {value}\nl4 = 1.0")

@@ -194,3 +194,9 @@ def test_parse_rejects_bad_lines():
 def test_parse_names_the_line_of_a_negative_count():
     with pytest.raises(ValueError, match=r"^line 3: negative occupation -1 at a:0$"):
         parse_state("1.0 0.0 : 1*a:0\n# comment\n1.0 0.0 : -1*a:0")
+
+
+@pytest.mark.parametrize("amplitude", ["nan 0", "1 inf", "-inf 0", "0 nan"])
+def test_parse_names_the_line_of_a_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match=rf"^line 2: amplitude {amplitude} is not finite$"):
+        parse_state(f"1.0 0.0 : 1*a:0\n{amplitude} : 1*a:1")

@@ -32,8 +32,6 @@ from spdcsim.fock import KeyLayout, ModeLabel, occupation_photons
 from spdcsim.search import (
     FidelityTarget,
     SrvTarget,
-    _trial_rng,
-    _trial_rngs,
     evaluate,
     random_setup,
     search_with_stats,
@@ -69,7 +67,7 @@ def screens_out(exp, target):
 
 def drawn(name, seed, trial):
     config = CONFIGS[name]
-    return random_setup(_trial_rng(seed, trial), config), config.target
+    return random_setup(replace(config, seed=seed), trial), config.target
 
 
 def assert_selection_on_keys_equals_post_select(exp):
@@ -148,8 +146,8 @@ def test_screen_rejects_only_setups_that_score_zero(name):
     # Every distinct setup of the first 1500 trials, hits among them.
     config = CONFIGS[name]
     setups = {}
-    for rng in _trial_rngs(config.seed, 0, 1500):
-        exp = random_setup(rng, config)
+    for trial in range(1500):
+        exp = random_setup(config, trial)
         setups.setdefault(exp.elements, exp)
     rejected = scored = 0
     for exp in setups.values():
@@ -211,8 +209,8 @@ def test_screened_counts_the_misses_the_screen_rejects(workers):
     config = replace(MIXED_CONFIG, budget=1200)
     hits, stats = search_with_stats(config, workers=workers)
     setups = {}
-    for rng in _trial_rngs(config.seed, 0, config.budget):
-        exp = random_setup(rng, config)
+    for trial in range(config.budget):
+        exp = random_setup(config, trial)
         setups.setdefault(exp.elements, exp)
     rejected = sum(screens_out(exp, config.target) for exp in setups.values())
     assert stats.evaluated == len(setups)

@@ -1,4 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from spdcsim.search import (
     FidelityTarget,
     SearchConfig,
     SrvTarget,
+    TrialRng,
     _accepts,
     _run_span,
     _trial_rng,
@@ -60,7 +66,7 @@ def pol_config(**overrides):
 def test_random_setup_samples_within_the_pool():
     config = pol_config()
     for trial in range(50):
-        exp = random_setup(_trial_rng(config.seed, trial), config)
+        exp = random_setup(config, trial)
         assert 1 <= len(exp.elements) <= 4
         assert exp.detectors == ("a", "b", "c", "d")
         for element in exp.elements:
@@ -72,7 +78,7 @@ def test_random_setup_samples_within_the_pool():
 def test_random_setup_reaches_four_crystal_layouts():
     config = pol_config()
     sizes = {
-        len(random_setup(_trial_rng(config.seed, trial), config).elements)
+        len(random_setup(config, trial).elements)
         for trial in range(200)
     }
     assert sizes == {1, 2, 3, 4}
@@ -83,7 +89,7 @@ def test_pool_restriction_to_crystals_and_shifters():
     config = pol_config(pool=pool, max_elements=6)
     seen = set()
     for trial in range(100):
-        exp = random_setup(_trial_rng(config.seed, trial), config)
+        exp = random_setup(config, trial)
         for element in exp.elements:
             assert isinstance(element, (Crystal, ModeShifter))
             seen.add(type(element))
@@ -130,7 +136,7 @@ PINNED_MIXED_DRAWS = {
 
 @pytest.mark.parametrize("seed, trial", sorted(PINNED_MIXED_DRAWS))
 def test_random_setup_draws_are_pinned(seed, trial):
-    exp = random_setup(_trial_rng(seed, trial), MIXED_CONFIG)
+    exp = random_setup(replace(MIXED_CONFIG, seed=seed), trial)
     assert exp.elements == PINNED_MIXED_DRAWS[seed, trial]
     assert exp.detectors == ("t", "a", "b", "c")
     assert exp.expansion_order == 2
@@ -138,8 +144,8 @@ def test_random_setup_draws_are_pinned(seed, trial):
 
 def test_sampler_is_deterministic_per_trial():
     config = pol_config()
-    one = [random_setup(_trial_rng(config.seed, t), config) for t in range(20)]
-    two = [random_setup(_trial_rng(config.seed, t), config) for t in range(20)]
+    one = [random_setup(config, t) for t in range(20)]
+    two = [random_setup(config, t) for t in range(20)]
     assert one == two
 
 
@@ -230,10 +236,12 @@ def test_a_repeated_party_is_rejected():
 
 
 # -- the per-trial streams ---------------------------------------------------
+# The search draws with ``TrialRng``.  numpy's ``Generator`` is the oracle
+# here and only here: ``TrialRng`` must make its draws, one for one.
 
 
 def reference_rng(seed, trial):
-    """Trial ``trial``'s stream as the search promises it, built without ``search``."""
+    """Trial ``trial``'s stream as the search promises it, built with numpy."""
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
 
@@ -241,6 +249,22 @@ def reference_rng(seed, trial):
 # from 2**96 on a seed takes four words or more, which with the trial's
 # word overflow the four-word pool.
 EDGES = (0, 2**32 - 1, 2**32, 2**96, 2**128 + 1)
+
+# ``integers(k)`` rejects a 32-bit draw whose low product word falls below
+# ``(2**32 - k) % k``.  For this bound that is 2**30 - 1, so about one draw
+# in four is rejected and drawn again.
+REJECTING = 3 * 2**30 + 1
+
+# Bounds whose draws show the raw 32-bit words (2**32), the rejection loop
+# and small bounds; several bounds in a row use both halves of a 64-bit word.
+PROBE = (2**32, REJECTING, 2, 2**32 - 1, 7, 1, 5, REJECTING, 3)
+
+
+def assert_same_stream(rng, reference):
+    """The same PCG64 state, then the same draws."""
+    state = reference.bit_generator.state["state"]
+    assert (rng._state, rng._inc) == (state["state"], state["inc"])
+    assert [rng.index(k) for k in PROBE] == [int(reference.integers(k)) for k in PROBE]
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,8 +281,8 @@ def test_trial_streams_are_the_seed_sequence_streams(seed, start, length):
     rngs = list(_trial_rngs(seed, start, start + length))
     assert len(rngs) == length
     for trial, rng in zip(range(start, start + length), rngs):
-        assert rng.bit_generator.state == reference_rng(seed, trial).bit_generator.state
-    assert _trial_rng(seed, start).bit_generator.state == reference_rng(seed, start).bit_generator.state
+        assert_same_stream(rng, reference_rng(seed, trial))
+    assert_same_stream(_trial_rng(seed, start), reference_rng(seed, start))
 
 
 def test_trial_streams_run_on_across_seed_chunks():
@@ -267,7 +291,7 @@ def test_trial_streams_run_on_across_seed_chunks():
     rngs = list(_trial_rngs(seed, start, start + chunk + 7))
     assert len(rngs) == chunk + 7
     for trial, rng in enumerate(rngs, start):
-        assert rng.bit_generator.state == reference_rng(seed, trial).bit_generator.state
+        assert_same_stream(rng, reference_rng(seed, trial))
 
 
 @pytest.mark.parametrize(
@@ -293,10 +317,69 @@ def test_a_block_draws_what_its_trials_draw_in_a_block_from_0(monkeypatch, confi
     assert as_tuples(hits) == [hit for hit in as_tuples(whole) if hit[0] >= start]
 
 
+class CountingRng(TrialRng):
+    """A ``TrialRng`` that counts its 32-bit draws and its 64-bit outputs."""
+
+    __slots__ = ("words", "outputs")
+
+    def __init__(self, seed, trial):
+        super().__init__(*search_module._seed_words(seed, trial, trial + 1).tolist()[0])
+        self.words = self.outputs = 0
+
+    def _next32(self):
+        self.words += 1
+        self.outputs += self._spare is None
+        return super()._next32()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64)),
+    trial=st.integers(0, 2**40),
+    bounds=st.lists(
+        st.one_of(st.sampled_from((1, 2, 3, 5, REJECTING, 2**32 - 1, 2**32)), st.integers(1, 2**32)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@example(seed=0, trial=0, bounds=[REJECTING] * 40)
+def test_bounded_draws_are_numpys(seed, trial, bounds):
+    rng, reference = _trial_rng(seed, trial), reference_rng(seed, trial)
+    assert [rng.index(k) for k in bounds] == [int(reference.integers(k)) for k in bounds]
+    # The stream stands where numpy's does, spare upper half included.
+    assert [rng.index(2**32) for _ in range(3)] == reference.integers(2**32, size=3).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240817])
+def test_the_rejection_loop_and_the_spare_half_both_run(seed):
+    rng, reference = CountingRng(seed, 5), reference_rng(seed, 5)
+    drawn = [rng.index(REJECTING) for _ in range(40)] + [rng.index(6) for _ in range(3)]
+    assert drawn == [int(reference.integers(REJECTING)) for _ in range(40)] + reference.integers(6, size=3).tolist()
+    # More 32-bit words than values: some were rejected.  Every second
+    # word is the spare upper half of a 64-bit output.
+    assert rng.words > len(drawn)
+    assert rng.outputs == (rng.words + 1) // 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_two_of_n_is_choice_without_replacement(n):
+    collisions = swaps = 0
+    for trial in range(300):
+        rng, reference = _trial_rng(7, trial), reference_rng(7, trial)
+        assert rng.two_of(n) == tuple(reference.choice(n, 2, replace=False).tolist())
+        # The same draws, one at a time: Floyd's two, then the swap.
+        replay = reference_rng(7, trial)
+        first, second, swap = (int(replay.integers(k)) for k in (n - 1, n, 2))
+        collisions += second == first
+        swaps += swap == 0
+        assert_same_stream(rng, reference)
+    assert collisions and swaps
+
+
 @pytest.mark.parametrize("seed", [0, 7, 20240817])
 def test_a_one_value_draw_leaves_the_stream_alone(seed):
-    # ``_index`` skips ``rng.integers(1)``; that keeps the streams only
-    # because numpy's call draws nothing either.
+    # ``TrialRng.index(1)`` draws nothing; that keeps the streams only
+    # because numpy's ``integers(1)`` draws nothing either.
     rng = reference_rng(seed, 3)
     rng.integers(5)
     before = rng.bit_generator.state
@@ -304,14 +387,74 @@ def test_a_one_value_draw_leaves_the_stream_alone(seed):
     assert rng.bit_generator.state == before
 
 
+def numpy_draw(rng, config, blocks):
+    """The draw as the search made it on numpy's ``Generator``: an independent copy."""
+    pool = config.pool
+    n, multimode, shift, phase, relabel = blocks
+    modes = len(pool.crystal_modes)
+
+    def index(k):
+        return int(rng.integers(k)) if k > 1 else 0
+
+    def unordered_pair():
+        i, j = rng.choice(n, size=2, replace=False).tolist()
+        return i * n + j if i < j else j * n + i
+
+    key = []
+    for _ in range(int(rng.integers(1, config.max_elements + 1))):
+        kind = pool.kinds[index(len(pool.kinds))]
+        if kind == "crystal":
+            key.append(unordered_pair() * modes + index(modes))
+        elif kind == "multimode":
+            lists = len(search_module.MULTIMODE_LISTS)
+            key.append(multimode + unordered_pair() * lists + index(lists))
+        elif kind == "shift":
+            deltas = len(search_module.SHIFT_DELTAS)
+            key.append(shift + index(n) * deltas + index(deltas))
+        elif kind == "phase":
+            phases = len(search_module.PHASE_VALUES)
+            key.append(phase + index(n) * phases + index(phases))
+        else:  # relabel
+            source, target = rng.choice(n, size=2, replace=False).tolist()
+            key.append(relabel + source * n + target)
+    return tuple(key)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240817, 2**40 + 3, 2**100 + 5])
+@pytest.mark.parametrize("config", [pol_config(), MIXED_CONFIG], ids=["ghz4", "mixed"])
+def test_draw_is_the_numpy_draw_key_for_key(config, seed):
+    blocks = search_module._blocks(config.pool)
+    keys = [search_module._draw(rng, config, blocks) for rng in _trial_rngs(seed, 0, 1000)]
+    assert keys == [numpy_draw(reference_rng(seed, trial), config, blocks) for trial in range(1000)]
+    assert len(set(keys)) > 100
+
+
+def test_a_serial_search_never_imports_numpy_random():
+    code = (
+        "import sys\n"
+        "from spdcsim.cli import main\n"
+        "hits = main(['search', 'ghz:4:2', '--budget', '200', '--seed', '20240817'])\n"
+        "misses = main(['search', 'srv:4,2,2', '--paths', 't,a,b,c', '--parties', 'a,b,c',\n"
+        "               '--pool', 'crystal,multimode,shift,phase,relabel', '--budget', '300'])\n"
+        "print(hits, misses, 'numpy.random' in sys.modules)\n"
+    )
+    src = Path(search_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert "hit trial=147" in result.stdout
+    assert result.stdout.splitlines()[-1] == "0 1 False"
+
+
 # -- the score cache ---------------------------------------------------------
 
 
 def uncached_hits(config):
-    """The search without a cache or bulk seeding: draw, build and score every trial."""
+    """The search without a cache, bulk seeding or ``TrialRng``: draw, build and score every trial."""
+    blocks = search_module._blocks(config.pool)
     hits = []
     for trial in range(config.budget):
-        exp = random_setup(reference_rng(config.seed, trial), config)
+        key = numpy_draw(reference_rng(config.seed, trial), config, blocks)
+        exp = search_module._build(key, config, {})
         score = evaluate(exp, config.target)
         if _accepts(config.target, score):
             hits.append((trial, exp, repr(score)))
@@ -340,7 +483,7 @@ def test_serial_search_scores_each_distinct_setup_once(monkeypatch):
 
     monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
     hits, stats = search_with_stats(config)
-    drawn = {random_setup(rng, config).elements for rng in _trial_rngs(config.seed, 0, config.budget)}
+    drawn = {random_setup(config, trial).elements for trial in range(config.budget)}
     assert len(scored) == len(set(scored)) == len(drawn) == stats.evaluated
     assert set(scored) == drawn
     assert stats.evaluated + stats.cache_hits == stats.trials == config.budget
