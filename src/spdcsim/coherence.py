@@ -28,8 +28,8 @@ class CoherenceSpec:
     def __post_init__(self):
         for value in (*self.pump_arms, *self.downconversion_arms,
                       self.coherence_length_spdc, self.coherence_length_pump):
-            if value <= 0.0:
-                raise ValueError("lengths and coherence lengths must be positive")
+            if not 0.0 < value < math.inf:
+                raise ValueError("lengths and coherence lengths must be positive and finite")
         if not 0.0 < self.strictness < 1.0:
             raise ValueError("strictness must lie in (0, 1)")
 

@@ -146,6 +146,14 @@ def taylor_weights(g: float, order: int) -> list[float]:
     return weights
 
 
+#: The most transfer-table signatures :func:`expand_crystal` keeps; a
+#: new one past this empties the memo first (one ``clear``, which no other
+#: thread can interrupt).  One benchmark pass makes at most about 180.
+TABLE_SIGNATURES = 1024
+
+_tables: dict[tuple, dict[int, list[tuple[int, int, Any]]]] = {}
+
+
 def expand_crystal(
     terms: Mapping[int, Any],
     crystal: Crystal | MultimodeCrystal,
@@ -166,25 +174,33 @@ def expand_crystal(
 
     ``D`` reads and writes only the crystal's own fields, so the series
     acting on a term depends only on the term's *local* occupation, its
-    bits in those fields.  A transfer table, built per call and keyed by
-    the local bits, holds the series of each distinct local occupation,
-    expanded once, as entries ``(photons, key delta, sum_k weights[k]
-    c_k)``, where ``photons`` counts the entry's own local photons and
-    ``c_k`` is a coefficient of ``D^k``.  A term then costs one lookup
-    and one add per entry, and skips the entries that would take it
-    above the limit; a table lists its entries fewest photons first.
+    bits in those fields.  A transfer table, keyed by the local bits,
+    holds the series of each local occupation, expanded once, as entries
+    ``(photons, key delta, sum_k weights[k] c_k)``, where ``photons``
+    counts the entry's own local photons and ``c_k`` is a coefficient of
+    ``D^k``.  A term then costs one lookup and one add per entry, and
+    skips the entries that would take it above the limit; a table lists
+    its entries fewest photons first and holds none above the limit.
+
+    The table is kept for the life of the process, one per signature:
+    the crystal's slot offsets, ``layout.mask``, the weights and their
+    types (so a float table never serves an exact caller),
+    ``creation_only``, ``bosonic`` and the limit.  A call expands only
+    the local occupations its signature's table lacks; at most
+    :data:`TABLE_SIGNATURES` signatures are kept.
 
     The powers come from :func:`~spdcsim.fock.apply_pair_generator`, one
-    step at a time, for all local occupations in one dict: each term of
-    it carries a copy of its occupation in bits above the layout's
+    step at a time, for all new local occupations in one dict: each term
+    of it carries a copy of its occupation in bits above the layout's
     fields, which ``D`` never touches, so the expansions of different
-    occupations never merge.  They are cut as a term's would be: ``D``
-    moves the photon count by exactly 2, so before the k-th step a power
-    above ``limit - 2`` (emission only) or ``limit + 2 (order - k + 1)``
-    (with lowering) is dropped, since none of its descendants can come
-    back to the limit.  A term holds at least its local photons, so the
-    cut drops nothing that a term could keep, and for terms within the
-    limit no entry holds more than ``limit + 2 order`` photons.
+    occupations never merge, and an occupation's entries do not depend
+    on which others share the dict.  They are cut as a term's would be:
+    ``D`` moves the photon count by exactly 2, so before the k-th step a
+    power above ``limit - 2`` (emission only) or ``limit + 2 (order - k
+    + 1)`` (with lowering) is dropped, since none of its descendants can
+    come back to the limit.  A term holds at least its local photons, so
+    the cut drops nothing that a term could keep, and for terms within
+    the limit no power holds more than ``limit + 2 order`` photons.
 
     With ``limit``, only terms of at most ``limit`` photons are returned;
     without, the limit is the layout's bound, which no input term of the
@@ -198,35 +214,48 @@ def expand_crystal(
         local_bits |= mask << a | mask << b
     if limit is None:
         limit = layout.bound
+    signature = (
+        tuple(slots), mask, tuple(weights), tuple(map(type, weights)), creation_only, bosonic, limit
+    )
+    table = _tables.get(signature)
+    if table is None:
+        if len(_tables) >= TABLE_SIGNATURES:
+            _tables.clear()
+        table = _tables[signature] = {}
     tag = layout.width * len(layout.labels)  # the lowest bit above every field
     untag = (1 << tag) - 1
-    table: dict[int, list[tuple[int, int, Any]]] = {}
+    # Built apart from the memo, so no call ever reads a half-built entry list.
+    new: dict[int, list[tuple[int, int, Any]]] = {}
     power = {}
     top = 0  # bounds the photon count of ``power``'s terms
     for key in terms:
         local = key & local_bits
-        if local not in table:
-            table[local] = []
+        if local not in table and local not in new:
+            new[local] = []
             power[local | local << tag] = 1
             top = max(top, local % mask)
-    sums = dict.fromkeys(power, weights[0])
-    order = len(weights) - 1
-    for k in range(1, order + 1):
-        cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
-        if top > cap:
-            power = {key: c for key, c in power.items() if (key & untag) % mask <= cap}
-            top = cap
-        top += 2
-        power = apply_pair_generator(power, slots, mask, creation_only=creation_only, bosonic=bosonic)
-        weight = weights[k]
-        for key, c in power.items():
-            sums[key] = sums.get(key, 0) + c * weight
-    for key, c in sums.items():
-        local = key >> tag
-        key &= untag
-        table[local].append((key % mask, key - local, c))
-    for entries in table.values():
-        entries.sort()
+    if new:
+        sums = dict.fromkeys(power, weights[0])
+        order = len(weights) - 1
+        for k in range(1, order + 1):
+            cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
+            if top > cap:
+                power = {key: c for key, c in power.items() if (key & untag) % mask <= cap}
+                top = cap
+            top += 2
+            power = apply_pair_generator(power, slots, mask, creation_only=creation_only, bosonic=bosonic)
+            weight = weights[k]
+            for key, c in power.items():
+                sums[key] = sums.get(key, 0) + c * weight
+        for key, c in sums.items():
+            local = key >> tag
+            key &= untag
+            photons = key % mask
+            if photons <= limit:
+                new[local].append((photons, key - local, c))
+        for entries in new.values():
+            entries.sort()
+        table.update(new)
     out: dict[int, Any] = {}
     get = out.get
     for key, amp in terms.items():

@@ -126,10 +126,12 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     element.  The keys are decoded to canonical occupation tuples once,
     at the end.
 
-    Each crystal is expanded through a transfer table, built per crystal
-    and keyed by the crystal's local bits: the series is computed once
-    per distinct local occupation, and every term then takes one lookup
-    and one add per table entry (``elements.expand_crystal``).
+    Each crystal is expanded through a transfer table keyed by the
+    crystal's local bits and kept for the life of the process, one per
+    signature (slot offsets, field mask, series weights, convention and
+    limit): the series is computed once per local occupation, and every
+    term then takes one lookup and one add per table entry
+    (``elements.expand_crystal``).
     Every crystal keeps only terms of at most ``2 * pair_budget``
     photons; the cut is made inside the expansion, which skips the
     entries that would end above it and never expands a local term that

@@ -218,7 +218,8 @@ class StateVector:
 
     Value semantics: every operation returns a new state, inputs are
     never mutated.  Terms with amplitude magnitude at or below
-    ``PRUNE_EPSILON`` are dropped on construction.
+    ``PRUNE_EPSILON`` are dropped on construction; a non-finite
+    amplitude raises ``ValueError``.
     """
 
     __slots__ = ("terms",)
@@ -228,8 +229,11 @@ class StateVector:
         if terms:
             for occ, amp in terms.items():
                 amp = complex(amp)
-                if abs(amp) > PRUNE_EPSILON:
+                size = abs(amp)  # inf if a part is inf, else nan if a part is nan
+                if PRUNE_EPSILON < size < math.inf:
                     cleaned[occ] = amp
+                elif not size <= PRUNE_EPSILON:
+                    raise ValueError(f"amplitude {amp} is not finite")
         self.terms = cleaned
 
     # -- constructors ---------------------------------------------------

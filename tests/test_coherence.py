@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,3 +147,16 @@ def test_parse_spec_file_reports_problems():
 def test_parse_spec_file_names_the_line_of_a_non_finite_value(value):
     with pytest.raises(ValueError, match=rf"^line 2: l3 = {value} is not finite$"):
         parse_spec_file(f"lp1 = 1.0\nl3 = {value}\nl4 = 1.0")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["pump_arms", "downconversion_arms", "coherence_length_spdc", "coherence_length_pump", "strictness"],
+)
+def test_spec_refuses_a_non_finite_value_in_each_field(field, value):
+    if field.endswith("_arms"):
+        value = (1.0, 1.0, value, 1.0)
+    message = "strictness must lie" if field == "strictness" else "must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        uniform_spec(**{field: value})

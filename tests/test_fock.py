@@ -200,3 +200,16 @@ def test_parse_names_the_line_of_a_negative_count():
 def test_parse_names_the_line_of_a_non_finite_amplitude(amplitude):
     with pytest.raises(ValueError, match=rf"^line 2: amplitude {amplitude} is not finite$"):
         parse_state(f"1.0 0.0 : 1*a:0\n{amplitude} : 1*a:1")
+
+
+@pytest.mark.parametrize(
+    "amplitude",
+    [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf), complex(math.inf, math.nan)],
+)
+def test_a_state_refuses_a_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError, match="is not finite"):
+        StateVector.from_occupations({ModeLabel("a", 0): 1}, amplitude)
+    with pytest.raises(ValueError, match="is not finite"):
+        StateVector({(): 1.0, ((ModeLabel("a", 0), 1),): amplitude})
+    with pytest.raises(ValueError, match="is not finite"):
+        vacuum() * amplitude

@@ -1,19 +1,23 @@
 """Property tests for the packed occupation keys, the fused
-pair-generator kernel, the crystal expansion's transfer table, the
-passive-element kernel, and the splices that ``StateVector.create`` and
-``annihilate`` are built on.
+pair-generator kernel, the crystal expansion's transfer tables and the
+memo that keeps them per process, the passive-element kernel, and the
+splices that ``StateVector.create`` and ``annihilate`` are built on.
 
 The kernels run on packed ``int`` keys; each test packs its states on a
 key layout, applies the kernel and unpacks, so the oracles stay the
 canonical occupation tuples."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdcsim.analysis import efficiency_simulated, ghz_layout
+from spdcsim import elements
+from spdcsim.analysis import efficiency_simulated, ghz_layout, ghz_target
 from spdcsim.elements import (
     Crystal,
     Misalignment,
@@ -41,6 +45,7 @@ from spdcsim.fock import (
     raise_occupation,
     vacuum,
 )
+from spdcsim.search import ElementPool, FidelityTarget, SearchConfig, SrvTarget, search, search_with_stats
 
 # States live on paths a-c; generator labels also reach path d and
 # modes -2 and 2, so some of them are absent from every state.
@@ -315,6 +320,183 @@ def test_monomial_transfer_table_equals_power_by_power_series(
     weights = data.draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=size, max_size=size))
     options = dict(creation_only=creation_only, bosonic=False, limit=limit)
     assert expansion(terms, crystal, weights, **options) == series(terms, crystal, weights, **options)
+
+
+# -- the transfer tables kept per process ------------------------------------
+
+
+def exact(terms):
+    """``terms`` with every coefficient as its type and repr, so that
+    ``==`` tells 0.0 from -0.0 and 1 from 1.0."""
+    return {key: (type(c), repr(c)) for key, c in terms.items()}
+
+
+def shared_layout(crystal, weights, *term_dicts):
+    """One layout for several occupation-keyed states, so their
+    expansions share a table signature."""
+    labels = set().union(*map(labels_of, term_dicts))
+    bound = max(map(most_photons, term_dicts)) + 2 * (len(weights) - 1)
+    return compile_layout((crystal,), bound, labels)
+
+
+float_weights = st.builds(taylor_weights, couplings, orders)
+int_weights = st.lists(st.integers(min_value=1, max_value=10**6), min_size=2, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), crystals, limits, st.booleans(), st.booleans())
+def test_a_warm_table_gives_the_cold_result_bit_for_bit(data, crystal, limit, creation_only, bosonic):
+    """An expansion on a cleared memo equals the same call after another
+    state's expansion has filled part of its signature's table, and after
+    a call with other options has filled another signature's."""
+    if bosonic:
+        first, second = data.draw(sparse_states()).terms, data.draw(sparse_states()).terms
+        weights = data.draw(float_weights)
+    else:
+        first, second = data.draw(integer_terms), data.draw(integer_terms)
+        weights = data.draw(int_weights)
+    layout = shared_layout(crystal, weights, first, second)
+    options = dict(creation_only=creation_only, bosonic=bosonic, limit=limit)
+    elements._tables.clear()
+    cold = expand_crystal(pack(layout, second), crystal, weights, layout, **options)
+    elements._tables.clear()
+    expand_crystal(pack(layout, first), crystal, weights, layout, **options)
+    other = dict(
+        creation_only=data.draw(st.booleans()), bosonic=data.draw(st.booleans()), limit=data.draw(limits)
+    )
+    expand_crystal(pack(layout, second), crystal, weights, layout, **other)
+    warm = expand_crystal(pack(layout, second), crystal, weights, layout, **options)
+    assert list(exact(warm).items()) == list(exact(cold).items())
+    again = expand_crystal(pack(layout, second), crystal, weights, layout, **options)
+    assert list(exact(again).items()) == list(exact(cold).items())
+
+
+def test_a_second_call_expands_nothing(monkeypatch):
+    calls = []
+
+    def counted(*args, **options):
+        calls.append(options)
+        return apply_pair_generator(*args, **options)
+
+    monkeypatch.setattr(elements, "apply_pair_generator", counted)
+    monkeypatch.setattr(elements, "_tables", {})
+    a, b = ModeLabel("a", 0), ModeLabel("b", 0)
+    crystal = Crystal(a, b, g=0.1)
+    terms = {make_occupation({a: 1}): 0.5, make_occupation({b: 2}): 1.0}
+    layout = compile_layout((crystal,), 8, labels_of(terms))
+    weights = taylor_weights(0.1, 3)
+    first = expand_crystal(pack(layout, terms), crystal, weights, layout, limit=6)
+    assert len(calls) == 3  # one per power
+    second = expand_crystal(pack(layout, terms), crystal, weights, layout, limit=6)
+    assert len(calls) == 3
+    assert exact(second) == exact(first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(), crystals, orders, limits, st.booleans())
+def test_no_stored_entry_holds_more_than_the_limit(state, crystal, order, limit, creation_only):
+    elements._tables.clear()
+    weights = taylor_weights(crystal.g, order)
+    expansion(state.terms, crystal, weights, creation_only=creation_only, limit=limit)
+    [(signature, table)] = elements._tables.items()
+    mask, limit = signature[1], signature[-1]
+    for local, entries in table.items():
+        assert entries == sorted(entries)
+        for photons, delta, _ in entries:
+            assert photons == (local + delta) % mask <= limit
+
+
+def test_equal_weights_of_different_types_get_distinct_tables(monkeypatch):
+    monkeypatch.setattr(elements, "_tables", {})
+    a, b = ModeLabel("a", 0), ModeLabel("b", 0)
+    crystal = Crystal(a, b)
+    layout = compile_layout((crystal,), 4)
+    results = {}
+    for one in (1, 1.0, Fraction(1)):
+        out = expand_crystal({0: 1}, crystal, [one] * 3, layout, creation_only=True, bosonic=False)
+        results[type(one)] = out
+        assert {type(c) for c in out.values()} == {type(one)}
+    assert len(elements._tables) == 3
+    assert results[int] == results[float] == results[Fraction]
+
+
+def test_threads_sharing_the_memo_get_the_serial_results(monkeypatch):
+    """Four threads expand overlapping states on a memo of two
+    signatures, so tables are built, dropped and rebuilt while other
+    threads read them."""
+    monkeypatch.setattr(elements, "TABLE_SIGNATURES", 2)
+    a, b, c = ModeLabel("a", 0), ModeLabel("b", 0), ModeLabel("c", 1)
+    terms = {
+        make_occupation({a: 1}): 0.5,
+        make_occupation({b: 2, c: 1}): -1.0,
+        make_occupation({a: 1, c: 2}): 0.25j,
+        (): 1.0,
+    }
+    jobs = []
+    for crystal in (Crystal(a, b), Crystal(b, c), Crystal(a, a), MultimodeCrystal("a", "c", (0, 1))):
+        layout = compile_layout((crystal,), 9, labels_of(terms))
+        for limit in (3, 5):
+            jobs.append((pack(layout, terms), crystal, taylor_weights(crystal.g, 2), layout, limit))
+
+    def expand_all(rounds):
+        return [
+            exact(expand_crystal(keys, crystal, weights, layout, limit=limit))
+            for _ in range(rounds)
+            for keys, crystal, weights, layout, limit in jobs
+        ]
+
+    elements._tables.clear()
+    serial = expand_all(100)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(expand_all, 100) for _ in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(result == serial for result in results)
+    assert len(elements._tables) <= 2
+
+
+def test_search_hits_and_stats_do_not_depend_on_the_memo():
+    """The criterion-13 search, cut to 3000 trials, on a cleared memo and
+    on one warm from two other searches."""
+    config = SearchConfig(
+        pool=ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal",), crystal_modes=((0, 0), (1, 1))),
+        detectors=("a", "b", "c", "d"),
+        target=FidelityTarget(ghz_target(4, 2), threshold=0.999),
+        max_elements=4,
+        budget=3000,
+        seed=20240817,
+    )
+    mixed = SearchConfig(
+        pool=ElementPool(
+            paths=("a", "b", "c", "d"),
+            kinds=("crystal", "multimode", "shift", "phase", "relabel"),
+            crystal_modes=((0, 0), (0, 1), (1, 0), (1, 1)),
+        ),
+        detectors=("a", "b", "c", "d"),
+        target=SrvTarget(parties=("b", "c", "d"), ranks=(4, 2, 2)),
+        max_elements=6,
+        budget=1000,
+        seed=777,
+    )
+
+    def outcome():
+        hits, stats = search_with_stats(config)
+        record = stats.record()
+        for timing in ("draw_s", "score_s", "trials_per_s"):
+            del record[timing]
+        return [(hit.trial_index, hit.experiment, hit.score) for hit in hits], record
+
+    elements._tables.clear()
+    cold = outcome()
+    search(replace(config, seed=7, budget=1000))
+    search(mixed)
+    assert elements._tables
+    assert outcome() == cold
+    assert cold[0]
 
 
 # -- packed keys ---------------------------------------------------------------
