@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -293,7 +294,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _usage_error(f"bad --out {args.out!r}: {exc}")
-    hits, stats = search_with_stats(config, workers=args.workers)
+    # The pool starts all its processes at once; hits and stats do not
+    # depend on the worker count, so more workers than cores buy nothing.
+    workers = min(args.workers, os.cpu_count() or 1)
+    hits, stats = search_with_stats(config, workers=workers)
     for hit in hits:
         print(f"hit trial={hit.trial_index} score={hit.score!r}")
         if out_dir is not None:

@@ -189,18 +189,9 @@ def expand_crystal(
     the local occupations its signature's table lacks; at most
     :data:`TABLE_SIGNATURES` signatures are kept.
 
-    The powers come from :func:`~spdcsim.fock.apply_pair_generator`, one
-    step at a time, for all new local occupations in one dict: each term
-    of it carries a copy of its occupation in bits above the layout's
-    fields, which ``D`` never touches, so the expansions of different
-    occupations never merge, and an occupation's entries do not depend
-    on which others share the dict.  They are cut as a term's would be:
-    ``D`` moves the photon count by exactly 2, so before the k-th step a
-    power above ``limit - 2`` (emission only) or ``limit + 2 (order - k
-    + 1)`` (with lowering) is dropped, since none of its descendants can
-    come back to the limit.  A term holds at least its local photons, so
-    the cut drops nothing that a term could keep, and for terms within
-    the limit no power holds more than ``limit + 2 order`` photons.
+    A missing occupation is expanded alone (:func:`_expand_local`) and
+    stored with one assignment, so no call ever reads a half-built entry
+    list.
 
     With ``limit``, only terms of at most ``limit`` photons are returned;
     without, the limit is the layout's bound, which no input term of the
@@ -222,51 +213,54 @@ def expand_crystal(
         if len(_tables) >= TABLE_SIGNATURES:
             _tables.clear()
         table = _tables[signature] = {}
-    tag = layout.width * len(layout.labels)  # the lowest bit above every field
-    untag = (1 << tag) - 1
-    # Built apart from the memo, so no call ever reads a half-built entry list.
-    new: dict[int, list[tuple[int, int, Any]]] = {}
-    power = {}
-    top = 0  # bounds the photon count of ``power``'s terms
-    for key in terms:
-        local = key & local_bits
-        if local not in table and local not in new:
-            new[local] = []
-            power[local | local << tag] = 1
-            top = max(top, local % mask)
-    if new:
-        sums = dict.fromkeys(power, weights[0])
-        order = len(weights) - 1
-        for k in range(1, order + 1):
-            cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
-            if top > cap:
-                power = {key: c for key, c in power.items() if (key & untag) % mask <= cap}
-                top = cap
-            top += 2
-            power = apply_pair_generator(power, slots, mask, creation_only=creation_only, bosonic=bosonic)
-            weight = weights[k]
-            for key, c in power.items():
-                sums[key] = sums.get(key, 0) + c * weight
-        for key, c in sums.items():
-            local = key >> tag
-            key &= untag
-            photons = key % mask
-            if photons <= limit:
-                new[local].append((photons, key - local, c))
-        for entries in new.values():
-            entries.sort()
-        table.update(new)
     out: dict[int, Any] = {}
     get = out.get
     for key, amp in terms.items():
         local = key & local_bits
+        entries = table.get(local)
+        if entries is None:
+            entries = table[local] = _expand_local(local, slots, mask, weights, creation_only, bosonic, limit)
         spare = limit - (key - local) % mask  # the limit less the photons outside the crystal
-        for photons, delta, coeff in table[local]:
+        for photons, delta, coeff in entries:
             if photons > spare:
                 break
             key_out = key + delta
             out[key_out] = get(key_out, 0) + amp * coeff
     return out
+
+
+def _expand_local(
+    local: int,
+    slots: list[tuple[int, int]],
+    mask: int,
+    weights: Sequence[Any],
+    creation_only: bool,
+    bosonic: bool,
+    limit: int,
+) -> list[tuple[int, int, Any]]:
+    """The transfer-table entries of one local occupation, fewest
+    photons first: ``sum_k weights[k] D^k`` applied to ``local`` alone,
+    power by power with :func:`~spdcsim.fock.apply_pair_generator`.
+
+    Each power is cut as a term's would be: ``D`` moves the photon count
+    by exactly 2, so before the k-th step a term above ``limit - 2``
+    (emission only) or ``limit + 2 (order - k + 1)`` (with lowering) is
+    dropped, since none of its descendants can come back to the limit.
+    A term holds at least its local photons, so the cut drops nothing
+    that a term could keep, and for terms within the limit no power
+    holds more than ``limit + 2 order`` photons.
+    """
+    power = {local: 1}
+    sums = {local: weights[0]}
+    order = len(weights) - 1
+    for k in range(1, order + 1):
+        cap = limit - 2 if creation_only else limit + 2 * (order - k + 1)
+        power = {key: c for key, c in power.items() if key % mask <= cap}
+        power = apply_pair_generator(power, slots, mask, creation_only=creation_only, bosonic=bosonic)
+        weight = weights[k]
+        for key, c in power.items():
+            sums[key] = sums.get(key, 0) + c * weight
+    return sorted((key % mask, key - local, c) for key, c in sums.items() if key % mask <= limit)
 
 
 # -- passive elements -------------------------------------------------------
@@ -350,8 +344,10 @@ def substitute(
     """
     path, delta, targets = _substitution(element)
     if path not in layout.blocks:
-        # No term holds a photon in ``path``.  ``0 + amp``, like the
-        # accumulation in every branch below, turns a -0.0 part into 0.0.
+        # No term holds a photon in ``path``.  ``0 + amp`` turns a -0.0
+        # part into 0.0, as the accumulation does in the relabel and split
+        # branches below; the shift/phase branch stores a term with a
+        # photon in ``path`` as ``out[key] = amp``, keeping a -0.0 part.
         return {key: 0 + amp for key, amp in terms.items()}
     out: dict[int, Any] = {}
     get = out.get

@@ -93,8 +93,14 @@ class ElementPool:
         bad = set(self.kinds) - known
         if bad:
             raise ValueError(f"unknown element kinds {sorted(bad)}")
+        if not self.kinds:
+            raise ValueError("need at least one element kind")
+        if "crystal" in self.kinds and not self.crystal_modes:
+            raise ValueError("kind 'crystal' needs at least one crystal mode pair")
         if len(self.paths) < 2:
             raise ValueError("need at least two paths")
+        if len(set(self.paths)) != len(self.paths):
+            raise ValueError("paths has duplicates")
 
 
 @dataclass(frozen=True)

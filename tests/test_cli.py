@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -380,6 +381,23 @@ def test_search_rejects_an_out_path_that_is_a_file_before_any_trial(tmp_path, ca
     assert code == 2
     assert out == ""
     assert f"bad --out {str(taken)!r}" in err
+
+
+@pytest.mark.parametrize("requested, cores, started", [(5000, 4, 4), (2, 4, 2), (3, None, 1)])
+def test_search_starts_no_more_workers_than_cores(capsys, monkeypatch, requested, cores, started):
+    # A process pool forks all its workers on the first submit, so the
+    # count is clamped before the search; no process starts here.
+    asked = []
+
+    def no_search(config, *, workers):
+        asked.append(workers)
+        return [], None
+
+    monkeypatch.setattr("spdcsim.cli.search_with_stats", no_search)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    code, _, _ = invoke(capsys, "search", "ghz:4:2", "--workers", requested)
+    assert code == 1
+    assert asked == [started]
 
 
 def search_stats(err):

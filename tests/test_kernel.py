@@ -386,10 +386,13 @@ def test_a_second_call_expands_nothing(monkeypatch):
     layout = compile_layout((crystal,), 8, labels_of(terms))
     weights = taylor_weights(0.1, 3)
     first = expand_crystal(pack(layout, terms), crystal, weights, layout, limit=6)
-    assert len(calls) == 3  # one per power
+    assert len(calls) == 6  # one per power per new local occupation
     second = expand_crystal(pack(layout, terms), crystal, weights, layout, limit=6)
-    assert len(calls) == 3
+    assert len(calls) == 6
     assert exact(second) == exact(first)
+    mixed = {make_occupation({a: 1}): 0.5, make_occupation({a: 1, b: 1}): 1.0}
+    expand_crystal(pack(layout, mixed), crystal, weights, layout, limit=6)
+    assert len(calls) == 9  # only the new occupation, one call per power
 
 
 @settings(max_examples=150, deadline=None)

@@ -96,6 +96,24 @@ def test_pool_restriction_to_crystals_and_shifters():
     assert seen == {Crystal, ModeShifter}
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"kinds": ()}, "at least one element kind"),
+        ({"crystal_modes": ()}, "crystal mode pair"),
+        ({"kinds": ("shift", "crystal"), "crystal_modes": ()}, "crystal mode pair"),
+        ({"paths": ("a", "b", "a", "d")}, "paths has duplicates"),
+    ],
+    ids=["no-kinds", "no-crystal-modes", "crystal-among-kinds-without-modes", "repeated-path"],
+)
+def test_a_pool_that_cannot_draw_its_setups_is_rejected(options, message):
+    # Unchecked, an empty crystal block let index 0 fall into the multimode
+    # block, empty kinds failed mid-search, and a repeated path drew
+    # crystals from a path into itself.
+    with pytest.raises(ValueError, match=message):
+        ElementPool(**{"paths": ("a", "b", "c", "d"), **options})
+
+
 # Exact draws on the five-kind pool: they pin the drawn parameter values
 # and the order of the draws.  Together the trials draw every crystal mode
 # pair, multimode list, shift and phase.
