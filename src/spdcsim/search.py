@@ -14,15 +14,23 @@ numpy's ``Generator`` draws one for one; the search never imports
 A setup whose compiled key layout shows that it cannot produce a
 coincidence scores 0 without being simulated (``evaluate``).
 
-A trial's draw is a compact key, one small int per element.  Equal
-setups draw equal keys, and each contiguous span of trials scores each
-distinct key once: later trials with that key reuse the cached score
-and build no ``Experiment`` unless they are hits.
+A trial's draw is a compact key, one small int per element, and equal
+setups draw equal keys.  Each contiguous span of trials caches scores
+by key, so later trials with a key reuse its score and build no
+``Experiment`` unless they are hits, and by symmetry class, so each
+class is simulated once, for the first key drawn in it.  Path
+permutations that keep the target, the detector set and the pool
+(``_symmetries``, ``_image_tables``) give a setup and its permuted copy
+the same score; a key's class is its least permuted key
+(``_canonicaliser``).  A key whose class score is accepted or lies
+within ``_NEAR`` of the threshold is scored itself, so hits and their
+scores are those of their own keys.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -132,20 +140,24 @@ class SearchHit:
 class SearchStats:
     """What one search did; the counts do not depend on the worker count.
 
-    ``evaluated`` counts the distinct setups drawn, each scored by
-    ``evaluate``; every other trial is a cache hit.  ``screened`` counts
-    the distinct setups that ``evaluate`` scored 0 from the key layout
-    alone, without simulating.  ``histogram`` counts the distinct
-    setups' scores, screened ones included, in ten equal bins on [0, 1]
-    for a fidelity target, or scores 0 and 1 for a rank target.
-    ``draw_s`` and ``score_s`` add up the workers' times, including setups
-    that more than one span scored; ``wall_s`` is the search's elapsed
-    time.
+    ``evaluated`` counts the distinct setups drawn; every other trial is
+    a cache hit.  ``classes`` counts the symmetry classes among them, one
+    ``evaluate`` call each (plus one per hit outside its class's first
+    key).  ``screened`` counts the distinct setups whose class
+    ``evaluate`` scored 0 from the key layout alone, without simulating.
+    ``histogram`` counts the distinct setups' scores, their class's or,
+    for keys scored themselves, their own, screened ones included, in
+    ten equal bins on [0, 1] for a fidelity target, or scores 0 and 1 for
+    a rank target.
+    ``draw_s`` and ``score_s`` add up the workers' times, including
+    classes that more than one span scored; ``wall_s`` is the search's
+    elapsed time.
     """
 
     trials: int
     accepted: int
     evaluated: int
+    classes: int
     cache_hits: int
     screened: int
     draw_s: float
@@ -164,6 +176,7 @@ class SearchStats:
             "trials_per_s": self.trials / self.wall_s if self.wall_s else 0.0,
             "accepted": self.accepted,
             "evaluated": self.evaluated,
+            "classes": self.classes,
             "cache_hits": self.cache_hits,
             "screened": self.screened,
             "draw_s": self.draw_s,
@@ -488,20 +501,169 @@ def _accepts(target: Target, score: float) -> bool:
     return score == 1.0
 
 
+#: A class score this close to a fidelity threshold has each key scored itself.
+_NEAR = 1e-9
+
+
+def _close(target: Target, score: float) -> bool:
+    """Whether a key whose class scores ``score`` might be a hit on its own."""
+    if isinstance(target, FidelityTarget):
+        return score >= target.threshold - _NEAR
+    return score == 1.0
+
+
+# A path permutation ``perm`` sends pool path ``i`` to ``perm[i]``.  It
+# maps a setup to one with the same score when it keeps the detector set,
+# and the target: a fidelity target's state up to a global phase, or each
+# party's rank.  ``_image_tables`` then drops those that would turn an
+# element the pool draws into one it cannot draw.
+
+#: Pools with more paths than this search without symmetry: six paths
+#: have 720 permutations to check, eight already 40,320.
+_SYMMETRY_PATHS = 6
+
+
+def _symmetries(config: SearchConfig) -> list[tuple[int, ...]]:
+    """The path permutations that keep the detectors and the target, identity first."""
+    paths = config.pool.paths
+    n = len(paths)
+    identity = tuple(range(n))
+    if n > _SYMMETRY_PATHS:
+        return [identity]
+    target = config.target
+    rank = dict(zip(target.parties, target.ranks)) if isinstance(target, SrvTarget) else {}
+    groups: dict[tuple, list[int]] = {}
+    for i, path in enumerate(paths):
+        groups.setdefault((path in config.detectors, rank.get(path)), []).append(i)
+    blocks = list(groups.values())
+    perms = []
+    for images in itertools.product(*map(itertools.permutations, blocks)):
+        perm = [0] * n
+        for block, image in zip(blocks, images):
+            for i, j in zip(block, image):
+                perm[i] = j
+        perms.append(tuple(perm))
+    if isinstance(target, FidelityTarget):
+        unit = target.state.normalized()
+        perms = [identity] + [perm for perm in perms[1:] if _fixes(unit, dict(zip(paths, (paths[j] for j in perm))))]
+    return perms
+
+
+def _fixes(unit: StateVector, rename: dict[str, str]) -> bool:
+    """Whether renaming paths maps the unit state ``unit`` to itself up to a global phase."""
+    terms = unit.terms
+    overlap = 0j
+    for occ, amp in terms.items():
+        moved = tuple(sorted((ModeLabel(rename.get(label.path, label.path), label.mode), count) for label, count in occ))
+        overlap += terms.get(moved, 0j).conjugate() * amp
+    return abs(overlap) >= 1.0 - 1e-12
+
+
+def _image_tables(pool: ElementPool, perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each permutation's image of every element index, by index arithmetic.
+
+    ``_element`` gives a crystal's mode pair to its paths in name order,
+    so the mode pair swaps when a permutation changes the name order of
+    the two paths.  A permutation that would need a swapped pair the
+    pool cannot draw is dropped, unless the pool draws no crystals.
+    """
+    paths = pool.paths
+    n, multimode, shift, phase, relabel = _blocks(pool)
+    modes, lists = len(pool.crystal_modes), len(MULTIMODE_LISTS)
+    deltas, values = len(SHIFT_DELTAS), len(PHASE_VALUES)
+    mode_index = {pair: m for m, pair in enumerate(pool.crystal_modes)}
+    swapped = [mode_index.get((b, a)) for a, b in pool.crystal_modes]
+    crystal = "crystal" in pool.kinds
+    tables = []
+    for perm in perms:
+        image = list(range(relabel + n * n))
+        for i, j in itertools.combinations(range(n), 2):
+            a, b = perm[i], perm[j]
+            pair = a * n + b if a < b else b * n + a
+            if crystal:
+                flip = (paths[i] < paths[j]) != (paths[a] < paths[b])
+                if flip and None in swapped:
+                    break
+                for m in range(modes):
+                    image[(i * n + j) * modes + m] = pair * modes + (swapped[m] if flip else m)
+            for m in range(lists):
+                image[multimode + (i * n + j) * lists + m] = multimode + pair * lists + m
+        else:
+            for i, j in enumerate(perm):
+                for m in range(deltas):
+                    image[shift + i * deltas + m] = shift + j * deltas + m
+                for m in range(values):
+                    image[phase + i * values + m] = phase + j * values + m
+                for k in range(n):
+                    image[relabel + i * n + k] = relabel + j * n + perm[k]
+            tables.append(tuple(image))
+    return tables
+
+
+def _canonicaliser(tables: list[tuple[int, ...]]):
+    """A function from a key to its class: its least image under ``tables``.
+
+    It does not take the least of all images.  Each element index has a
+    least image and the tables that reach it (``tables`` itself when all
+    do); the walk along the key keeps only the tables that tie at each
+    position, and maps the rest of the key by the last one left.  A key
+    that is its own class is returned as it is.
+    """
+    if len(tables) == 1:
+        return tuple
+    low = [min(images) for images in zip(*tables)]
+    reach = []
+    for index, least in enumerate(low):
+        tied = [table for table in tables if table[index] == least]
+        reach.append(tables if len(tied) == len(tables) else tied)
+
+    def canonical(key: tuple[int, ...]) -> tuple[int, ...]:
+        live = tables
+        form = []
+        for pos, index in enumerate(key):
+            if live is tables:
+                form.append(low[index])
+                live = reach[index]
+            elif len(live) == 1:
+                table = live[0]
+                form.extend([table[index] for index in key[pos:]])
+                break
+            else:
+                least = min([table[index] for table in live])
+                live = [table for table in live if table[index] == least]
+                form.append(least)
+        form = tuple(form)
+        return key if form == key else form
+
+    return canonical
+
+
 def _run_span(
     config: SearchConfig, start: int, stop: int
-) -> tuple[list[SearchHit], dict[tuple[int, ...], float], set[tuple[int, ...]], float, float]:
-    """Trials ``start`` to ``stop``, each distinct key scored once.
+) -> tuple[
+    list[SearchHit],
+    dict[tuple[int, ...], float],
+    set[tuple[int, ...]],
+    dict[tuple[int, ...], tuple[int, ...]],
+    float,
+    float,
+]:
+    """Trials ``start`` to ``stop``, each symmetry class scored once.
 
-    The span keeps its own element table and score cache; an experiment
-    is built only to score a new key or to report a hit.  Returns the
-    hits, the ``{key: score}`` it scored, the keys the screen rejected,
-    and its draw and score seconds.
+    The span keeps its own element table and score cache, and maps each
+    class to the first key drawn in it, whose score is the class's.  An
+    experiment is built only to score a new class, a key that may be a
+    hit on its own (``_close``), or to report a hit.  Returns the hits,
+    the ``{key: score}`` of its distinct keys, the keys whose class the
+    screen rejected, the ``{class: first key}`` map, and its draw and
+    score seconds.
     """
     target = config.target
     blocks = _blocks(config.pool)
+    canonical = _canonicaliser(_image_tables(config.pool, _symmetries(config)))
     table: dict[int, Element] = {}
     scores: dict[tuple[int, ...], float] = {}
+    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     screened: set[tuple[int, ...]] = set()
     hits = []
     draw_s = score_s = 0.0
@@ -514,10 +676,20 @@ def _run_span(
         score = scores.get(key)
         exp = None
         if score is None:
-            exp = _build(key, config, table)
-            before = _screened
-            score = scores[key] = evaluate(exp, target)
-            if _screened != before:
+            form = canonical(key)
+            first = classes.get(form)
+            if first is None or _close(target, scores[first]):
+                exp = _build(key, config, table)
+                before = _screened
+                score = evaluate(exp, target)
+                if first is None:
+                    classes[form] = first = key
+                    if _screened != before:
+                        screened.add(key)
+            else:
+                score = scores[first]
+            scores[key] = score
+            if first in screened:
                 screened.add(key)
         if _accepts(target, score):
             if exp is None:
@@ -525,7 +697,7 @@ def _run_span(
             hits.append(SearchHit(exp, score, trial))
         last = clock()
         score_s += last - drawn
-    return hits, scores, screened, draw_s, score_s
+    return hits, scores, screened, classes, draw_s, score_s
 
 
 def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[SearchHit], SearchStats]:
@@ -533,9 +705,9 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
 
     The budget is split into ``min(workers, budget)`` contiguous spans,
     run in this process when there is one and in a process pool
-    otherwise.  The stats count the union of the spans' scored keys, so
-    they are the serial search's for any worker count.  No cache
-    outlives the call.
+    otherwise.  The stats count the union of the spans' scored keys and
+    classes, so they are the serial search's for any worker count.  No
+    cache outlives the call.
     """
     start = time.perf_counter()
     n = max(1, min(workers, config.budget))
@@ -546,9 +718,14 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
         with ProcessPoolExecutor(max_workers=n) as pool:
             # ``map`` keeps the span order, so the hits stay in trial order.
             parts = list(pool.map(_run_span, [config] * n, bounds[:-1], bounds[1:]))
-    span_hits, span_scores, span_screened, draw_s, score_s = zip(*parts)
+    span_hits, span_scores, span_screened, span_classes, draw_s, score_s = zip(*parts)
     hits = [hit for part in span_hits for hit in part]
-    scores = {key: score for part in span_scores for key, score in part.items()}
+    # The first span's maps take in the others', so a serial search copies none.
+    scores, screened, classes = span_scores[0], span_screened[0], span_classes[0]
+    for more_scores, more_screened, more_classes in zip(span_scores[1:], span_screened[1:], span_classes[1:]):
+        scores.update(more_scores)
+        screened |= more_screened
+        classes.update(more_classes)
     bins = 10 if isinstance(config.target, FidelityTarget) else 2
     histogram = [0] * bins
     for score in scores.values():
@@ -557,8 +734,9 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
         trials=config.budget,
         accepted=len(hits),
         evaluated=len(scores),
+        classes=len(classes),
         cache_hits=config.budget - len(scores),
-        screened=len(set().union(*span_screened)),
+        screened=len(screened),
         draw_s=sum(draw_s),
         score_s=sum(score_s),
         histogram=histogram,

@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdcsim.analysis import ghz_target
+from spdcsim.analysis import ghz_target, w_target
 from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from spdcsim.experiment import Experiment
+from spdcsim.experiment import Experiment, compile_run
 from spdcsim.fock import ModeLabel, StateVector
 from spdcsim.search import (
     ElementPool,
@@ -491,7 +492,25 @@ def test_cached_search_equals_the_uncached_loop(config, workers):
     assert as_tuples(search(config, workers=workers)) == reference
 
 
-def test_serial_search_scores_each_distinct_setup_once(monkeypatch):
+def drawn_keys(config):
+    blocks = search_module._blocks(config.pool)
+    return [search_module._draw(rng, config, blocks) for rng in _trial_rngs(config.seed, 0, config.budget)]
+
+
+def class_firsts(config, keys):
+    """Each class's first drawn key, the one the search simulates for it."""
+    canonical = search_module._canonicaliser(search_module._image_tables(config.pool, search_module._symmetries(config)))
+    firsts = {}
+    for key in keys:
+        firsts.setdefault(canonical(key), key)
+    return firsts
+
+
+def elements_of(config, key):
+    return search_module._build(key, config, {}).elements
+
+
+def test_serial_search_scores_each_symmetry_class_once(monkeypatch):
     config = pol_config(budget=1500)
     scored = []
 
@@ -501,13 +520,175 @@ def test_serial_search_scores_each_distinct_setup_once(monkeypatch):
 
     monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
     hits, stats = search_with_stats(config)
-    drawn = {random_setup(config, trial).elements for trial in range(config.budget)}
-    assert len(scored) == len(set(scored)) == len(drawn) == stats.evaluated
-    assert set(scored) == drawn
+    keys = drawn_keys(config)
+    firsts = class_firsts(config, keys)
+    # Each class's first key, then the own key of each distinct hit that
+    # is not its class's first.
+    own = {keys[hit.trial_index] for hit in hits} - set(firsts.values())
+    assert own
+    assert Counter(scored) == Counter(elements_of(config, key) for key in [*firsts.values(), *own])
+    assert stats.classes == len(firsts) < stats.evaluated == len(set(keys))
     assert stats.evaluated + stats.cache_hits == stats.trials == config.budget
     assert stats.cache_hits > 0
     assert sum(stats.histogram) == stats.evaluated
     assert stats.accepted == len(hits)
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-10], ids=["at-threshold", "just-above-threshold"])
+def test_a_class_score_near_the_threshold_scores_each_own_key(monkeypatch, offset):
+    # The most common score strictly between 0 and 1 of a seeded search is
+    # shared by keys of one class and more; a threshold at it, or just
+    # above it, puts those classes within ``_NEAR`` of the threshold.
+    base = pol_config(budget=600)
+    scores = _run_span(base, 0, base.budget)[1]
+    counts = Counter(score for score in scores.values() if 0.0 < score < 0.999)
+    score = counts.most_common(1)[0][0]
+    config = replace(base, target=FidelityTarget(base.target.state, threshold=score + offset))
+    scored = []
+
+    def counting_evaluate(exp, target):
+        scored.append(exp.elements)
+        return evaluate(exp, target)
+
+    monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
+    hits = search(config)
+    keys = drawn_keys(config)
+    firsts = class_firsts(config, keys)
+    near = {key for key in keys if scores[key] == score}
+    assert len(near) > len(near & set(firsts.values())) > 0
+    assert {elements_of(config, key) for key in near} <= set(scored)
+    assert as_tuples(hits) == uncached_hits(config)
+    assert any(hit.score == score for hit in hits) == (offset == 0.0)
+
+
+# -- symmetry classes --------------------------------------------------------
+
+
+def admitted(config):
+    """The permutations the search keeps, each with its element image table."""
+    pool = config.pool
+    return [
+        (perm, tables[0])
+        for perm in search_module._symmetries(config)
+        if (tables := search_module._image_tables(pool, [perm]))
+    ]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [FidelityTarget(ghz_target(4, 2)), FidelityTarget(w_target(4))],
+    ids=["ghz", "w"],
+)
+def test_a_symmetric_target_on_four_detectors_admits_every_permutation(target):
+    perms = [perm for perm, _ in admitted(pol_config(target=target))]
+    assert len(perms) == len(set(perms)) == 24
+    assert perms[0] == (0, 1, 2, 3)
+
+
+def test_a_product_target_admits_the_swaps_inside_each_mode():
+    product = StateVector.from_occupations({ModeLabel(p, mode): 1 for p, mode in zip("abcd", (0, 0, 1, 1))})
+    perms = [perm for perm, _ in admitted(pol_config(target=FidelityTarget(product)))]
+    assert sorted(perms) == [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
+
+
+def test_a_rank_target_admits_the_swap_of_equal_ranked_parties():
+    # Pool order t, a, b, c: only b and c share a rank.
+    assert [perm for perm, _ in admitted(MIXED_CONFIG)] == [(0, 1, 2, 3), (0, 1, 3, 2)]
+
+
+def test_a_permutation_that_needs_an_undrawable_mode_pair_is_dropped():
+    # A crystal gives its mode pair to its paths in name order; every
+    # permutation but the identity reverses the names of some pair, and
+    # the pool cannot draw the reversed pair (1, 0).
+    one_way = pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1),)))
+    both_ways = pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1), (1, 0))))
+    assert len(search_module._symmetries(one_way)) == 24
+    assert [perm for perm, _ in admitted(one_way)] == [(0, 1, 2, 3)]
+    assert len(admitted(both_ways)) == 24
+
+
+def test_a_pool_above_the_path_cap_searches_without_symmetry(monkeypatch):
+    # Seven paths, three of them undetected: 4! * 3! = 144 permutations
+    # would keep the target, but the cap leaves only the identity.  The
+    # low threshold gives hits at this budget.
+    paths = tuple("abcdefg")
+    target = FidelityTarget(ghz_target(4, 2), threshold=0.5)
+    config = pol_config(pool=replace(POL_POOL, paths=paths), target=target, budget=2000)
+    assert len(paths) > search_module._SYMMETRY_PATHS
+    assert search_module._symmetries(config) == [tuple(range(7))]
+    hits, stats = search_with_stats(config)
+    assert stats.classes == stats.evaluated
+    reference = uncached_hits(config)
+    assert reference and as_tuples(hits) == reference
+    monkeypatch.setattr(search_module, "_SYMMETRY_PATHS", 7)
+    assert len(search_module._symmetries(config)) == 144
+    hits, stats = search_with_stats(config)
+    assert stats.classes < stats.evaluated
+    assert as_tuples(hits) == reference
+
+
+def is_drawable(index, pool):
+    """Whether ``_draw`` can give ``index``, decoded independently of the search."""
+    n, multimode, shift, phase, relabel = search_module._blocks(pool)
+    if index >= relabel:
+        source, target = divmod(index - relabel, n)
+        return "relabel" in pool.kinds and source != target
+    if index >= phase:
+        return "phase" in pool.kinds
+    if index >= shift:
+        return "shift" in pool.kinds
+    if index >= multimode:
+        i, j = divmod((index - multimode) // len(search_module.MULTIMODE_LISTS), n)
+        return "multimode" in pool.kinds and i < j
+    # The mode pair is ``pool.crystal_modes[index % modes]`` by construction;
+    # that it is the one the renamed crystal needs is checked by ``renamed``.
+    i, j = divmod(index // len(pool.crystal_modes), n)
+    return "crystal" in pool.kinds and i < j
+
+
+def renamed(element, rename):
+    """``element`` with its paths renamed, as a value that ignores a crystal's output order."""
+    if isinstance(element, Crystal):
+        labels = (element.out_a, element.out_b)
+        return "crystal", frozenset(ModeLabel(rename[label.path], label.mode) for label in labels), element.g
+    if isinstance(element, MultimodeCrystal):
+        return "multimode", frozenset((rename[element.path_a], rename[element.path_b])), element.modes, element.g
+    if isinstance(element, ModeShifter):
+        return "shift", rename[element.path], element.delta
+    if isinstance(element, PhaseShifter):
+        return "phase", rename[element.path], element.phi
+    return "relabel", rename[element.source], rename[element.target]
+
+
+# Seeded trials that draw hits: criterion 13's and the five-kind pool's first.
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.sampled_from([pol_config(), MIXED_CONFIG]),
+    seed=st.sampled_from([0, 777, 20240817]),
+    trial=st.integers(0, 20000),
+)
+@example(config=pol_config(), seed=20240817, trial=147)
+@example(config=MIXED_CONFIG, seed=777, trial=965)
+def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, seed, trial):
+    pool, target = config.pool, config.target
+    key = search_module._draw(_trial_rng(seed, trial), config, search_module._blocks(pool))
+    setup = search_module._build(key, config, {})
+    score = evaluate(setup, target)
+    clicks = search_module._can_click(compile_run(setup)[1], config.detectors, target)
+    same = {path: path for path in pool.paths}
+    pairs = admitted(config)
+    for perm, table in pairs:
+        moved = tuple(table[index] for index in key)
+        assert all(is_drawable(index, pool) for index in moved)
+        # The image is the setup with its paths renamed.
+        rename = dict(zip(pool.paths, (pool.paths[j] for j in perm)))
+        moved_setup = search_module._build(moved, config, {})
+        assert [renamed(e, rename) for e in setup.elements] == [renamed(e, same) for e in moved_setup.elements]
+        assert evaluate(moved_setup, target) == pytest.approx(score, abs=1e-9)
+        assert search_module._can_click(compile_run(moved_setup)[1], config.detectors, target) == clicks
+    canonical = search_module._canonicaliser([table for _, table in pairs])(key)
+    assert canonical == min(tuple(table[index] for index in key) for _, table in pairs)
+    assert all(is_drawable(index, pool) for index in canonical)
 
 
 def test_parallel_stats_are_the_serial_stats():
