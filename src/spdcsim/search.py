@@ -4,27 +4,14 @@ Each trial draws an element list from a configurable pool, simulates it,
 post-selects on the configured detectors, and scores the result against
 the acceptance target.  Trial ``t`` draws from its own stream,
 ``default_rng(SeedSequence((seed, t)))``, so results are identical bit
-for bit no matter how trials are distributed over workers.  A span of
-trials computes its streams' PCG64 seed words in one numpy pass
-(``_trial_rngs``) instead of building a ``SeedSequence`` per trial, and
-each trial draws from a pure-Python PCG64 (``TrialRng``) that makes
-numpy's ``Generator`` draws one for one; the search never imports
-``numpy.random``.
+for bit however trials are spread over workers.  A chunk of trials draws
+at once in numpy, numpy's draws one for one (``_Words``, ``_draw_keys``),
+without ``numpy.random``.
 
-A setup whose compiled key layout shows that it cannot produce a
-coincidence scores 0 without being simulated (``evaluate``).
-
-A trial's draw is a compact key, one small int per element, and equal
-setups draw equal keys.  Each contiguous span of trials caches scores
-by key, so later trials with a key reuse its score and build no
-``Experiment`` unless they are hits, and by symmetry class, so each
-class is simulated once, for the first key drawn in it.  Path
-permutations that keep the target, the detector set and the pool
-(``_symmetries``, ``_image_tables``) give a setup and its permuted copy
-the same score; a key's class is its least permuted key
-(``_canonicaliser``).  A key whose class score is accepted or lies
-within ``_NEAR`` of the threshold is scored itself, so hits and their
-scores are those of their own keys.
+A trial's draw is a compact key, one small int per element.  Each span
+of trials scores each distinct key once and simulates each symmetry
+class of keys once (``_run_span``); a setup that cannot produce a
+coincidence scores 0 unsimulated (``evaluate``).
 """
 
 from __future__ import annotations
@@ -97,9 +84,7 @@ class ElementPool:
     crystal_modes: tuple[tuple[int, int], ...] = ((0, 0), (1, 1))
 
     def __post_init__(self):
-        known = {"crystal", "multimode", "shift", "phase", "relabel"}
-        bad = set(self.kinds) - known
-        if bad:
+        if bad := set(self.kinds) - {"crystal", "multimode", "shift", "phase", "relabel"}:
             raise ValueError(f"unknown element kinds {sorted(bad)}")
         if not self.kinds:
             raise ValueError("need at least one element kind")
@@ -107,8 +92,9 @@ class ElementPool:
             raise ValueError("kind 'crystal' needs at least one crystal mode pair")
         if len(self.paths) < 2:
             raise ValueError("need at least two paths")
-        if len(set(self.paths)) != len(self.paths):
-            raise ValueError("paths has duplicates")
+        for name in ("paths", "kinds", "crystal_modes"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} has duplicates")
 
 
 @dataclass(frozen=True)
@@ -127,6 +113,14 @@ class SearchConfig:
             raise ValueError("max_elements must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # Each would make every trial score 0.
+        detectors, target = set(self.detectors), self.target
+        if not detectors <= set(self.pool.paths):
+            raise ValueError("detectors must be pool paths")
+        if isinstance(target, FidelityTarget) and target.state.paths() != detectors:
+            raise ValueError("target state must be on the detectors")
+        if isinstance(target, SrvTarget) and not set(target.parties) <= detectors:
+            raise ValueError("parties must be detectors")
 
 
 @dataclass(frozen=True)
@@ -141,17 +135,13 @@ class SearchStats:
     """What one search did; the counts do not depend on the worker count.
 
     ``evaluated`` counts the distinct setups drawn; every other trial is
-    a cache hit.  ``classes`` counts the symmetry classes among them, one
+    a cache hit.  ``classes`` counts their symmetry classes, one
     ``evaluate`` call each (plus one per hit outside its class's first
-    key).  ``screened`` counts the distinct setups whose class
-    ``evaluate`` scored 0 from the key layout alone, without simulating.
-    ``histogram`` counts the distinct setups' scores, their class's or,
-    for keys scored themselves, their own, screened ones included, in
-    ten equal bins on [0, 1] for a fidelity target, or scores 0 and 1 for
-    a rank target.
-    ``draw_s`` and ``score_s`` add up the workers' times, including
-    classes that more than one span scored; ``wall_s`` is the search's
-    elapsed time.
+    key).  ``screened`` counts the setups whose class ``evaluate``
+    scored 0 from the key layout alone.  ``histogram`` bins the setups'
+    scores (their class's, or their own if scored themselves) in tenths
+    for a fidelity target, or as 0 and 1 for a rank target.  ``draw_s``
+    and ``score_s`` add up the workers' times; ``wall_s`` is elapsed.
     """
 
     trials: int
@@ -171,30 +161,22 @@ class SearchStats:
             labels = [f"[{k / 10:.1f},{(k + 1) / 10:.1f}{']' if k == 9 else ')'}" for k in range(10)]
         else:
             labels = ["0", "1"]
+        names = ("accepted", "evaluated", "classes", "cache_hits", "screened", "draw_s", "score_s")
         return {
             "trials": self.trials,
             "trials_per_s": self.trials / self.wall_s if self.wall_s else 0.0,
-            "accepted": self.accepted,
-            "evaluated": self.evaluated,
-            "classes": self.classes,
-            "cache_hits": self.cache_hits,
-            "screened": self.screened,
-            "draw_s": self.draw_s,
-            "score_s": self.score_s,
+            **{name: getattr(self, name) for name in names},
             "score_histogram": dict(zip(labels, self.histogram)),
         }
 
 
-# Trial ``t`` of a search draws from ``default_rng(SeedSequence((seed, t)))``.
-# ``_trial_rngs`` builds those streams without a SeedSequence each: it
-# replays SeedSequence's entropy coercion, pool mixing and
-# ``generate_state(4, np.uint64)`` on uint32 arrays, one row per trial, and
-# hands each row to ``TrialRng``, which does PCG64's 128-bit seeding.  The
-# constants are numpy's (``numpy/random/bit_generator.pyx``); every value is
-# a uint32 array or an ``np.uint32``, so products wrap mod 2**32 as in C.
+# ``_seed_words`` replays SeedSequence's entropy coercion, pool mixing and
+# ``generate_state(4, np.uint64)`` on uint32 arrays, one row per trial, with
+# numpy's constants (``bit_generator.pyx``).  Every value is a uint32 array
+# or an ``np.uint32``, so products wrap mod 2**32 as in C.
 
-#: Trials whose seed words one numpy pass computes; bounds the pass's memory.
-_SEED_CHUNK = 256
+#: Trials drawn together; bounds the memory of a chunk's arrays.
+_CHUNK = 1024
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -269,91 +251,86 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-# Trial ``t``'s PCG64, as numpy seeds and steps it
-# (``numpy/random/src/pcg64/pcg64.h``): a 128-bit LCG with numpy's
-# multiplier, XSL-RR output, and each 64-bit output split into two 32-bit
-# draws, low half first.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
+# PCG64 as numpy seeds and steps it (``pcg64.h``): a 128-bit LCG, XSL-RR
+# output, each 64-bit output two 32-bit draws, low half first.  A 128-bit
+# value is a high and a low uint64 array, and every operand ``np.uint64``.
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_1, _MULT_0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
+_LOW, _SPAN = np.uint64(_MASK32), np.uint64(1 << 32)
+_ZERO, _ONE, _HALF, _ROT, _TOP = (np.uint64(k) for k in (0, 1, 32, 58, 63))
+#: Outputs a word table grows by.
+_OUTPUTS = 16
 
 
-class TrialRng:
-    """One trial's draws, those of ``default_rng(SeedSequence((seed, t)))``.
+class _Words:
+    """Trials ``start`` to ``stop``'s 32-bit draws (a ``_seed_words`` span), a row each."""
 
-    ``index(k)`` is ``integers(k)`` and ``two_of(n)`` is
-    ``choice(n, 2, replace=False)``, draw for draw, so the stream never
-    needs ``numpy.random``.
-    """
+    def __init__(self, seed: int, start: int, stop: int):
+        w0, w1, w2, w3 = _seed_words(seed, start, stop).T
+        self.rows = stop - start
+        # Row ``r``'s word ``w`` is ``_table[w * rows + r]``; ``_at`` holds
+        # each row's next; no row has used over ``_used`` words.
+        self._at = np.arange(self.rows)
+        self._table = np.empty(0, np.uint64)
+        self._used = 0
+        # As ``pcg64_set_seed``: state 0, one step, add the seed, one step.
+        self._inc_hi, self._inc_lo = w2 << _ONE | w3 >> _TOP, w3 << _ONE | _ONE
+        self._lo = self._inc_lo + w1
+        self._hi = self._inc_hi + w0 + np.where(self._lo < w1, _ONE, _ZERO)
+        self._step()
 
-    __slots__ = ("_state", "_inc", "_spare")
+    def _step(self) -> None:
+        hi, lo = self._hi, self._lo
+        # ``lo * _MULT_LO``'s high word, from 32-bit halves.
+        a1, a0 = lo >> _HALF, lo & _LOW
+        mid = a1 * _MULT_0 + (a0 * _MULT_0 >> _HALF)
+        carry = (mid & _LOW) + a0 * _MULT_1
+        hi = a1 * _MULT_1 + (mid >> _HALF) + (carry >> _HALF) + hi * _MULT_LO + lo * _MULT_HI + self._inc_hi
+        self._lo = lo * _MULT_LO + self._inc_lo
+        self._hi = hi + np.where(self._lo < self._inc_lo, _ONE, _ZERO)
 
-    def __init__(self, w0: int, w1: int, w2: int, w3: int):
-        """Seed from ``SeedSequence.generate_state(4, np.uint64)``'s words.
+    def _grow(self) -> None:
+        rows, old = self.rows, len(self._table)
+        self._table = table = np.concatenate([self._table, np.empty(2 * _OUTPUTS * rows, np.uint64)])
+        for at in range(old, len(table), 2 * rows):
+            self._step()
+            word, rot = self._hi ^ self._lo, self._hi >> _ROT
+            word = word >> rot | word << (_TOP - rot) << _ONE  # not << 64 at rot 0
+            table[at : at + rows] = word & _LOW
+            table[at + rows : at + 2 * rows] = word >> _HALF
 
-        As numpy's ``pcg64_set_seed``: state 0, one step, add the seed,
-        one more step.
+    def integers(self, k: np.ndarray) -> np.ndarray:
+        """Each row's ``integers(k)`` for its bound in ``k``, uint64s from 1 to 2**32.
+
+        numpy's 32-bit Lemire draw: a row whose low product word is below
+        ``(2**32 - k) % k`` (less than ``k``) draws again.  Bound 1 draws
+        nothing, as in numpy.
         """
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        self._inc = inc
-        self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        self._spare = None  # numpy's ``uinteger`` while ``has_uint32`` is set
-
-    def _next32(self) -> int:
-        spare = self._spare
-        if spare is not None:
-            self._spare = None
-            return spare
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        word, rot = (state >> 64) ^ (state & _MASK64), state >> 122
-        word = (word >> rot | word << (64 - rot)) & _MASK64
-        self._spare = word >> 32
-        return word & _MASK32
-
-    def index(self, k: int) -> int:
-        """``integers(k)`` for ``1 <= k <= 2**32``: numpy's 32-bit Lemire draw.
-
-        ``k == 1`` draws nothing, as in numpy.
-        """
-        if k == 1:
-            return 0
-        m = self._next32() * k
-        if m & _MASK32 < k:
-            threshold = ((1 << 32) - k) % k
-            while m & _MASK32 < threshold:
-                m = self._next32() * k
-        return m >> 32
-
-    def two_of(self, n: int) -> tuple[int, int]:
-        """``choice(n, 2, replace=False)``: Floyd's two draws, then one shuffle swap."""
-        first = self.index(n - 1)
-        second = self.index(n)
-        if second == first:
-            second = n - 1
-        return (second, first) if self.index(2) == 0 else (first, second)
+        out = np.zeros(self.rows, np.uint64)
+        rows = np.flatnonzero(k > _ONE)
+        k = k[rows]
+        while len(rows):
+            if self._used * self.rows == len(self._table):
+                self._grow()
+            self._used += 1
+            at = self._at[rows]
+            self._at[rows] = at + self.rows
+            m = self._table[at] * k
+            out[rows] = m >> _HALF
+            low = m & _LOW
+            if not np.count_nonzero(low < k):
+                break
+            redo = np.flatnonzero(low < (_SPAN - k) % k)
+            rows, k = rows[redo], k[redo]
+        return out
 
 
-def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[TrialRng]:
-    """Trials ``start`` to ``stop``'s streams, seed words computed a chunk at a time."""
-    while start < stop:
-        end = min(stop, start + _SEED_CHUNK, (start | _MASK32) + 1)
-        for words in _seed_words(seed, start, end).tolist():
-            yield TrialRng(*words)
-        start = end
-
-
-def _trial_rng(seed: int, trial: int) -> TrialRng:
-    """Trial ``trial``'s stream: ``default_rng(SeedSequence((seed, trial)))``."""
-    return next(_trial_rngs(seed, trial, trial + 1))
-
-
-# A drawn element is one int, an index into the elements the pool can draw.
-# The index runs over five blocks, one per kind, each a mixed-radix number
-# of the draw's parameter indices: crystal (pair, mode pair), multimode
-# (pair, mode list), shift (path, delta), phase (path, phase) and relabel
-# (source, target).  A pair is ``i * n + j`` over the path indices with
-# ``i < j``, so the two orders of a crystal's paths give one index; a
-# relabel keeps its order.
+# A drawn element is one int, an index into the elements the pool can draw:
+# five blocks, one per kind, each a mixed-radix number of its parameter
+# indices: crystal (pair, mode pair), multimode (pair, mode list), shift
+# (path, delta), phase (path, phase) and relabel (source, target).  A pair
+# is ``i * n + j`` with ``i < j``, so a crystal's two path orders give one
+# index; a relabel keeps its order.
 
 
 def _blocks(pool: ElementPool) -> tuple[int, int, int, int, int]:
@@ -365,39 +342,56 @@ def _blocks(pool: ElementPool) -> tuple[int, int, int, int, int]:
     return n, multimode, shift, phase, phase + n * len(PHASE_VALUES)
 
 
-def _unordered_pair(rng: TrialRng, n: int) -> int:
-    i, j = rng.two_of(n)
-    return i * n + j if i < j else j * n + i
+def _draw_keys(config: SearchConfig, words: _Words) -> list[tuple[int, ...]]:
+    """Each row's candidate as a key: uniform element count, kinds, and parameters.
 
-
-def _draw(rng: TrialRng, config: SearchConfig, blocks: tuple[int, ...]) -> tuple[int, ...]:
-    """One candidate as a key: uniform element count, kinds, and parameters.
-
-    ``blocks`` is ``_blocks(config.pool)``, computed once per search.
+    An element draws its kind, then four parameters, bound 1 drawing
+    nothing; a pair is ``choice(n, 2, replace=False)``: Floyd's two draws,
+    then a swap.  Its index is its kind's offset, factors times the
+    unordered pair, ordered pair and first draw, and the last draw.
     """
     pool = config.pool
-    kinds = pool.kinds
-    n, multimode, shift, phase, relabel = blocks
-    modes = len(pool.crystal_modes)
-    index = rng.index
-    key = []
-    for _ in range(1 + index(config.max_elements)):
-        kind = kinds[index(len(kinds))]
-        if kind == "crystal":
-            key.append(_unordered_pair(rng, n) * modes + index(modes))
-        elif kind == "multimode":
-            lists = len(MULTIMODE_LISTS)
-            key.append(multimode + _unordered_pair(rng, n) * lists + index(lists))
-        elif kind == "shift":
-            deltas = len(SHIFT_DELTAS)
-            key.append(shift + index(n) * deltas + index(deltas))
-        elif kind == "phase":
-            phases = len(PHASE_VALUES)
-            key.append(phase + index(n) * phases + index(phases))
-        else:  # relabel
-            source, target = rng.two_of(n)
-            key.append(relabel + source * n + target)
-    return tuple(key)
+    n, multimode, shift, phase, relabel = _blocks(pool)
+    modes, lists, deltas, values = len(pool.crystal_modes), len(MULTIMODE_LISTS), len(SHIFT_DELTAS), len(PHASE_VALUES)
+    rules = {
+        "crystal": (n - 1, n, 2, modes, 0, modes, 0, 0),
+        "multimode": (n - 1, n, 2, lists, multimode, lists, 0, 0),
+        "shift": (n, 1, 1, deltas, shift, 0, 0, deltas),
+        "phase": (n, 1, 1, values, phase, 0, 0, values),
+        "relabel": (n - 1, n, 2, 1, relabel, 0, 1, 0),
+    }
+    # The last rule, for elements past a row's count, draws nothing.
+    table = np.array([rules[kind] for kind in pool.kinds] + [(1,) * 4 + (0,) * 4], np.uint64)
+    bounds, factors = table[:, :4], table[:, 4:]
+    # Only ``np.uint64`` operands: numpy 1.x makes some mixes float64.
+    kinds, n = np.uint64(len(pool.kinds)), np.uint64(n)
+    count = _ONE + words.integers(np.full(words.rows, config.max_elements, np.uint64))
+    sizes = count.tolist()
+    columns = []
+    for position in range(max(sizes)):
+        live = count > np.uint64(position)
+        kind = np.where(live, words.integers(np.where(live, kinds, _ONE)), kinds)
+        first, second, swap, last = (words.integers(bounds[kind, k]) for k in range(4))
+        other = np.where(second == first, n - _ONE, second)
+        forth, back = first * n + other, other * n + first
+        pair = np.where(first < other, forth, back)
+        terms = np.stack([np.ones_like(first), pair, np.where(swap == _ZERO, back, forth), first], 1)
+        columns.append((factors[kind] * terms).sum(1) + last)
+    keys = np.stack(columns, 1).tolist()
+    return [tuple(key[:size]) for key, size in zip(keys, sizes)]
+
+
+def _chunks(seed: int, start: int, stop: int) -> Iterator[_Words]:
+    """Trials ``start`` to ``stop``'s draws by chunks."""
+    while start < stop:
+        end = min(stop, start + _CHUNK, (start | _MASK32) + 1)
+        yield _Words(seed, start, end)
+        start = end
+
+
+def _keys(config: SearchConfig, start: int, stop: int) -> Iterator[tuple[int, ...]]:
+    for words in _chunks(config.seed, start, stop):
+        yield from _draw_keys(config, words)
 
 
 def _element(index: int, pool: ElementPool) -> Element:
@@ -435,11 +429,8 @@ def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, Element]
 
 
 def random_setup(config: SearchConfig, trial: int) -> Experiment:
-    """The setup that trial ``trial`` of the search ``config`` draws.
-
-    A uniform element count, then each element's kind and parameters.
-    """
-    return _build(_draw(_trial_rng(config.seed, trial), config, _blocks(config.pool)), config, {})
+    """The setup that trial ``trial`` of the search ``config`` draws."""
+    return _build(next(_keys(config, trial, trial + 1)), config, {})
 
 
 # Setups this process's ``evaluate`` has screened out; ``_run_span``
@@ -450,12 +441,11 @@ _screened = 0
 def evaluate(exp: Experiment, target: Target) -> float:
     """Simulate, post-select, and score; empty selections score zero.
 
-    The experiment is compiled once (``compile_run``), and its key
-    layout screens it before anything is evolved: a setup that cannot
-    produce a coincidence scores ``0.0`` at once (:func:`_can_click`).
-    Otherwise its packed terms are evolved and post-selected on keys
-    (``post_select_keys``, the same selection as
-    ``post_select(run(exp), exp.detectors)``) and scored.
+    The experiment is compiled once (``compile_run``), and a setup whose
+    key layout cannot produce a coincidence scores ``0.0`` unevolved
+    (:func:`_can_click`).  Otherwise its packed terms are evolved,
+    post-selected on keys (as ``post_select(run(exp), exp.detectors)``)
+    and scored.
     """
     global _screened
     elements, layout = compile_run(exp)
@@ -481,8 +471,7 @@ def _can_click(layout: KeyLayout, detectors: Sequence[str], target: Target) -> b
     the n-fold selection is empty.  For a rank target, a party keeps one
     photon after selection, so its rank is at most its block's field
     count: a party without a block, or with fewer fields than its rank,
-    cannot match (a party that is no detector holds no photon after
-    selection, which ``schmidt_rank_vector`` refuses, also a 0).
+    cannot match.
     """
     blocks = layout.blocks
     if any(path not in blocks for path in detectors):
@@ -495,28 +484,21 @@ def _can_click(layout: KeyLayout, detectors: Sequence[str], target: Target) -> b
     return True
 
 
-def _accepts(target: Target, score: float) -> bool:
-    if isinstance(target, FidelityTarget):
-        return score >= target.threshold
-    return score == 1.0
-
-
 #: A class score this close to a fidelity threshold has each key scored itself.
 _NEAR = 1e-9
 
 
-def _close(target: Target, score: float) -> bool:
-    """Whether a key whose class scores ``score`` might be a hit on its own."""
+def _accepts(target: Target, score: float, slack: float = 0.0) -> bool:
+    """Whether ``score`` is a hit; with slack ``_NEAR``, whether a key of a class scoring it may be."""
     if isinstance(target, FidelityTarget):
-        return score >= target.threshold - _NEAR
+        return score >= target.threshold - slack
     return score == 1.0
 
 
 # A path permutation ``perm`` sends pool path ``i`` to ``perm[i]``.  It
-# maps a setup to one with the same score when it keeps the detector set,
-# and the target: a fidelity target's state up to a global phase, or each
-# party's rank.  ``_image_tables`` then drops those that would turn an
-# element the pool draws into one it cannot draw.
+# keeps a setup's score when it keeps the detector set and the target: a
+# fidelity target's state up to a global phase, or each party's rank.
+# ``_image_tables`` drops those that turn a drawable element undrawable.
 
 #: Pools with more paths than this search without symmetry: six paths
 #: have 720 permutations to check, eight already 40,320.
@@ -536,13 +518,9 @@ def _symmetries(config: SearchConfig) -> list[tuple[int, ...]]:
     for i, path in enumerate(paths):
         groups.setdefault((path in config.detectors, rank.get(path)), []).append(i)
     blocks = list(groups.values())
-    perms = []
-    for images in itertools.product(*map(itertools.permutations, blocks)):
-        perm = [0] * n
-        for block, image in zip(blocks, images):
-            for i, j in zip(block, image):
-                perm[i] = j
-        perms.append(tuple(perm))
+    order = list(itertools.chain(*blocks))
+    images = itertools.product(*map(itertools.permutations, blocks))
+    perms = [tuple(j for _, j in sorted(zip(order, itertools.chain(*image)))) for image in images]
     if isinstance(target, FidelityTarget):
         unit = target.state.normalized()
         perms = [identity] + [perm for perm in perms[1:] if _fixes(unit, dict(zip(paths, (paths[j] for j in perm))))]
@@ -563,14 +541,13 @@ def _image_tables(pool: ElementPool, perms: list[tuple[int, ...]]) -> list[tuple
     """Each permutation's image of every element index, by index arithmetic.
 
     ``_element`` gives a crystal's mode pair to its paths in name order,
-    so the mode pair swaps when a permutation changes the name order of
-    the two paths.  A permutation that would need a swapped pair the
-    pool cannot draw is dropped, unless the pool draws no crystals.
+    so the pair swaps when a permutation reverses the paths' name order.
+    A permutation that would need a swapped pair the pool cannot draw is
+    dropped, unless the pool draws no crystals.
     """
     paths = pool.paths
     n, multimode, shift, phase, relabel = _blocks(pool)
     modes, lists = len(pool.crystal_modes), len(MULTIMODE_LISTS)
-    deltas, values = len(SHIFT_DELTAS), len(PHASE_VALUES)
     mode_index = {pair: m for m, pair in enumerate(pool.crystal_modes)}
     swapped = [mode_index.get((b, a)) for a, b in pool.crystal_modes]
     crystal = "crystal" in pool.kinds
@@ -590,10 +567,9 @@ def _image_tables(pool: ElementPool, perms: list[tuple[int, ...]]) -> list[tuple
                 image[multimode + (i * n + j) * lists + m] = multimode + pair * lists + m
         else:
             for i, j in enumerate(perm):
-                for m in range(deltas):
-                    image[shift + i * deltas + m] = shift + j * deltas + m
-                for m in range(values):
-                    image[phase + i * values + m] = phase + j * values + m
+                for base, radix in ((shift, len(SHIFT_DELTAS)), (phase, len(PHASE_VALUES))):
+                    for m in range(radix):
+                        image[base + i * radix + m] = base + j * radix + m
                 for k in range(n):
                     image[relabel + i * n + k] = relabel + j * n + perm[k]
             tables.append(tuple(image))
@@ -603,11 +579,10 @@ def _image_tables(pool: ElementPool, perms: list[tuple[int, ...]]) -> list[tuple
 def _canonicaliser(tables: list[tuple[int, ...]]):
     """A function from a key to its class: its least image under ``tables``.
 
-    It does not take the least of all images.  Each element index has a
-    least image and the tables that reach it (``tables`` itself when all
-    do); the walk along the key keeps only the tables that tie at each
-    position, and maps the rest of the key by the last one left.  A key
-    that is its own class is returned as it is.
+    Each element index has a least image and the tables that reach it
+    (``tables`` itself when all do); the walk along the key keeps only
+    the tables that tie at each position, and maps the rest of the key by
+    the last one left.  A key that is its own class is returned as is.
     """
     if len(tables) == 1:
         return tuple
@@ -638,28 +613,18 @@ def _canonicaliser(tables: list[tuple[int, ...]]):
     return canonical
 
 
-def _run_span(
-    config: SearchConfig, start: int, stop: int
-) -> tuple[
-    list[SearchHit],
-    dict[tuple[int, ...], float],
-    set[tuple[int, ...]],
-    dict[tuple[int, ...], tuple[int, ...]],
-    float,
-    float,
-]:
+def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchHit], dict, set, dict, float, float]:
     """Trials ``start`` to ``stop``, each symmetry class scored once.
 
     The span keeps its own element table and score cache, and maps each
-    class to the first key drawn in it, whose score is the class's.  An
+    class to its first key drawn, whose score is the class's.  An
     experiment is built only to score a new class, a key that may be a
-    hit on its own (``_close``), or to report a hit.  Returns the hits,
-    the ``{key: score}`` of its distinct keys, the keys whose class the
-    screen rejected, the ``{class: first key}`` map, and its draw and
-    score seconds.
+    hit on its own (``_accepts`` with ``_NEAR``), or to report a hit.
+    Returns the hits, the ``{key: score}`` of its distinct keys, the keys
+    whose class the screen rejected, the ``{class: first key}`` map, and
+    its draw and score seconds.
     """
     target = config.target
-    blocks = _blocks(config.pool)
     canonical = _canonicaliser(_image_tables(config.pool, _symmetries(config)))
     table: dict[int, Element] = {}
     scores: dict[tuple[int, ...], float] = {}
@@ -669,8 +634,7 @@ def _run_span(
     draw_s = score_s = 0.0
     clock = time.perf_counter
     last = clock()
-    for trial, rng in zip(range(start, stop), _trial_rngs(config.seed, start, stop)):
-        key = _draw(rng, config, blocks)
+    for trial, key in zip(range(start, stop), _keys(config, start, stop)):
         drawn = clock()
         draw_s += drawn - last
         score = scores.get(key)
@@ -678,7 +642,7 @@ def _run_span(
         if score is None:
             form = canonical(key)
             first = classes.get(form)
-            if first is None or _close(target, scores[first]):
+            if first is None or _accepts(target, scores[first], _NEAR):
                 exp = _build(key, config, table)
                 before = _screened
                 score = evaluate(exp, target)
@@ -704,8 +668,7 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
     """``search``, plus what it did.
 
     The budget is split into ``min(workers, budget)`` contiguous spans,
-    run in this process when there is one and in a process pool
-    otherwise.  The stats count the union of the spans' scored keys and
+    run here when there is one and in a process pool otherwise.  The stats count the union of the spans' scored keys and
     classes, so they are the serial search's for any worker count.  No
     cache outlives the call.
     """
@@ -746,9 +709,5 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
 
 
 def search(config: SearchConfig, *, workers: int = 1) -> list[SearchHit]:
-    """Evaluate up to ``budget`` samples; hits come back in trial order.
-
-    The per-trial random streams make the result independent of the
-    worker count and of scheduling.
-    """
+    """Evaluate ``budget`` samples; hits come back in trial order for any worker count."""
     return search_with_stats(config, workers=workers)[0]

@@ -121,6 +121,7 @@ def test_fidelity_rejects_an_unreadable_state_file(tmp_path, capsys):
         (("fidelity", EXPERIMENTS_DIR / "ghz4_polarization.exp", "--target", "ghz:x:2"), "ghz:x:2"),
         (("search", "srv:a,b", "--budget", 1), "srv:a,b"),
         (("search", "ghz:4:2", "--pool", "crystal,bogus", "--budget", 1), "crystal,bogus"),
+        (("search", "ghz:4:2", "--pool", "crystal,crystal", "--budget", 1), "crystal,crystal"),
         (("search", "ghz:3:2", "--budget", 1), "ghz:3:2"),
         (("search", "w:5", "--budget", 1), "w:5"),
         (("search", "ghz:4:2", "--detectors", "a,b,c", "--budget", 1), "ghz:4:2"),
@@ -143,6 +144,7 @@ def test_fidelity_rejects_an_unreadable_state_file(tmp_path, capsys):
         "ghz-non-integer",
         "srv-non-integer",
         "unknown-pool-kind",
+        "repeated-pool-kind",
         "ghz-fewer-parties-than-detectors",
         "w-more-parties-than-detectors",
         "ghz-more-parties-than-detectors",

@@ -20,11 +20,8 @@ from spdcsim.search import (
     FidelityTarget,
     SearchConfig,
     SrvTarget,
-    TrialRng,
     _accepts,
     _run_span,
-    _trial_rng,
-    _trial_rngs,
     evaluate,
     random_setup,
     search,
@@ -104,13 +101,23 @@ def test_pool_restriction_to_crystals_and_shifters():
         ({"crystal_modes": ()}, "crystal mode pair"),
         ({"kinds": ("shift", "crystal"), "crystal_modes": ()}, "crystal mode pair"),
         ({"paths": ("a", "b", "a", "d")}, "paths has duplicates"),
+        ({"kinds": ("crystal", "shift", "crystal")}, "kinds has duplicates"),
+        ({"crystal_modes": ((0, 0), (1, 1), (0, 0))}, "crystal_modes has duplicates"),
     ],
-    ids=["no-kinds", "no-crystal-modes", "crystal-among-kinds-without-modes", "repeated-path"],
+    ids=[
+        "no-kinds",
+        "no-crystal-modes",
+        "crystal-among-kinds-without-modes",
+        "repeated-path",
+        "repeated-kind",
+        "repeated-mode-pair",
+    ],
 )
 def test_a_pool_that_cannot_draw_its_setups_is_rejected(options, message):
     # Unchecked, an empty crystal block let index 0 fall into the multimode
-    # block, empty kinds failed mid-search, and a repeated path drew
-    # crystals from a path into itself.
+    # block, empty kinds failed mid-search, a repeated path drew crystals
+    # from a path into itself, and a repeated kind or mode pair weighted
+    # its draws and changed the stream of an equal pool.
     with pytest.raises(ValueError, match=message):
         ElementPool(**{"paths": ("a", "b", "c", "d"), **options})
 
@@ -249,14 +256,33 @@ def test_a_negative_seed_is_rejected_up_front():
         pol_config(seed=-1)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"detectors": ("a", "b", "c", "e")}, "detectors must be pool paths"),
+        ({"target": FidelityTarget(ghz_target(4, 2, paths=("a", "b", "c", "e")))}, "must be on the detectors"),
+        ({"target": SrvTarget(parties=("a", "e"), ranks=(2, 2))}, "parties must be detectors"),
+    ],
+    ids=["detector-outside-the-pool", "target-state-off-the-detectors", "party-no-detector"],
+)
+def test_a_config_that_can_only_score_0_is_rejected(overrides, message):
+    # Unchecked, each searched its whole budget and returned no hit.
+    with pytest.raises(ValueError, match=message):
+        pol_config(**overrides)
+
+
 def test_a_repeated_party_is_rejected():
     with pytest.raises(ValueError, match="parties must be distinct"):
         SrvTarget(parties=("a", "a"), ranks=(2, 2))
 
 
 # -- the per-trial streams ---------------------------------------------------
-# The search draws with ``TrialRng``.  numpy's ``Generator`` is the oracle
-# here and only here: ``TrialRng`` must make its draws, one for one.
+# The search draws a chunk of trials at once: ``_Words`` holds their 32-bit
+# draws, a row per trial, and ``_draw_keys`` draws their keys.  numpy's
+# ``Generator`` is the oracle here and only here: each row must make its
+# trial's draws, one for one.
+
+_Words = search_module._Words
 
 
 def reference_rng(seed, trial):
@@ -279,11 +305,37 @@ REJECTING = 3 * 2**30 + 1
 PROBE = (2**32, REJECTING, 2, 2**32 - 1, 7, 1, 5, REJECTING, 3)
 
 
-def assert_same_stream(rng, reference):
-    """The same PCG64 state, then the same draws."""
-    state = reference.bit_generator.state["state"]
-    assert (rng._state, rng._inc) == (state["state"], state["inc"])
-    assert [rng.index(k) for k in PROBE] == [int(reference.integers(k)) for k in PROBE]
+def bounded(words, k):
+    """Every row's ``integers(k)``, one vectorised draw."""
+    return words.integers(np.full(words.rows, k, dtype=np.uint64)).tolist()
+
+
+def assert_same_draws(words, references):
+    """Each row draws what its reference draws, all rows at once."""
+    for k in PROBE:
+        assert bounded(words, k) == [int(reference.integers(k)) for reference in references]
+
+
+def as_ints(hi, lo):
+    """128-bit values from their high and low uint64 words."""
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def assert_same_streams(words, references):
+    """Each row's PCG64 state is its reference's, then so are its draws."""
+    states = [reference.bit_generator.state["state"] for reference in references]
+    assert as_ints(words._hi, words._lo) == [state["state"] for state in states]
+    assert as_ints(words._inc_hi, words._inc_lo) == [state["inc"] for state in states]
+    assert_same_draws(words, references)
+
+
+def assert_chunks_are_the_streams(seed, start, stop):
+    chunks = list(search_module._chunks(seed, start, stop))
+    assert sum(words.rows for words in chunks) == stop - start
+    for words in chunks:
+        assert_same_streams(words, [reference_rng(seed, trial) for trial in range(start, start + words.rows)])
+        start += words.rows
+    return chunks
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,20 +349,16 @@ def assert_same_stream(rng, reference):
 @example(seed=2**96, start=2**64 - 2, length=4)
 @example(seed=2**160, start=2**128 + 1, length=3)
 def test_trial_streams_are_the_seed_sequence_streams(seed, start, length):
-    rngs = list(_trial_rngs(seed, start, start + length))
-    assert len(rngs) == length
-    for trial, rng in zip(range(start, start + length), rngs):
-        assert_same_stream(rng, reference_rng(seed, trial))
-    assert_same_stream(_trial_rng(seed, start), reference_rng(seed, start))
+    assert_chunks_are_the_streams(seed, start, start + length)
+    assert_same_streams(_Words(seed, start, start + 1), [reference_rng(seed, start)])
 
 
 def test_trial_streams_run_on_across_seed_chunks():
-    chunk = search_module._SEED_CHUNK
-    seed, start = 2**96 + 20240817, 2**32 - chunk // 2
-    rngs = list(_trial_rngs(seed, start, start + chunk + 7))
-    assert len(rngs) == chunk + 7
-    for trial, rng in enumerate(rngs, start):
-        assert_same_stream(rng, reference_rng(seed, trial))
+    # A chunk boundary, then trial 2**32 inside the next chunk.
+    chunk = search_module._CHUNK
+    seed, start = 2**96 + 20240817, 2**32 - chunk - chunk // 2
+    chunks = assert_chunks_are_the_streams(seed, start, start + 2 * chunk + 7)
+    assert [words.rows for words in chunks] == [chunk, chunk // 2, chunk // 2 + 7]
 
 
 @pytest.mark.parametrize(
@@ -319,14 +367,16 @@ def test_trial_streams_run_on_across_seed_chunks():
     ids=["ghz4-across-chunks", "ghz4-from-1", "mixed"],
 )
 def test_a_block_draws_what_its_trials_draw_in_a_block_from_0(monkeypatch, config, start, stop):
-    draw = search_module._draw
+    # A span from ``start`` cuts its chunks elsewhere than a span from 0.
+    draw_keys = search_module._draw_keys
     keys = []
 
-    def recording_draw(rng, config, blocks):
-        keys.append(draw(rng, config, blocks))
-        return keys[-1]
+    def recording_draw_keys(config, words):
+        drawn = draw_keys(config, words)
+        keys.extend(drawn)
+        return drawn
 
-    monkeypatch.setattr(search_module, "_draw", recording_draw)
+    monkeypatch.setattr(search_module, "_draw_keys", recording_draw_keys)
     hits = _run_span(config, start, stop)[0]
     block_keys = keys[:]
     keys.clear()
@@ -334,21 +384,6 @@ def test_a_block_draws_what_its_trials_draw_in_a_block_from_0(monkeypatch, confi
     assert block_keys == keys[start:]
     assert hits
     assert as_tuples(hits) == [hit for hit in as_tuples(whole) if hit[0] >= start]
-
-
-class CountingRng(TrialRng):
-    """A ``TrialRng`` that counts its 32-bit draws and its 64-bit outputs."""
-
-    __slots__ = ("words", "outputs")
-
-    def __init__(self, seed, trial):
-        super().__init__(*search_module._seed_words(seed, trial, trial + 1).tolist()[0])
-        self.words = self.outputs = 0
-
-    def _next32(self):
-        self.words += 1
-        self.outputs += self._spare is None
-        return super()._next32()
 
 
 @settings(max_examples=80, deadline=None)
@@ -363,42 +398,67 @@ class CountingRng(TrialRng):
 )
 @example(seed=0, trial=0, bounds=[REJECTING] * 40)
 def test_bounded_draws_are_numpys(seed, trial, bounds):
-    rng, reference = _trial_rng(seed, trial), reference_rng(seed, trial)
-    assert [rng.index(k) for k in bounds] == [int(reference.integers(k)) for k in bounds]
-    # The stream stands where numpy's does, spare upper half included.
-    assert [rng.index(2**32) for _ in range(3)] == reference.integers(2**32, size=3).tolist()
+    # Two rows draw with different bounds, one draw at a time.  They start
+    # even, so that they do not straddle trial 2**32.
+    start = trial - trial % 2
+    words, references = _Words(seed, start, start + 2), [reference_rng(seed, start), reference_rng(seed, start + 1)]
+    for k, other in zip(bounds, bounds[::-1]):
+        drawn = words.integers(np.array([k, other], dtype=np.uint64)).tolist()
+        assert drawn == [int(references[0].integers(k)), int(references[1].integers(other))]
+    # The streams stand where numpy's do, spare upper halves included.
+    for _ in range(3):
+        assert bounded(words, 2**32) == [int(reference.integers(2**32)) for reference in references]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 20240817])
 def test_the_rejection_loop_and_the_spare_half_both_run(seed):
-    rng, reference = CountingRng(seed, 5), reference_rng(seed, 5)
-    drawn = [rng.index(REJECTING) for _ in range(40)] + [rng.index(6) for _ in range(3)]
-    assert drawn == [int(reference.integers(REJECTING)) for _ in range(40)] + reference.integers(6, size=3).tolist()
-    # More 32-bit words than values: some were rejected.  Every second
-    # word is the spare upper half of a 64-bit output.
-    assert rng.words > len(drawn)
-    assert rng.outputs == (rng.words + 1) // 2
+    trials = range(5, 5 + 64)
+    words, references = _Words(seed, trials[0], trials[-1] + 1), [reference_rng(seed, t) for t in trials]
+    drawn = [bounded(words, REJECTING) for _ in range(40)] + [bounded(words, 6) for _ in range(3)]
+    expected = [[int(reference.integers(REJECTING)) for reference in references] for _ in range(40)]
+    expected += [reference.integers(6, size=3).tolist() for reference in references]
+    assert drawn[:40] == expected[:40]
+    assert [list(row) for row in zip(*drawn[40:])] == expected[40:]
+    # More 32-bit words than values: rows were rejected, each its own
+    # number of times, and they outgrew the first word table.  An odd word
+    # count leaves the spare upper half of a 64-bit output for the next draw.
+    used = (words._at // words.rows).tolist()
+    assert min(used) > len(drawn) and len(set(used)) > 1
+    assert max(used) > 2 * search_module._OUTPUTS
+    assert {count % 2 for count in used} == {0, 1}
+    assert_same_draws(words, references)
+
+
+def relabels(n):
+    """A pool that draws one relabel a trial: its key is one ``choice(n, 2, replace=False)``."""
+    paths = tuple(f"p{i}" for i in range(n))
+    target = SrvTarget(parties=paths[:1], ranks=(1,))
+    return SearchConfig(pool=ElementPool(paths=paths, kinds=("relabel",)), detectors=paths, target=target, max_elements=1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_two_of_n_is_choice_without_replacement(n):
+    config = relabels(n)
+    relabel = search_module._blocks(config.pool)[-1]
     collisions = swaps = 0
-    for trial in range(300):
-        rng, reference = _trial_rng(7, trial), reference_rng(7, trial)
-        assert rng.two_of(n) == tuple(reference.choice(n, 2, replace=False).tolist())
+    words = _Words(7, 0, 300)
+    keys = search_module._draw_keys(config, words)
+    references = [reference_rng(7, trial) for trial in range(300)]
+    for trial, (key, reference) in enumerate(zip(keys, references)):
+        assert divmod(key[0] - relabel, n) == tuple(reference.choice(n, 2, replace=False).tolist())
         # The same draws, one at a time: Floyd's two, then the swap.
         replay = reference_rng(7, trial)
         first, second, swap = (int(replay.integers(k)) for k in (n - 1, n, 2))
         collisions += second == first
         swaps += swap == 0
-        assert_same_stream(rng, reference)
     assert collisions and swaps
+    assert_same_draws(words, references)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 20240817])
 def test_a_one_value_draw_leaves_the_stream_alone(seed):
-    # ``TrialRng.index(1)`` draws nothing; that keeps the streams only
-    # because numpy's ``integers(1)`` draws nothing either.
+    # A bound of 1 draws nothing in ``_Words.integers``; that keeps the
+    # streams only because numpy's ``integers(1)`` draws nothing either.
     rng = reference_rng(seed, 3)
     rng.integers(5)
     before = rng.bit_generator.state
@@ -439,13 +499,42 @@ def numpy_draw(rng, config, blocks):
     return tuple(key)
 
 
+def numpy_keys(config, start, stop):
+    blocks = search_module._blocks(config.pool)
+    return [numpy_draw(reference_rng(config.seed, trial), config, blocks) for trial in range(start, stop)]
+
+
 @pytest.mark.parametrize("seed", [0, 7, 20240817, 2**40 + 3, 2**100 + 5])
 @pytest.mark.parametrize("config", [pol_config(), MIXED_CONFIG], ids=["ghz4", "mixed"])
 def test_draw_is_the_numpy_draw_key_for_key(config, seed):
-    blocks = search_module._blocks(config.pool)
-    keys = [search_module._draw(rng, config, blocks) for rng in _trial_rngs(seed, 0, 1000)]
-    assert keys == [numpy_draw(reference_rng(seed, trial), config, blocks) for trial in range(1000)]
+    config = replace(config, seed=seed)
+    keys = list(search_module._keys(config, 0, 1000))
+    assert keys == numpy_keys(config, 0, 1000)
     assert len(set(keys)) > 100
+
+
+@pytest.mark.parametrize("config", [pol_config(), MIXED_CONFIG], ids=["ghz4", "mixed"])
+def test_keys_run_on_across_a_chunk_and_trial_2_32(config):
+    chunk = search_module._CHUNK
+    start, stop = 2**32 - chunk - 5, 2**32 + 40
+    assert [words.rows for words in search_module._chunks(config.seed, start, stop)] == [chunk, 5, 40]
+    assert list(search_module._keys(config, start, stop)) == numpy_keys(config, start, stop)
+
+
+def test_rows_that_outgrow_their_first_word_table_draw_numpys_keys():
+    config = replace(MIXED_CONFIG, max_elements=40, seed=11)
+    keys = list(search_module._keys(config, 0, 300))
+    assert keys == numpy_keys(config, 0, 300)
+    # Every element draws at least three words: its kind and two parameters.
+    assert max(map(len, keys)) * 3 > 2 * search_module._OUTPUTS
+
+
+def test_random_setup_is_the_searchs_own_draw():
+    config = pol_config()
+    chunk = search_module._CHUNK
+    keys = list(search_module._keys(config, 0, chunk + 3))
+    for trial in (0, 1, chunk - 1, chunk, chunk + 2):
+        assert random_setup(config, trial) == search_module._build(keys[trial], config, {})
 
 
 def test_a_serial_search_never_imports_numpy_random():
@@ -468,7 +557,7 @@ def test_a_serial_search_never_imports_numpy_random():
 
 
 def uncached_hits(config):
-    """The search without a cache, bulk seeding or ``TrialRng``: draw, build and score every trial."""
+    """The search without a cache or the chunk draw: draw, build and score every trial."""
     blocks = search_module._blocks(config.pool)
     hits = []
     for trial in range(config.budget):
@@ -493,8 +582,7 @@ def test_cached_search_equals_the_uncached_loop(config, workers):
 
 
 def drawn_keys(config):
-    blocks = search_module._blocks(config.pool)
-    return [search_module._draw(rng, config, blocks) for rng in _trial_rngs(config.seed, 0, config.budget)]
+    return list(search_module._keys(config, 0, config.budget))
 
 
 def class_firsts(config, keys):
@@ -628,7 +716,7 @@ def test_a_pool_above_the_path_cap_searches_without_symmetry(monkeypatch):
 
 
 def is_drawable(index, pool):
-    """Whether ``_draw`` can give ``index``, decoded independently of the search."""
+    """Whether ``_draw_keys`` can give ``index``, decoded independently of the search."""
     n, multimode, shift, phase, relabel = search_module._blocks(pool)
     if index >= relabel:
         source, target = divmod(index - relabel, n)
@@ -671,7 +759,7 @@ def renamed(element, rename):
 @example(config=MIXED_CONFIG, seed=777, trial=965)
 def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, seed, trial):
     pool, target = config.pool, config.target
-    key = search_module._draw(_trial_rng(seed, trial), config, search_module._blocks(pool))
+    key = next(search_module._keys(replace(config, seed=seed), trial, trial + 1))
     setup = search_module._build(key, config, {})
     score = evaluate(setup, target)
     clicks = search_module._can_click(compile_run(setup)[1], config.detectors, target)
