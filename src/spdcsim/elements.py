@@ -11,7 +11,8 @@ switched off to obtain the pure emission expansion whose amplitudes are
 exact monomials in the pump couplings.  Every passive element is one
 substitution of the raising operators on one path (:func:`substitute`).
 Both kernels work on coefficient dicts over packed ``int`` keys, laid
-out once per element list by :func:`compile_layout`.
+out once per element list by :func:`compile_layout`, over the modes
+:func:`mode_reach` finds.
 """
 
 from __future__ import annotations
@@ -285,35 +286,52 @@ def _substitution(element: Element) -> tuple[str, int, list[tuple[str, Any]]]:
     raise TypeError(f"unknown element {element!r}")
 
 
-def compile_layout(
-    elements: Sequence[Element], bound: int, labels: Iterable[ModeLabel] = ()
-) -> KeyLayout:
-    """The packed-key layout of a run of ``elements`` that starts on
-    ``labels`` and holds at most ``bound`` photons per term.
+# -- mode reach ---------------------------------------------------------------
 
-    A static pass collects every ``(path, mode)`` a photon can reach:
-    sources add their labels, and a passive element adds the modes of its
+
+def reach_step(element: Element) -> tuple:
+    """What ``element`` does to the modes photons can reach, as
+    :func:`mode_reach` folds it: ``(None, 0, ((path, modes), ...))`` for a
+    source, the modes it adds on each of its paths, or ``(path, delta,
+    targets)`` for a passive element, its substitution's path, ``delta``
+    and target paths (:func:`_substitution`)."""
+    if isinstance(element, (Crystal, MultimodeCrystal)):
+        added: dict[str, list[int]] = {}
+        for pair in crystal_pairs(element):
+            for path, mode in pair:
+                added.setdefault(path, []).append(mode)
+        return None, 0, tuple((path, tuple(modes)) for path, modes in added.items())
+    path, delta, targets = _substitution(element)
+    return path, delta, tuple(target for target, _ in targets)
+
+
+def mode_reach(steps: Iterable[tuple], labels: Iterable[ModeLabel] = ()) -> dict[str, set[int]]:
+    """Path -> every mode a photon can reach there, in a run of the
+    elements whose :func:`reach_step` are ``steps``, started on ``labels``.
+
+    Sources add their labels, and a passive element adds the modes of its
     path, moved by ``delta``, to each of its targets.  A target on another
     path (a relabel or a misalignment, both with ``delta = 0``) then gets
     every mode of its source, so :func:`substitute` can move the source's
     whole block into it.
     """
     modes: dict[str, set[int]] = {}
-    for label in labels:
-        modes.setdefault(label.path, set()).add(label.mode)
+    for path, mode in labels:
+        modes.setdefault(path, set()).add(mode)
     joins = []
-    for element in elements:
-        if isinstance(element, (Crystal, MultimodeCrystal)):
-            for pair in crystal_pairs(element):
-                for label in pair:
-                    modes.setdefault(label.path, set()).add(label.mode)
+    for path, delta, targets in steps:
+        if path is None:
+            for target, added in targets:
+                modes.setdefault(target, set()).update(added)
             continue
-        path, delta, targets = _substitution(element)
-        joins.extend((path, target) for target, _ in targets if target != path)
-        if path in modes:
-            moved = {m + delta for m in modes[path]}
-            for target, _ in targets:
-                modes.setdefault(target, set()).update(moved)
+        reached = modes.get(path)
+        if reached is not None and delta:
+            reached = {m + delta for m in reached}
+        for target in targets:
+            if target != path:
+                joins.append((path, target))
+            if reached is not None:
+                modes.setdefault(target, set()).update(reached)
     grown = True
     while grown:
         grown = False
@@ -321,7 +339,16 @@ def compile_layout(
             if path in modes and not modes[path] <= modes.setdefault(target, set()):
                 modes[target] |= modes[path]
                 grown = True
-    return KeyLayout(modes, bound)
+    return modes
+
+
+def compile_layout(
+    elements: Sequence[Element], bound: int, labels: Iterable[ModeLabel] = ()
+) -> KeyLayout:
+    """The packed-key layout of a run of ``elements`` that starts on
+    ``labels`` and holds at most ``bound`` photons per term, over the
+    modes :func:`mode_reach` finds."""
+    return KeyLayout(mode_reach(map(reach_step, elements), labels), bound)
 
 
 def substitute(

@@ -95,13 +95,20 @@ def validate_paths(exp: Experiment) -> None:
             )
 
 
-def compile_run(exp: Experiment) -> tuple[tuple[Element, ...], KeyLayout]:
+def compile_run(
+    exp: Experiment, reach: Mapping[str, set[int]] | None = None
+) -> tuple[tuple[Element, ...], KeyLayout]:
     """The resolved element list of ``exp`` (``resolve_loss_paths``) and
-    its packed-key layout (``elements.compile_layout``), wide enough for
-    ``2 * pair_budget`` photons plus the ``2 * expansion_order`` a
-    crystal's expansion adds on the way."""
+    its packed-key layout, wide enough for ``2 * pair_budget`` photons
+    plus the ``2 * expansion_order`` a crystal's expansion adds on the
+    way: ``elements.compile_layout``'s, or the layout over ``reach`` when
+    the caller has folded the elements' mode reach already
+    (``elements.mode_reach``)."""
     elements = resolve_loss_paths(exp.elements)
-    return elements, compile_layout(elements, 2 * exp.pair_budget + 2 * exp.expansion_order)
+    bound = 2 * exp.pair_budget + 2 * exp.expansion_order
+    if reach is None:
+        return elements, compile_layout(elements, bound)
+    return elements, KeyLayout(reach, bound)
 
 
 def run_keys(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, complex]:

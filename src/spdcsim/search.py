@@ -9,9 +9,13 @@ at once in numpy, numpy's draws one for one (``_Words``, ``_draw_keys``),
 without ``numpy.random``.
 
 A trial's draw is a compact key, one small int per element.  Each span
-of trials scores each distinct key once and simulates each symmetry
-class of keys once (``_run_span``); a setup that cannot produce a
-coincidence scores 0 unsimulated (``evaluate``).
+of trials scores each distinct key once and each symmetry class of keys
+once (``_run_span``).  A new class is screened on its key first: the
+modes its elements let photons reach, folded from each drawn index's
+cached reach step (``elements.mode_reach``), tell whether it can produce
+a coincidence at all (``_can_click``).  A class that cannot scores 0
+with no experiment or key layout built; one that can is built, and its
+reach becomes its key layout (``evaluate``).
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import numpy as np
 
 from .analysis import fidelity, schmidt_rank_vector
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
+from .elements import mode_reach, reach_step, resolve_loss_paths
 from .experiment import Experiment, compile_run, post_select_keys, run_keys
-from .fock import KeyLayout, ModeLabel, StateVector
+from .fock import ModeLabel, StateVector
 
 #: Mode lists a multimode crystal may draw.
 MULTIMODE_LISTS = ((0, 1), (0, 1, 2), (0, 1, 2, 3))
@@ -115,6 +120,8 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
         # Each would make every trial score 0.
         detectors, target = set(self.detectors), self.target
+        if len(detectors) != len(self.detectors):
+            raise ValueError("detectors must be distinct")
         if not detectors <= set(self.pool.paths):
             raise ValueError("detectors must be pool paths")
         if isinstance(target, FidelityTarget) and target.state.paths() != detectors:
@@ -135,10 +142,11 @@ class SearchStats:
     """What one search did; the counts do not depend on the worker count.
 
     ``evaluated`` counts the distinct setups drawn; every other trial is
-    a cache hit.  ``classes`` counts their symmetry classes, one
-    ``evaluate`` call each (plus one per hit outside its class's first
-    key).  ``screened`` counts the setups whose class ``evaluate``
-    scored 0 from the key layout alone.  ``histogram`` bins the setups'
+    a cache hit.  ``classes`` counts their symmetry classes, each
+    screened once and, if it passes, scored by one ``evaluate`` call
+    (plus one per hit outside its class's first key).  ``screened``
+    counts the setups whose class the screen scored 0 on its drawn key,
+    unbuilt (``_can_click``).  ``histogram`` bins the setups'
     scores (their class's, or their own if scored themselves) in tenths
     for a fidelity target, or as 0 and 1 for a rank target.  ``draw_s``
     and ``score_s`` add up the workers' times; ``wall_s`` is elapsed.
@@ -417,15 +425,23 @@ def _element(index: int, pool: ElementPool) -> Element:
     return Crystal(ModeLabel(a, mode_a), ModeLabel(b, mode_b), g=COUPLING)
 
 
-def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, Element]) -> Experiment:
-    """The experiment a key names, its elements shared through ``table``."""
-    elements = []
+def _entries(key: tuple[int, ...], pool: ElementPool, table: dict) -> list[tuple[Element, tuple]]:
+    """The element and reach step (``elements.reach_step``) each index of
+    ``key`` names, memoised in ``table``."""
+    entries = []
     for index in key:
-        element = table.get(index)
-        if element is None:
-            element = table[index] = _element(index, config.pool)
-        elements.append(element)
-    return Experiment(elements=tuple(elements), detectors=config.detectors)
+        entry = table.get(index)
+        if entry is None:
+            element = _element(index, pool)
+            entry = table[index] = (element, reach_step(element))
+        entries.append(entry)
+    return entries
+
+
+def _build(key: tuple[int, ...], config: SearchConfig, table: dict) -> Experiment:
+    """The experiment a key names, its elements shared through ``table``."""
+    elements = tuple(element for element, _ in _entries(key, config.pool, table))
+    return Experiment(elements=elements, detectors=config.detectors)
 
 
 def random_setup(config: SearchConfig, trial: int) -> Experiment:
@@ -433,25 +449,21 @@ def random_setup(config: SearchConfig, trial: int) -> Experiment:
     return _build(next(_keys(config, trial, trial + 1)), config, {})
 
 
-# Setups this process's ``evaluate`` has screened out; ``_run_span``
-# marks a key screened when its score call raised the count.
-_screened = 0
-
-
-def evaluate(exp: Experiment, target: Target) -> float:
+def evaluate(exp: Experiment, target: Target, reach: dict[str, set[int]] | None = None) -> float:
     """Simulate, post-select, and score; empty selections score zero.
 
-    The experiment is compiled once (``compile_run``), and a setup whose
-    key layout cannot produce a coincidence scores ``0.0`` unevolved
-    (:func:`_can_click`).  Otherwise its packed terms are evolved,
-    post-selected on keys (as ``post_select(run(exp), exp.detectors)``)
-    and scored.
+    A setup whose mode reach (``elements.mode_reach`` of its resolved
+    elements, or ``reach`` when the caller has folded it) cannot produce a
+    coincidence scores ``0.0`` uncompiled (:func:`_can_click`).  Otherwise
+    the reach becomes its key layout (``compile_run``), and its packed
+    terms are evolved, post-selected on keys (as ``post_select(run(exp),
+    exp.detectors)``) and scored.
     """
-    global _screened
-    elements, layout = compile_run(exp)
-    if not _can_click(layout, exp.detectors, target):
-        _screened += 1
+    if reach is None:
+        reach = mode_reach(map(reach_step, resolve_loss_paths(exp.elements)))
+    if not _can_click(reach, exp.detectors, target):
         return 0.0
+    elements, layout = compile_run(exp, reach)
     selected = post_select_keys(run_keys(exp, elements, layout), layout, exp.detectors)
     if selected.state.is_zero() or selected.success_weight == 0.0:
         return 0.0
@@ -464,22 +476,24 @@ def evaluate(exp: Experiment, target: Target) -> float:
     return 1.0 if srv.ranks == target.ranks else 0.0
 
 
-def _can_click(layout: KeyLayout, detectors: Sequence[str], target: Target) -> bool:
-    """False only when the score is 0 whatever the amplitudes.
+def _can_click(reach: dict[str, set[int]], detectors: Sequence[str], target: Target) -> bool:
+    """False only when the score is 0 whatever the amplitudes, read off
+    the mode reach of a setup (``elements.mode_reach``).
 
-    A detector path without a block in the layout can hold no photon, so
-    the n-fold selection is empty.  For a rank target, a party keeps one
-    photon after selection, so its rank is at most its block's field
-    count: a party without a block, or with fewer fields than its rank,
+    A detector path no photon reaches has no block in the key layout and
+    holds no photon, so the n-fold selection is empty.  For a rank
+    target, a party keeps one photon after selection, so its rank is at
+    most its block's field count, the span ``max - min + 1`` of its
+    modes: a party no photon reaches, or with a span below its rank,
     cannot match.
     """
-    blocks = layout.blocks
-    if any(path not in blocks for path in detectors):
-        return False
+    for path in detectors:
+        if path not in reach:
+            return False
     if isinstance(target, SrvTarget):
         for party, rank in zip(target.parties, target.ranks):
-            block = blocks.get(party)
-            if block is None or block[2] < rank:
+            modes = reach.get(party)
+            if modes is None or max(modes) - min(modes) < rank - 1:
                 return False
     return True
 
@@ -616,17 +630,20 @@ def _canonicaliser(tables: list[tuple[int, ...]]):
 def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchHit], dict, set, dict, float, float]:
     """Trials ``start`` to ``stop``, each symmetry class scored once.
 
-    The span keeps its own element table and score cache, and maps each
-    class to its first key drawn, whose score is the class's.  An
-    experiment is built only to score a new class, a key that may be a
-    hit on its own (``_accepts`` with ``_NEAR``), or to report a hit.
+    The span keeps its own element table (each drawn index's element and
+    reach step) and score cache, and maps each class to its first key
+    drawn, whose score is the class's.  A new class, or a key that may be
+    a hit on its own (``_accepts`` with ``_NEAR``), is screened on its
+    key: its steps are folded into its mode reach, and a key that cannot
+    click scores 0 unbuilt.  An experiment is built only to score a key
+    that passes, on the reach it already has, or to report a hit.
     Returns the hits, the ``{key: score}`` of its distinct keys, the keys
     whose class the screen rejected, the ``{class: first key}`` map, and
     its draw and score seconds.
     """
     target = config.target
     canonical = _canonicaliser(_image_tables(config.pool, _symmetries(config)))
-    table: dict[int, Element] = {}
+    table: dict[int, tuple[Element, tuple]] = {}
     scores: dict[tuple[int, ...], float] = {}
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     screened: set[tuple[int, ...]] = set()
@@ -643,13 +660,15 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
             form = canonical(key)
             first = classes.get(form)
             if first is None or _accepts(target, scores[first], _NEAR):
-                exp = _build(key, config, table)
-                before = _screened
-                score = evaluate(exp, target)
+                reach = mode_reach([step for _, step in _entries(key, config.pool, table)])
+                if _can_click(reach, config.detectors, target):
+                    exp = _build(key, config, table)
+                    score = evaluate(exp, target, reach)
+                else:
+                    score = 0.0
+                    screened.add(key)
                 if first is None:
                     classes[form] = first = key
-                    if _screened != before:
-                        screened.add(key)
             else:
                 score = scores[first]
             scores[key] = score

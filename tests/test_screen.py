@@ -1,10 +1,11 @@
 """Selection and scoring on packed keys against the decoded-tuple path.
 
-The search screens each candidate on its compiled key layout and
-post-selects on packed keys; the exact efficiency counts on keys too.
-Each is checked here against the public ``StateVector`` code it must
-equal bit for bit: ``post_select(run(exp), exp.detectors)``, ``_matches``
-and ``occupation_photons``.
+The search screens each candidate on the mode reach folded from its
+drawn key and post-selects on packed keys; the exact efficiency counts
+on keys too.  Each is checked here against the public ``StateVector``
+code it must equal bit for bit: ``post_select(run(exp), exp.detectors)``,
+``_matches`` and ``occupation_photons``; the reach fold is checked
+against the key layout it builds and a set-based static pass of its own.
 """
 
 import importlib
@@ -16,7 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim.analysis import _monomial_terms, efficiency_simulated, fidelity, schmidt_rank_vector
-from spdcsim.elements import Crystal, Misalignment, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
+from spdcsim.elements import (
+    Crystal,
+    Misalignment,
+    ModeShifter,
+    MultimodeCrystal,
+    PhaseShifter,
+    Relabel,
+    crystal_pairs,
+    mode_reach,
+    reach_step,
+)
 from spdcsim.experiment import (
     Experiment,
     _matches,
@@ -28,8 +39,9 @@ from spdcsim.experiment import (
     run_keys,
     sector_rule,
 )
-from spdcsim.fock import KeyLayout, ModeLabel, occupation_photons
+from spdcsim.fock import KeyLayout, ModeLabel, StateVector, occupation_photons
 from spdcsim.search import (
+    ElementPool,
     FidelityTarget,
     SrvTarget,
     evaluate,
@@ -61,8 +73,8 @@ def unscreened_score(exp, target):
 
 
 def screens_out(exp, target):
-    layout = compile_run(exp)[1]
-    return not search_module._can_click(layout, exp.detectors, target)
+    reach = mode_reach(map(reach_step, compile_run(exp)[0]))
+    return not search_module._can_click(reach, exp.detectors, target)
 
 
 def drawn(name, seed, trial):
@@ -192,16 +204,26 @@ def test_screen_is_sound_on_the_corpus(path):
             assert repr(evaluate(exp, target)) == repr(unscreened_score(exp, target))
 
 
-def test_screen_counts_a_setup_whose_detector_no_photon_reaches():
-    # No photon reaches a, which has no block, so nothing is evolved.
+def test_screen_counts_a_setup_whose_detector_no_photon_reaches(monkeypatch):
+    # No photon reaches a, which has no block, so nothing is compiled or
+    # evolved, and a search marks the key screened.
     pairs = (("b", "c"), ("c", "d"), ("b", "d"))
     exp = Experiment(
         elements=tuple(Crystal(ModeLabel(p, 0), ModeLabel(q, 0), g=0.1) for p, q in pairs),
         detectors=("a", "b", "c", "d"),
     )
-    before = search_module._screened
-    assert evaluate(exp, FidelityTarget(pol_config().target.state)) == 0.0
-    assert search_module._screened == before + 1
+    target = FidelityTarget(pol_config().target.state)
+    assert screens_out(exp, target)
+    monkeypatch.setattr(search_module, "compile_run", None)
+    assert evaluate(exp, target) == 0.0
+    # The same setup as a search's only drawn key.
+    config = pol_config(budget=1)
+    _, multimode, *_ = search_module._blocks(config.pool)
+    index = {search_module._element(i, config.pool): i for i in reversed(range(multimode))}
+    key = tuple(index[element] for element in exp.elements)
+    monkeypatch.setattr(search_module, "_keys", lambda config, start, stop: iter([key]))
+    hits, scores, screened, classes, _, _ = search_module._run_span(config, 0, 1)
+    assert scores == {key: 0.0} and screened == {key} and list(classes.values()) == [key]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -218,6 +240,113 @@ def test_screened_counts_the_misses_the_screen_rejects(workers):
     assert 0 < stats.screened < stats.evaluated
     assert stats.record()["screened"] == stats.screened
     assert sum(stats.histogram) == stats.evaluated
+
+
+def test_the_five_kind_search_counts_are_pinned():
+    # The CI step's five-kind search, serial: ``spdcsim search srv:4,2,2
+    # --paths t,a,b,c --parties a,b,c --pool crystal,multimode,shift,phase,relabel
+    # --max-elements 6 --budget 20000 --seed 777``, with the CLI's default
+    # crystal mode pairs.  A screen that rejects one setup more or less
+    # moves ``screened`` and fails here.
+    pool = ElementPool(paths=MIXED_CONFIG.pool.paths, kinds=MIXED_CONFIG.pool.kinds)
+    config = replace(MIXED_CONFIG, pool=pool, budget=20_000, seed=777)
+    hits, stats = search_with_stats(config, workers=1)
+    assert (stats.evaluated, stats.classes, stats.cache_hits, stats.screened) == (15437, 14837, 4563, 14768)
+    assert stats.histogram == [15415, 22]
+    assert len(hits) == stats.accepted == 22
+
+
+# -- the reach fold ----------------------------------------------------------------
+
+
+def reference_reach(elements, labels=()):
+    """Path -> reached modes by a static pass of its own: sources add their
+    labels, a passive element adds its path's modes, moved, to its
+    targets, and a target off the path takes every mode its path ever
+    gets."""
+    modes = {}
+    for label in labels:
+        modes.setdefault(label.path, set()).add(label.mode)
+    joins = []
+    for element in elements:
+        if isinstance(element, (Crystal, MultimodeCrystal)):
+            for pair in crystal_pairs(element):
+                for label in pair:
+                    modes.setdefault(label.path, set()).add(label.mode)
+            continue
+        if isinstance(element, ModeShifter):
+            path, delta, targets = element.path, element.delta, [element.path]
+        elif isinstance(element, PhaseShifter):
+            path, delta, targets = element.path, 0, [element.path]
+        elif isinstance(element, Relabel):
+            path, delta, targets = element.source, 0, [element.target]
+        else:
+            split = ((element.path, element.transmissivity), (element.loss, element.reflectivity))
+            path, delta, targets = element.path, 0, [target for target, c in split if c]
+        joins += [(path, target) for target in targets if target != path]
+        if path in modes:
+            moved = {m + delta for m in modes[path]}
+            for target in targets:
+                modes.setdefault(target, set()).update(moved)
+    sizes = None
+    while sizes != (sizes := {path: len(reached) for path, reached in modes.items()}):
+        for path, target in joins:
+            if path in modes:
+                modes.setdefault(target, set()).update(modes[path])
+    return modes
+
+
+def layout_clicks(layout, detectors, target):
+    """The screen read off a compiled key layout: every detector has a
+    block, and each party's block has at least its rank in fields."""
+    blocks = layout.blocks
+    if any(path not in blocks for path in detectors):
+        return False
+    if isinstance(target, SrvTarget):
+        return all(party in blocks and blocks[party][2] >= rank for party, rank in zip(target.parties, target.ranks))
+    return True
+
+
+def assert_reach_is_the_layout(reach, exp, target):
+    elements, layout = compile_run(exp)
+    assert reach == reference_reach(elements)
+    assert {path: (min(modes), max(modes) - min(modes) + 1) for path, modes in reach.items()} == {
+        path: (low, size) for path, (_, low, size) in layout.blocks.items()
+    }
+    assert search_module._can_click(reach, exp.detectors, target) == layout_clicks(layout, exp.detectors, target)
+
+
+# One element table per pool for every example, as a span keeps one.
+TABLES = {name: {} for name in CONFIGS}
+START_LABELS = [ModeLabel(path, mode) for path in ("t", "a", "b", "c", "d") for mode in (-2, 0, 1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(CONFIGS)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(START_LABELS), max_size=4),
+)
+def test_the_key_reach_is_the_compiled_layout_on_drawn_keys(name, seed, trial, labels):
+    config = replace(CONFIGS[name], seed=seed)
+    key = next(search_module._keys(config, trial, trial + 1))
+    entries = search_module._entries(key, config.pool, TABLES[name])
+    steps = [step for _, step in entries]
+    exp = Experiment(elements=tuple(element for element, _ in entries), detectors=config.detectors)
+    assert_reach_is_the_layout(mode_reach(steps), exp, config.target)
+    assert mode_reach(steps, labels) == reference_reach(exp.elements, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CORPUS), st.data())
+def test_the_reach_is_the_compiled_layout_on_the_corpus(path, data):
+    exp = load_experiment(path.name)
+    ranks = tuple(data.draw(st.integers(1, 6)) for _ in exp.detectors)
+    reach = mode_reach(map(reach_step, compile_run(exp)[0]))
+    product = StateVector.from_occupations({ModeLabel(p, 0): 1 for p in exp.detectors})
+    for target in (SrvTarget(exp.detectors, ranks), FidelityTarget(product)):
+        assert_reach_is_the_layout(reach, exp, target)
 
 
 # -- efficiency on keys ----------------------------------------------------------

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdcsim.analysis import ghz_target, w_target
-from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from spdcsim.experiment import Experiment, compile_run
+from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel, mode_reach, reach_step
+from spdcsim.experiment import Experiment
 from spdcsim.fock import ModeLabel, StateVector
 from spdcsim.search import (
     ElementPool,
@@ -269,6 +269,18 @@ def test_a_config_that_can_only_score_0_is_rejected(overrides, message):
     # Unchecked, each searched its whole budget and returned no hit.
     with pytest.raises(ValueError, match=message):
         pol_config(**overrides)
+
+
+def test_repeated_detectors_are_rejected_up_front():
+    # Unchecked, the config built and the search raised from ``Experiment``
+    # at its first scored trial.
+    with pytest.raises(ValueError, match="detectors must be distinct"):
+        SearchConfig(
+            pool=ElementPool(paths=tuple("abcd")),
+            detectors=("a", "a", "b", "c"),
+            target=FidelityTarget(ghz_target(3, 2, paths=("a", "b", "c"))),
+            budget=50,
+        )
 
 
 def test_a_repeated_party_is_rejected():
@@ -598,23 +610,36 @@ def elements_of(config, key):
     return search_module._build(key, config, {}).elements
 
 
+def clicks(exp, target):
+    """The screen's verdict on ``exp``, folded afresh from its elements."""
+    return search_module._can_click(mode_reach(map(reach_step, exp.elements)), exp.detectors, target)
+
+
+def counting(scored):
+    """An ``evaluate`` that records each setup it scores and checks the reach it is given."""
+
+    def counting_evaluate(exp, target, reach=None):
+        assert reach == mode_reach(map(reach_step, exp.elements))
+        scored.append(exp.elements)
+        return evaluate(exp, target, reach)
+
+    return counting_evaluate
+
+
 def test_serial_search_scores_each_symmetry_class_once(monkeypatch):
     config = pol_config(budget=1500)
     scored = []
-
-    def counting_evaluate(exp, target):
-        scored.append(exp.elements)
-        return evaluate(exp, target)
-
-    monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(search_module, "evaluate", counting(scored))
     hits, stats = search_with_stats(config)
     keys = drawn_keys(config)
     firsts = class_firsts(config, keys)
-    # Each class's first key, then the own key of each distinct hit that
-    # is not its class's first.
+    # The first key of each class that passes the screen, then the own key
+    # of each distinct hit that is not its class's first.  A class the
+    # screen rejects is never built.
+    passing = [key for key in firsts.values() if clicks(search_module._build(key, config, {}), config.target)]
     own = {keys[hit.trial_index] for hit in hits} - set(firsts.values())
-    assert own
-    assert Counter(scored) == Counter(elements_of(config, key) for key in [*firsts.values(), *own])
+    assert own and 0 < len(passing) < len(firsts)
+    assert Counter(scored) == Counter(elements_of(config, key) for key in [*passing, *own])
     assert stats.classes == len(firsts) < stats.evaluated == len(set(keys))
     assert stats.evaluated + stats.cache_hits == stats.trials == config.budget
     assert stats.cache_hits > 0
@@ -633,12 +658,7 @@ def test_a_class_score_near_the_threshold_scores_each_own_key(monkeypatch, offse
     score = counts.most_common(1)[0][0]
     config = replace(base, target=FidelityTarget(base.target.state, threshold=score + offset))
     scored = []
-
-    def counting_evaluate(exp, target):
-        scored.append(exp.elements)
-        return evaluate(exp, target)
-
-    monkeypatch.setattr(search_module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(search_module, "evaluate", counting(scored))
     hits = search(config)
     keys = drawn_keys(config)
     firsts = class_firsts(config, keys)
@@ -762,7 +782,7 @@ def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, s
     key = next(search_module._keys(replace(config, seed=seed), trial, trial + 1))
     setup = search_module._build(key, config, {})
     score = evaluate(setup, target)
-    clicks = search_module._can_click(compile_run(setup)[1], config.detectors, target)
+    verdict = clicks(setup, target)
     same = {path: path for path in pool.paths}
     pairs = admitted(config)
     for perm, table in pairs:
@@ -773,7 +793,7 @@ def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, s
         moved_setup = search_module._build(moved, config, {})
         assert [renamed(e, rename) for e in setup.elements] == [renamed(e, same) for e in moved_setup.elements]
         assert evaluate(moved_setup, target) == pytest.approx(score, abs=1e-9)
-        assert search_module._can_click(compile_run(moved_setup)[1], config.detectors, target) == clicks
+        assert clicks(moved_setup, target) == verdict
     canonical = search_module._canonicaliser([table for _, table in pairs])(key)
     assert canonical == min(tuple(table[index] for index in key) for _, table in pairs)
     assert all(is_drawable(index, pool) for index in canonical)
