@@ -14,7 +14,7 @@ import numpy as np
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import expand_crystal, substitute
 from .experiment import Experiment, compile_run, nfold_rule, run_keys, sector_rule
-from .fock import KeyLayout, ModeLabel, StateVector
+from .fock import LOSS_PREFIX, KeyLayout, ModeLabel, StateVector
 
 #: Singular values below this count as zero when ranking reduced states.
 SRV_TOLERANCE = 1e-10
@@ -198,11 +198,22 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     ``|amp|^2``, or ``coeff^2 * prod n!`` in the monomial form, and is
     computed only for terms in the sector.  Both sums run in term order
     from the integer 0.
+
+    The monomial weights of the terms of ``m`` photons share the scale
+    ``Q^m`` (:func:`_monomial_terms`), which cancels in the ratio.  A
+    term with ``l`` photons on loss paths holds ``n + l`` in all, so its
+    weight is divided by ``Q^l`` to bring it to the sector's scale.
     """
     exact = all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements)
     elements, layout = compile_run(exp)
     if exact:
         terms = _monomial_terms(exp, elements, layout)
+        mask = layout.mask
+        # Bits 1 and up of every field: a key without them holds no field of 2+.
+        multi = (mask - 1) * sum(1 << i * layout.width for i in range(len(layout.labels)))
+        lost = layout.block_bits(path for path in layout.blocks if path.startswith(LOSS_PREFIX))
+        if lost:
+            scale = _coupling_denominator(elements)
     else:
         terms = run_keys(replace(exp, creation_only=True), elements, layout)
     in_sector = sector_rule(layout, len(exp.detectors))
@@ -211,7 +222,12 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     for key, coeff in terms.items():
         if not in_sector(key):
             continue
-        weight = _monomial_norm(key, coeff, layout) if exact else abs(coeff) ** 2
+        if exact:
+            weight = _monomial_norm(key, coeff, layout, multi)
+            if key & lost:
+                weight = Fraction(weight, scale ** ((key & lost) % mask))
+        else:
+            weight = abs(coeff) ** 2
         total += weight
         if passes(key):
             valid += weight
@@ -222,25 +238,32 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
 
 def _monomial_terms(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, int]:
     """The pure emission expansion of the compiled ``elements`` on
-    ``layout``'s packed keys, all coefficients scaled by one common
-    positive integer.
+    ``layout``'s packed keys, each coefficient of a term of ``m`` photons
+    (loss paths included) scaled by ``C * Q^(m/2)``, where ``C`` and
+    ``Q`` are positive integers common to all terms.
 
     Runs the element code in the monomial convention: a term maps a key
     to the coefficient of ``prod a_dag^n |vac>``, so its squared norm is
-    ``coeff^2 * prod n!``.  A crystal of coupling ``g = p / q`` and
-    order ``N`` is expanded as ``q^N N!`` times its series, with integer
-    weights ``p^k q^(N-k) N! / k!``, so every coefficient stays an
-    integer; a ratio of weights does not depend on the common scale.
+    ``coeff^2 * prod n!``.  ``Q`` is the lcm of the denominators of the
+    crystals' couplings; a crystal of coupling ``g = P / Q`` and order
+    ``N`` is expanded as ``N!`` times its series, with integer weights
+    ``P^k N! / k!``, so every coefficient stays an integer.  Each pair
+    the crystal emits carries one factor ``Q``, and with emission only
+    every pair adds two photons, which shifts and relabels keep: a term
+    of ``m`` photons holds ``m / 2`` pairs, whichever crystals emitted
+    them.  So every term of one photon count is scaled alike, and a ratio
+    of their weights does not depend on the scale.
     """
     limit = 2 * exp.pair_budget
     order = exp.expansion_order
+    scale = _coupling_denominator(elements)
     terms = {0: 1}
     for element in elements:
         if isinstance(element, (Crystal, MultimodeCrystal)):
             p, q = element.g.as_integer_ratio()
+            p *= scale // q
             weights = [
-                p**k * q ** (order - k) * (math.factorial(order) // math.factorial(k))
-                for k in range(order + 1)
+                p**k * (math.factorial(order) // math.factorial(k)) for k in range(order + 1)
             ]
             terms = expand_crystal(
                 terms, element, weights, layout, creation_only=True, bosonic=False, limit=limit
@@ -250,11 +273,21 @@ def _monomial_terms(exp: Experiment, elements: Sequence[Element], layout: KeyLay
     return terms
 
 
-def _monomial_norm(key: int, coeff: int, layout: KeyLayout) -> int:
+def _coupling_denominator(elements: Sequence[Element]) -> int:
+    """``Q``: the lcm of the denominators of the crystals' couplings."""
+    crystals = [e for e in elements if isinstance(e, (Crystal, MultimodeCrystal))]
+    return math.lcm(*(crystal.g.as_integer_ratio()[1] for crystal in crystals))
+
+
+def _monomial_norm(key: int, coeff: int, layout: KeyLayout, multi: int) -> int:
     """``coeff^2 * prod n!`` over the fields of ``key``: the squared norm
-    of ``coeff * prod a_dag^n |vac>``."""
-    width, mask = layout.width, layout.mask
+    of ``coeff * prod a_dag^n |vac>``.  ``multi`` holds bits 1 and up of
+    every field, so a key without any of them has no field of two or
+    more photons, and its norm is ``coeff^2``."""
     norm = coeff * coeff
+    if not key & multi:
+        return norm
+    width, mask = layout.width, layout.mask
     while key:
         count = key & mask
         if count > 1:

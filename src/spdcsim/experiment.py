@@ -163,11 +163,12 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
 
 def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], bool]:
     """The n-fold coincidence rule of :func:`post_select` on ``layout``'s
-    keys, for distinct ``detectors``: ``n = len(detectors)`` photons in
-    all (the digit sum ``key % mask``, loss paths included) and none of
-    the detector blocks empty.  The n photons then sit one in each
-    detector and none elsewhere.  A detector without a block can hold no
-    photon, and no key passes."""
+    keys: ``n = len(detectors)`` photons in all (the digit sum
+    ``key % mask``, loss paths included) and none of the detector blocks
+    empty.  The n photons then sit one in each detector and none
+    elsewhere.  A detector without a block can hold no photon, and no key
+    passes.  Repeated detectors raise ``ValueError``."""
+    _check_distinct(detectors)
     n = len(detectors)
     mask = layout.mask
     blocks = [layout.block_bits((path,)) for path in detectors]
@@ -190,11 +191,15 @@ def post_select_keys(
 
     Equals ``post_select(run(exp), exp.detectors)`` bit for bit: the
     terms are kept in the same order and normalized and summed with the
-    same arithmetic.
+    same arithmetic.  Repeated detectors raise ``ValueError``.
+
+    The kept terms are few, so they are decoded field by field
+    (``KeyLayout.decode_fields``): the block memo of ``KeyLayout.decode``
+    would cost more to fill than it saves.
     """
     passes = nfold_rule(layout, detectors)
-    decode = layout.decode
-    return _selection({decode(key): amp for key, amp in terms.items() if passes(key)})
+    decode = layout.decode_fields
+    return _selection({decode(key, 0): amp for key, amp in terms.items() if passes(key)})
 
 
 def post_select_pattern(
@@ -229,9 +234,29 @@ def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionRe
     """n-fold coincidence selection: exactly one photon per detector path.
 
     Terms with photons in any other path, loss paths included, are
-    rejected; a lost photon cannot contribute to the coincidence.
+    rejected; a lost photon cannot contribute to the coincidence.  A
+    canonical occupation passes when it has ``n = len(detectors)``
+    entries and the paths of its entries of count 1 are the n detectors:
+    then each entry holds one photon, on its own detector.  The terms
+    kept, their order and the result are those of
+    ``post_select_pattern(state, {p: 1 for p in detectors})``.  Repeated
+    detectors raise ``ValueError``.
     """
-    return post_select_pattern(state, {path: 1 for path in detectors})
+    _check_distinct(detectors)
+    n = len(detectors)
+    paths = set(detectors)
+    return _selection(
+        {
+            occ: amp
+            for occ, amp in state.terms.items()
+            if len(occ) == n and {label.path for label, count in occ if count == 1} == paths
+        }
+    )
+
+
+def _check_distinct(detectors: Sequence[str]) -> None:
+    if len(set(detectors)) != len(detectors):
+        raise ValueError("detectors must be distinct")
 
 
 def success_fraction(full: StateVector, selected: PostSelectionResult, n: int) -> float:

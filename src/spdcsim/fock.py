@@ -104,7 +104,7 @@ class KeyLayout:
     digit sum ``key % mask`` is the term's exact photon count.
     """
 
-    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels")
+    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels", "_decoder")
 
     def __init__(self, modes: Mapping[str, Iterable[int]], bound: int):
         width = (bound + 1).bit_length()
@@ -125,6 +125,9 @@ class KeyLayout:
                 label = ModeLabel(path, mode)
                 self.fields[label] = len(self.labels) * width
                 self.labels.append(label)
+        #: (each block's bits, offset and first field index; block memo),
+        #: built by the first :meth:`decode`
+        self._decoder = None
 
     def encode(self, occ: Occupation) -> int:
         """The key of ``occ``; ``ValueError`` for a label without a field
@@ -153,10 +156,40 @@ class KeyLayout:
         return bits
 
     def decode(self, key: int) -> Occupation:
-        """The canonical occupation tuple of ``key``."""
+        """The canonical occupation tuple of ``key``.
+
+        Each path's block of bits maps to its slice of the tuple through
+        a memo kept on the layout, keyed by the key's bits in that block
+        (blocks do not overlap, so one dict serves them all).  A key costs
+        one mask and one lookup per path; a block seen for the first time
+        is decoded field by field (:meth:`decode_fields`).
+        """
+        decoder = self._decoder
+        if decoder is None:
+            width = self.width
+            parts = [
+                (((1 << size * width) - 1) << offset, offset, offset // width)
+                for offset, _, size in self.blocks.values()
+            ]
+            decoder = self._decoder = (parts, {})
+        parts, memo = decoder
+        occ: Occupation = ()
+        for block, offset, first in parts:
+            bits = key & block
+            if bits:
+                part = memo.get(bits)
+                if part is None:
+                    part = memo[bits] = self.decode_fields(bits >> offset, first)
+                occ += part
+        return occ
+
+    def decode_fields(self, key: int, first: int) -> Occupation:
+        """The occupation tuple of ``key``'s fields, the lowest field being
+        field ``first`` of the layout: with ``first = 0``, :meth:`decode`
+        field by field, without the memo."""
         width, mask, labels = self.width, self.mask, self.labels
         out = []
-        i = 0
+        i = first
         while key:
             n = key & mask
             if n:

@@ -248,6 +248,24 @@ def test_efficiency_simulated_three_level():
     assert value == pattern_count_oracle(4, 3)
 
 
+@pytest.mark.parametrize(
+    "n, d, expected",
+    [
+        (4, 2, Fraction(1, 5)),
+        (4, 3, Fraction(1, 7)),
+        (6, 2, Fraction(1, 28)),
+        (6, 3, Fraction(4, 165)),
+        (6, 4, Fraction(2, 91)),
+        (6, 5, Fraction(3, 136)),
+        (8, 2, Fraction(1, 165)),
+        (8, 3, Fraction(1, 273)),
+    ],
+)
+def test_ladder_efficiency_does_not_depend_on_the_coupling(n, d, expected):
+    for g in (0.05, 0.1, 0.15):
+        assert efficiency_simulated(ghz_layout(n, d, g=g)) == expected
+
+
 def test_efficiency_simulated_single_matching_is_perfect():
     assert efficiency_simulated(ghz_layout(2, 1)) == Fraction(1, 1)
 

@@ -1,5 +1,7 @@
-"""The exact (integer) efficiency against its float fallback."""
+"""The exact (integer) efficiency against its float fallback and against
+an oracle that scales each crystal by its own coupling's denominator."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,9 +9,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spdcsim.analysis import efficiency_simulated
-from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from spdcsim.experiment import Experiment
-from spdcsim.fock import ModeLabel
+from spdcsim.elements import (
+    Crystal,
+    ModeShifter,
+    MultimodeCrystal,
+    PhaseShifter,
+    Relabel,
+    expand_crystal,
+    substitute,
+)
+from spdcsim.experiment import Experiment, compile_run
+from spdcsim.fock import ModeLabel, occupation_photons
 
 from conftest import CORPUS, load_experiment
 
@@ -90,3 +100,69 @@ def test_mixed_coupling_exact_efficiency_matches_float(g_ab, g_cd, extra, expans
     assume(len({e.g.as_integer_ratio()[1] for e in crystals}) > 1)
     assert efficiency_simulated(exp) > 0
     assert_evaluators_agree(exp)
+
+
+def per_crystal_denominator_efficiency(exp):
+    """The exact efficiency with each crystal of coupling ``p/q`` and order
+    ``N`` applied as ``q^N N!`` times its series (integer weights
+    ``p^k q^(N-k) N!/k!``), which scales every term alike, counted on
+    decoded occupations."""
+    elements, layout = compile_run(exp)
+    order = exp.expansion_order
+    terms = {0: 1}
+    for element in elements:
+        if isinstance(element, (Crystal, MultimodeCrystal)):
+            p, q = element.g.as_integer_ratio()
+            weights = [
+                p**k * q ** (order - k) * math.factorial(order) // math.factorial(k)
+                for k in range(order + 1)
+            ]
+            terms = expand_crystal(
+                terms, element, weights, layout,
+                creation_only=True, bosonic=False, limit=2 * exp.pair_budget,
+            )
+        else:
+            terms = substitute(terms, element, layout, bosonic=False)
+    n = len(exp.detectors)
+    valid = total = 0
+    for key, coeff in terms.items():
+        occ = layout.decode(key)
+        if occupation_photons(occ, include_loss=False) != n:
+            continue
+        weight = coeff * coeff * math.prod(math.factorial(count) for _, count in occ)
+        total += weight
+        photon_paths = sorted(label.path for label, count in occ for _ in range(count))
+        if photon_paths == sorted(exp.detectors):
+            valid += weight
+    return Fraction(valid, total)
+
+
+# Relabels onto a loss path, with room for more pairs than the detectors
+# need, put terms that lost photons into the n-photon sector.
+oracle_elements = st.one_of(elements, st.builds(Relabel, st.just("e"), st.just("loss#0")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    couplings,
+    couplings,
+    st.lists(oracle_elements, max_size=5),
+    st.integers(1, 3),
+    st.sampled_from([None, 3]),
+)
+def test_exact_efficiency_matches_per_crystal_denominator_oracle(
+    g_ab, g_cd, extra, expansion_order, max_pairs
+):
+    matching = (
+        Crystal(ModeLabel("a", 0), ModeLabel("b", 0), g=g_ab),
+        Crystal(ModeLabel("c", 0), ModeLabel("d", 0), g=g_cd),
+    )
+    exp = Experiment(
+        elements=matching + tuple(extra),
+        detectors=tuple(PATHS),
+        max_pairs=max_pairs,
+        expansion_order=expansion_order,
+    )
+    crystals = [e for e in exp.elements if isinstance(e, (Crystal, MultimodeCrystal))]
+    assume(len({e.g.as_integer_ratio()[1] for e in crystals}) > 1)
+    assert efficiency_simulated(exp) == per_crystal_denominator_efficiency(exp)

@@ -7,13 +7,17 @@ from spdcsim.elements import Crystal, Misalignment, ModeShifter, Relabel
 from spdcsim.experiment import (
     Experiment,
     UndeclaredPathError,
+    compile_run,
+    nfold_rule,
     post_select,
+    post_select_keys,
     post_select_pattern,
     run,
+    run_keys,
     success_fraction,
     with_uniform_misalignment,
 )
-from spdcsim.fock import ModeLabel, vacuum
+from spdcsim.fock import ModeLabel, StateVector, make_occupation, vacuum
 
 from conftest import basis, label, load_experiment
 
@@ -101,6 +105,52 @@ def test_post_select_pattern_accepts_multi_photon_counts():
     result = post_select_pattern(state, {"a": 2, "b": 2})
     assert len(result.state) == 1
     assert result.success_weight == pytest.approx(0.36)
+
+
+def test_post_select_rejects_repeated_detectors():
+    exp = two_matching_polarization_layout()
+    with pytest.raises(ValueError, match="detectors must be distinct"):
+        post_select(run(exp), ("a", "a"))
+
+
+def test_nfold_rule_rejects_repeated_detectors():
+    _, layout = compile_run(two_matching_polarization_layout())
+    with pytest.raises(ValueError, match="detectors must be distinct"):
+        nfold_rule(layout, ("a", "a"))
+
+
+def test_post_select_keys_rejects_repeated_detectors():
+    exp = two_matching_polarization_layout()
+    elements, layout = compile_run(exp)
+    terms = run_keys(exp, elements, layout)
+    with pytest.raises(ValueError, match="detectors must be distinct"):
+        post_select_keys(terms, layout, ("a", "a"))
+
+
+SELECTION_PATHS = ("a", "b", "c", "loss#0")
+selection_labels = st.builds(ModeLabel, st.sampled_from(SELECTION_PATHS), st.integers(-1, 1))
+amplitudes = st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("abc"), unique=True, max_size=3), st.data())
+def test_post_select_is_the_one_photon_per_detector_pattern(detectors, data):
+    # Random terms (multi-photon fields, loss and off-detector paths) next
+    # to one-photon-per-detector terms, some with a stray extra photon.
+    counts = st.dictionaries(selection_labels, st.integers(1, 3), max_size=4)
+    hits = st.tuples(
+        st.lists(st.integers(-1, 1), min_size=len(detectors), max_size=len(detectors)),
+        st.dictionaries(selection_labels, st.integers(1, 2), max_size=1),
+    ).map(
+        lambda drawn: {**{ModeLabel(p, m): 1 for p, m in zip(detectors, drawn[0])}, **drawn[1]}
+    )
+    patterns = data.draw(st.lists(st.one_of(counts, hits), max_size=8))
+    amps = data.draw(st.lists(amplitudes, min_size=len(patterns), max_size=len(patterns)))
+    state = StateVector({make_occupation(c): amp for c, amp in zip(patterns, amps)})
+    direct = post_select(state, detectors)
+    pattern = post_select_pattern(state, {p: 1 for p in detectors})
+    assert list(direct.state.terms.items()) == list(pattern.state.terms.items())
+    assert direct.success_weight == pattern.success_weight
 
 
 def test_post_selection_is_idempotent():

@@ -530,6 +530,32 @@ def test_encode_decode_round_trip(width, data):
     assert key % layout.mask == occupation_photons(occ)
 
 
+def field_by_field_decode(layout, key):
+    """The occupation tuple of ``key``, one field at a time."""
+    width, mask = layout.width, layout.mask
+    counts = [(label, key >> i * width & mask) for i, label in enumerate(layout.labels)]
+    return tuple((label, n) for label, n in counts if n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(packed_labels, min_size=1, max_size=8), st.integers(1, 30), st.data())
+def test_block_memo_decode_equals_field_by_field_decode(reach_labels, bound, data):
+    reach = {}
+    for lab in reach_labels:
+        reach.setdefault(lab.path, set()).add(lab.mode)
+    layout = KeyLayout(reach, bound)
+    fields = st.lists(
+        st.integers(0, layout.mask), min_size=len(layout.labels), max_size=len(layout.labels)
+    )
+    keys = [
+        sum(n << i * layout.width for i, n in enumerate(counts))
+        for counts in data.draw(st.lists(fields, min_size=1, max_size=6))
+    ]
+    # Each key twice, in shuffled order, so later decodes hit the memo.
+    for key in data.draw(st.permutations(keys + keys)):
+        assert layout.decode(key) == layout.decode_fields(key, 0) == field_by_field_decode(layout, key)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_layout_rejects_a_term_that_would_wrap(width):
     layout = KeyLayout({"a": {0}, "b": {-1, 1}}, 2**width - 2)
