@@ -108,7 +108,7 @@ def per_crystal_denominator_efficiency(exp):
     ``p^k q^(N-k) N!/k!``), which scales every term alike, counted on
     decoded occupations."""
     elements, layout = compile_run(exp)
-    order = exp.expansion_order
+    order, limit = exp.expansion_order, 2 * exp.pair_budget
     terms = {0: 1}
     for element in elements:
         if isinstance(element, (Crystal, MultimodeCrystal)):
@@ -118,8 +118,7 @@ def per_crystal_denominator_efficiency(exp):
                 for k in range(order + 1)
             ]
             terms = expand_crystal(
-                terms, element, weights, layout,
-                creation_only=True, bosonic=False, limit=2 * exp.pair_budget,
+                terms, element, weights, layout, creation_only=True, bosonic=False, limit=limit
             )
         else:
             terms = substitute(terms, element, layout, bosonic=False)
