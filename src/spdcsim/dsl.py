@@ -85,6 +85,7 @@ class _LineParser:
         self.issues: list[ParseIssue] = []
         self.elements: list[Element] = []
         self.detectors: tuple[str, ...] | None = None
+        self.detectors_line = False
         self.order: int | None = None
         self.pairs: int | None = None
 
@@ -238,9 +239,10 @@ class _LineParser:
         self.elements.append(Relabel(tokens[1].text, tokens[2].text))
 
     def _detectors(self, tokens: list[_Token]) -> None:
-        if self.detectors is not None:
+        if self.detectors_line:
             self.fail(tokens[0], "duplicate detectors line")
             return
+        self.detectors_line = True
         if len(tokens) < 2:
             self.fail(tokens[0], "detectors line lists no paths", "detectors <p> <p> ...")
             return
@@ -281,7 +283,7 @@ def parse(text: str) -> Experiment:
         tokens = _tokenize(line, line_no)
         if tokens:
             parser.parse_line(tokens)
-    if parser.detectors is None:
+    if not parser.detectors_line:
         parser.issues.append(
             ParseIssue(SourceSpan(1, 1, 1), "missing detectors statement", "detectors <p> ...")
         )

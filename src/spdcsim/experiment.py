@@ -40,8 +40,7 @@ class Experiment:
     creation_only: bool = False
 
     def __post_init__(self):
-        if len(set(self.detectors)) != len(self.detectors):
-            raise ValueError("detector paths must be distinct")
+        _check_distinct(self.detectors)
         for path in self.detectors:
             if path.startswith(LOSS_PREFIX):
                 raise ValueError(f"detector on loss path {path!r}")

@@ -10,12 +10,14 @@ without ``numpy.random``.
 
 A trial's draw is a compact key, one small int per element.  Each span
 of trials scores each distinct key once and each symmetry class of keys
-once (``_run_span``).  A new class is screened on its key first: the
-modes its elements let photons reach, folded from each drawn index's
-cached reach step (``elements.mode_reach``), tell whether it can produce
-a coincidence at all (``_can_click``).  A class that cannot scores 0
-with no experiment or key layout built; one that can is built, and its
-reach becomes its key layout (``evaluate``).
+once (``_run_span``): a class is the keys that path permutations, and
+the mode reflection ``m -> c - m`` where the pool and target admit it,
+map onto each other (``_class_tables``).  A new class is screened on its
+key first: the modes its elements let photons reach, folded from each
+drawn index's cached reach step (``elements.mode_reach``), tell whether
+it can produce a coincidence at all (``_can_click``).  A class that
+cannot scores 0 with no experiment or key layout built; one that can is
+built, and its reach becomes its key layout (``evaluate``).
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .analysis import fidelity, schmidt_rank_vector
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import mode_reach, reach_step, resolve_loss_paths
-from .experiment import Experiment, compile_run, post_select_keys, run_keys
+from .experiment import Experiment, _check_distinct, compile_run, post_select_keys, run_keys
 from .fock import ModeLabel, StateVector
 
 #: Mode lists a multimode crystal may draw.
@@ -119,9 +121,8 @@ class SearchConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         # Each would make every trial score 0.
+        _check_distinct(self.detectors)
         detectors, target = set(self.detectors), self.target
-        if len(detectors) != len(self.detectors):
-            raise ValueError("detectors must be distinct")
         if not detectors <= set(self.pool.paths):
             raise ValueError("detectors must be pool paths")
         if isinstance(target, FidelityTarget) and target.state.paths() != detectors:
@@ -142,8 +143,9 @@ class SearchStats:
     """What one search did; the counts do not depend on the worker count.
 
     ``evaluated`` counts the distinct setups drawn; every other trial is
-    a cache hit.  ``classes`` counts their symmetry classes, each
-    screened once and, if it passes, scored by one ``evaluate`` call
+    a cache hit.  ``classes`` counts their symmetry classes (under the
+    admitted path permutations and, if admitted, the mode reflection),
+    each screened once and, if it passes, scored by one ``evaluate`` call
     (plus one per hit outside its class's first key).  ``screened``
     counts the setups whose class the screen scored 0 on its drawn key,
     unbuilt (``_can_click``).  ``histogram`` bins the setups'
@@ -513,6 +515,9 @@ def _accepts(target: Target, score: float, slack: float = 0.0) -> bool:
 # keeps a setup's score when it keeps the detector set and the target: a
 # fidelity target's state up to a global phase, or each party's rank.
 # ``_image_tables`` drops those that turn a drawable element undrawable.
+# The mode reflection (``_reflection``) keeps paths and mirrors modes; it
+# commutes with every permutation, so the class tables are the admitted
+# permutations' and, if it holds, each of them followed by it.
 
 #: Pools with more paths than this search without symmetry: six paths
 #: have 720 permutations to check, eight already 40,320.
@@ -537,16 +542,21 @@ def _symmetries(config: SearchConfig) -> list[tuple[int, ...]]:
     perms = [tuple(j for _, j in sorted(zip(order, itertools.chain(*image)))) for image in images]
     if isinstance(target, FidelityTarget):
         unit = target.state.normalized()
-        perms = [identity] + [perm for perm in perms[1:] if _fixes(unit, dict(zip(paths, (paths[j] for j in perm))))]
+        kept = [identity]
+        for perm in perms[1:]:
+            rename = dict(zip(paths, (paths[j] for j in perm)))
+            if _fixes(unit, lambda label: ModeLabel(rename[label.path], label.mode)):
+                kept.append(perm)
+        perms = kept
     return perms
 
 
-def _fixes(unit: StateVector, rename: dict[str, str]) -> bool:
-    """Whether renaming paths maps the unit state ``unit`` to itself up to a global phase."""
+def _fixes(unit: StateVector, move: Callable[[ModeLabel], ModeLabel]) -> bool:
+    """Whether moving each label by ``move`` maps the unit state ``unit`` to itself up to a global phase."""
     terms = unit.terms
     overlap = 0j
     for occ, amp in terms.items():
-        moved = tuple(sorted((ModeLabel(rename.get(label.path, label.path), label.mode), count) for label, count in occ))
+        moved = tuple(sorted((move(label), count) for label, count in occ))
         overlap += terms.get(moved, 0j).conjugate() * amp
     return abs(overlap) >= 1.0 - 1e-12
 
@@ -590,6 +600,60 @@ def _image_tables(pool: ElementPool, perms: list[tuple[int, ...]]) -> list[tuple
     return tables
 
 
+def _reflection(config: SearchConfig) -> tuple[int, ...] | None:
+    """The image of every element index under the mode reflection, or None.
+
+    The reflection sends each label's mode ``m`` to ``c - m``, ``c`` the
+    least plus the greatest mode the pool's sources name: a crystal's
+    mode pair and a multimode crystal's mode list are reflected, a
+    shift's delta negated, and phases and relabels kept.  It is None
+    above ``_SYMMETRY_PATHS`` paths, when the pool draws no source, when
+    a drawable element's image is not drawable, or when it moves a
+    fidelity target's state; a rank target keeps each party's ranks.
+    """
+    pool = config.pool
+    n, multimode, shift, phase, relabel = _blocks(pool)
+    modes = []
+    if "crystal" in pool.kinds:
+        modes += itertools.chain(*pool.crystal_modes)
+    if "multimode" in pool.kinds:
+        modes += itertools.chain(*MULTIMODE_LISTS)
+    if n > _SYMMETRY_PATHS or not modes:
+        return None
+    c = min(modes) + max(modes)
+    target = config.target
+    if isinstance(target, FidelityTarget) and not _fixes(target.state.normalized(), lambda label: ModeLabel(label.path, c - label.mode)):
+        return None
+    image = list(range(relabel + n * n))
+    blocks = (
+        ("crystal", 0, multimode, pool.crystal_modes, lambda pair: tuple(c - m for m in pair)),
+        ("multimode", multimode, shift, MULTIMODE_LISTS, lambda listed: tuple(sorted(c - m for m in listed))),
+        ("shift", shift, phase, SHIFT_DELTAS, lambda delta: -delta),
+    )
+    for kind, start, stop, values, reflect in blocks:
+        if kind not in pool.kinds:
+            continue
+        position = {value: k for k, value in enumerate(values)}
+        moved = [position.get(reflect(value)) for value in values]
+        if None in moved:
+            return None
+        radix = len(values)
+        for index in range(start, stop):
+            image[index] += moved[(index - start) % radix] - (index - start) % radix
+    return tuple(image)
+
+
+def _class_tables(config: SearchConfig) -> list[tuple[int, ...]]:
+    """The element image tables whose least image of a key is its class:
+    each admitted path permutation's, then each of those followed by the
+    mode reflection when the search admits it."""
+    tables = _image_tables(config.pool, _symmetries(config))
+    reflection = _reflection(config)
+    if reflection is not None:
+        tables += [tuple(reflection[index] for index in table) for table in tables]
+    return tables
+
+
 def _canonicaliser(tables: list[tuple[int, ...]]):
     """A function from a key to its class: its least image under ``tables``.
 
@@ -628,7 +692,8 @@ def _canonicaliser(tables: list[tuple[int, ...]]):
 
 
 def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchHit], dict, set, dict, float, float]:
-    """Trials ``start`` to ``stop``, each symmetry class scored once.
+    """Trials ``start`` to ``stop``, each symmetry class (``_class_tables``)
+    scored once.
 
     The span keeps its own element table (each drawn index's element and
     reach step) and score cache, and maps each class to its first key
@@ -642,7 +707,7 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
     its draw and score seconds.
     """
     target = config.target
-    canonical = _canonicaliser(_image_tables(config.pool, _symmetries(config)))
+    canonical = _canonicaliser(_class_tables(config))
     table: dict[int, tuple[Element, tuple]] = {}
     scores: dict[tuple[int, ...], float] = {}
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}

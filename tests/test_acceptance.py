@@ -5,6 +5,7 @@ Stated time budgets are asserted with a 4x allowance so slow machines do
 not flake the suite; measured times are printed for reference.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -385,5 +386,12 @@ def test_criterion_13_seeded_search():
             assert evaluate(hit.experiment, config.target) >= config.target.threshold
         serial = search(config, workers=1)
         assert [h.trial_index for h in serial] == [h.trial_index for h in parallel]
+        # The hits as the search first found them: their count and their
+        # trial indices, comma-joined, hashed.
+        trials = ",".join(str(h.trial_index) for h in serial)
+        assert len(serial) == 173
+        assert hashlib.sha256(trials.encode()).hexdigest() == (
+            "97d89f14df0c3b6981cf004c8f6b8311130666ff89db7053fb8ad78c2e3d1062"
+        )
         assert [h.experiment for h in serial] == [h.experiment for h in parallel]
         print(f"    ({len(serial)} verified hits in {config.budget} trials)")

@@ -98,6 +98,14 @@ def test_duplicate_detector_path():
     assert any("duplicate detector path" in i.message for i in err.value.issues)
 
 
+def test_a_rejected_detectors_line_is_not_also_missing():
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse("detectors a a\n")
+    [issue] = err.value.issues
+    assert (issue.span.line, issue.span.column) == (1, 13)
+    assert issue.message == "duplicate detector path 'a'"
+
+
 def test_all_errors_collected_in_one_pass():
     text = "bogus x\nmisalign a T=2\nphase b oops\n"
     with pytest.raises(dsl.ExperimentParseError) as err:

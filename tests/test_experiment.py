@@ -107,6 +107,11 @@ def test_post_select_pattern_accepts_multi_photon_counts():
     assert result.success_weight == pytest.approx(0.36)
 
 
+def test_experiment_rejects_repeated_detectors():
+    with pytest.raises(ValueError, match="detectors must be distinct"):
+        Experiment(detectors=("a", "a"))
+
+
 def test_post_select_rejects_repeated_detectors():
     exp = two_matching_polarization_layout()
     with pytest.raises(ValueError, match="detectors must be distinct"):

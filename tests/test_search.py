@@ -599,7 +599,7 @@ def drawn_keys(config):
 
 def class_firsts(config, keys):
     """Each class's first drawn key, the one the search simulates for it."""
-    canonical = search_module._canonicaliser(search_module._image_tables(config.pool, search_module._symmetries(config)))
+    canonical = search_module._canonicaliser(search_module._class_tables(config))
     firsts = {}
     for key in keys:
         firsts.setdefault(canonical(key), key)
@@ -797,6 +797,120 @@ def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, s
     canonical = search_module._canonicaliser([table for _, table in pairs])(key)
     assert canonical == min(tuple(table[index] for index in key) for _, table in pairs)
     assert all(is_drawable(index, pool) for index in canonical)
+
+
+# -- the mode reflection ------------------------------------------------------
+
+# Crystals, shifts, phases and relabels on modes 0 and 1 with a rank target:
+# the reflection holds and sends each shift's delta to its negative.
+SHIFT_CONFIG = SearchConfig(
+    pool=ElementPool(paths=tuple("abcd"), kinds=("crystal", "shift", "phase", "relabel")),
+    detectors=("a", "b"),
+    target=SrvTarget(parties=("a", "b"), ranks=(2, 2)),
+    max_elements=6,
+)
+
+
+def test_criterion_13s_pool_admits_the_reflection():
+    config = pol_config()
+    assert search_module._reflection(config) is not None
+    assert len(search_module._class_tables(config)) == 2 * len(admitted(config)) == 48
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pol_config(target=FidelityTarget(w_target(4))),
+        pol_config(target=FidelityTarget(StateVector.from_occupations({ModeLabel(p, 0): 1 for p in "abcd"}))),
+        MIXED_CONFIG,
+        pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1),))),
+    ],
+    # W and the product state move under the mirror; the five-kind pool's
+    # c = 3 sends crystal (0, 0) to (3, 3), and the one-way pool's c = 1
+    # sends (0, 1) to (1, 0), neither drawable.
+    ids=["w", "product", "mixed", "one-way-mode-pair"],
+)
+def test_a_moved_target_or_an_undrawable_image_refuses_the_reflection(config):
+    assert search_module._reflection(config) is None
+    assert len(search_module._class_tables(config)) == len(admitted(config))
+
+
+def test_a_pool_above_the_path_cap_refuses_the_reflection(monkeypatch):
+    config = pol_config(pool=replace(POL_POOL, paths=tuple("abcdefg")))
+    assert search_module._reflection(config) is None
+    monkeypatch.setattr(search_module, "_SYMMETRY_PATHS", 7)
+    assert search_module._reflection(config) is not None
+
+
+def moved(element, rename, mirror):
+    """``element`` with its paths renamed and each mode ``m`` sent to ``mirror(m)``,
+    as a value that ignores a crystal's output order and a mode list's order."""
+    if isinstance(element, Crystal):
+        labels = (element.out_a, element.out_b)
+        return "crystal", frozenset(ModeLabel(rename[label.path], mirror(label.mode)) for label in labels), element.g
+    if isinstance(element, MultimodeCrystal):
+        paths = frozenset((rename[element.path_a], rename[element.path_b]))
+        return "multimode", paths, tuple(sorted(map(mirror, element.modes))), element.g
+    if isinstance(element, ModeShifter):
+        return "shift", rename[element.path], mirror(element.delta) - mirror(0)
+    return renamed(element, rename)
+
+
+def class_symmetries(config):
+    """Each class table's path permutation and mode map, in ``_class_tables``' order."""
+    pairs = [(perm, lambda m: m, table) for perm, table in admitted(config)]
+    reflection = search_module._reflection(config)
+    if reflection is not None:
+        # The pools here that admit it draw crystals and no multimode crystals.
+        modes = [m for pair in config.pool.crystal_modes for m in pair]
+        c = min(modes) + max(modes)
+        pairs += [(perm, lambda m: c - m, tuple(reflection[index] for index in table)) for perm, _, table in pairs]
+    assert [table for _, _, table in pairs] == search_module._class_tables(config)
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.sampled_from([pol_config(), MIXED_CONFIG, SHIFT_CONFIG]),
+    seed=st.sampled_from([0, 777, 20240817]),
+    trial=st.integers(0, 20000),
+)
+@example(config=pol_config(), seed=20240817, trial=147)
+@example(config=SHIFT_CONFIG, seed=0, trial=136)  # a hit with a shifter
+def test_every_class_table_keeps_score_screen_and_drawability(config, seed, trial):
+    pool, target = config.pool, config.target
+    key = next(search_module._keys(replace(config, seed=seed), trial, trial + 1))
+    setup = search_module._build(key, config, {})
+    score = evaluate(setup, target)
+    verdict = clicks(setup, target)
+    same = {path: path for path in pool.paths}
+    symmetries = class_symmetries(config)
+    tables = [table for _, _, table in symmetries]
+    assert search_module._canonicaliser(tables)(key) == min(tuple(table[index] for index in key) for table in tables)
+    for perm, mirror, table in symmetries:
+        image = tuple(table[index] for index in key)
+        assert all(is_drawable(index, pool) for index in image)
+        # The image is the setup with its paths renamed and its modes mirrored.
+        rename = dict(zip(pool.paths, (pool.paths[j] for j in perm)))
+        image_setup = search_module._build(image, config, {})
+        assert [moved(e, rename, mirror) for e in setup.elements] == [renamed(e, same) for e in image_setup.elements]
+        assert evaluate(image_setup, target) == pytest.approx(score, abs=1e-9)
+        assert clicks(image_setup, target) == verdict
+
+
+@pytest.mark.parametrize("config", [pol_config(), replace(SHIFT_CONFIG, budget=3000)], ids=["ghz4", "shift"])
+def test_the_reflection_only_merges_classes(monkeypatch, config):
+    timing = ("draw_s", "score_s", "trials_per_s")
+    runs = []
+    for reflection in (search_module._reflection, lambda _: None):
+        monkeypatch.setattr(search_module, "_reflection", reflection)
+        hits, stats = search_with_stats(config)
+        record = {name: value for name, value in stats.record().items() if name not in timing}
+        runs.append((as_tuples(hits), record))
+    (mirrored_hits, mirrored), (plain_hits, plain) = runs
+    assert mirrored_hits and mirrored_hits == plain_hits
+    assert mirrored.pop("classes") < plain.pop("classes")
+    assert mirrored == plain
 
 
 def test_parallel_stats_are_the_serial_stats():
