@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import subprocess
@@ -896,6 +897,94 @@ def test_every_class_table_keeps_score_screen_and_drawability(config, seed, tria
         assert [moved(e, rename, mirror) for e in setup.elements] == [renamed(e, same) for e in image_setup.elements]
         assert evaluate(image_setup, target) == pytest.approx(score, abs=1e-9)
         assert clicks(image_setup, target) == verdict
+
+
+PRODUCT = StateVector.from_occupations({ModeLabel(p, mode): 1 for p, mode in zip("abcd", (0, 0, 1, 1))})
+PRODUCT_0 = StateVector.from_occupations({ModeLabel(p, 0): 1 for p in "abcd"})
+SIX_PATHS = tuple("tabcde")
+SIX_PATH_RANKS = SearchConfig(
+    pool=ElementPool(paths=SIX_PATHS, kinds=("crystal", "multimode", "shift", "phase", "relabel")),
+    detectors=SIX_PATHS,
+    target=SrvTarget(parties=SIX_PATHS, ranks=(2,) * 6),
+)
+
+# Each pool's class tables restricted to its drawable indices (an undrawable
+# index names no element, so no table's entry there means anything): the
+# table count and a sha256 of the sorted distinct tables, captured from the
+# index-arithmetic tables that the conjugation rule replaced.
+PINNED_TABLES = {
+    "ghz": (
+        pol_config(),
+        48,
+        "af17cc58d13dc3adc319c42703f9528bd9a323b2e784f07bfbb71142e257d6f0",
+    ),
+    "w": (
+        pol_config(target=FidelityTarget(w_target(4))),
+        24,
+        "4ecd7546e8c1f6978eb8ec30c8ab9effd0a54ee3abb8e56542a0a6783d5bc5b5",
+    ),
+    "product": (
+        pol_config(target=FidelityTarget(PRODUCT)),
+        4,
+        "9292a127f486060f6b71364fd887cb5c4020dc30ca7e859795baec02d2ee30ac",
+    ),
+    "product-in-mode-0": (
+        pol_config(target=FidelityTarget(PRODUCT_0)),
+        24,
+        "4ecd7546e8c1f6978eb8ec30c8ab9effd0a54ee3abb8e56542a0a6783d5bc5b5",
+    ),
+    "one-way-mode-pair": (
+        pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1),))),
+        1,
+        "0cb11e61a2ac81a08de39d16da02b0b432ea91456c23ce9fc138e97456f3170e",
+    ),
+    "both-ways-mode-pairs": (
+        pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1), (1, 0)))),
+        48,
+        "2c1e06dab38a048c67044c268124c3e5bfcb459326948d94f8be5d1ca6c4d892",
+    ),
+    "mixed": (
+        MIXED_CONFIG,
+        2,
+        "e99535e9db3f76cda3503337caec052bd1d8f93735eb03d5b56f1c0e1faffc46",
+    ),
+    "shift": (
+        SHIFT_CONFIG,
+        8,
+        "def87910f28397f2a8d95142a2b1c95cb9d119714db669ac9395efd37ac36dec",
+    ),
+    "above-the-path-cap": (
+        pol_config(pool=replace(POL_POOL, paths=tuple("abcdefg"))),
+        1,
+        "8ca283cd7c54b409b4698f891a765f1b5c201ae782d4c81ff6038f2903041026",
+    ),
+    "six-path-five-kind-ranks": (
+        SIX_PATH_RANKS,
+        720,
+        "87512cbcdf57dcd8436196ba59d01b916fa648b37a7618bf7f0e3a14437d21aa",
+    ),
+    "six-path-crystal-ranks": (
+        replace(SIX_PATH_RANKS, pool=ElementPool(paths=SIX_PATHS)),
+        1440,
+        "24ca0b1c6fff7de518cc3aa5bd30a0b116b820073b9cb393c75d8cdc6b0e598a",
+    ),
+}
+
+
+def table_digest(config):
+    pool = config.pool
+    n, relabel = len(pool.paths), search_module._blocks(pool)[-1]
+    drawable = [index for index in range(relabel + n * n) if is_drawable(index, pool)]
+    tables = search_module._class_tables(config)
+    restricted = sorted({tuple(table[index] for index in drawable) for table in tables})
+    text = "\n".join(",".join(map(str, table)) for table in restricted)
+    return len(tables), hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_class_tables_are_pinned(name):
+    config, count, digest = PINNED_TABLES[name]
+    assert table_digest(config) == (count, digest)
 
 
 @pytest.mark.parametrize("config", [pol_config(), replace(SHIFT_CONFIG, budget=3000)], ids=["ghz4", "shift"])
