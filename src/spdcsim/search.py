@@ -10,14 +10,15 @@ without ``numpy.random``.
 
 A trial's draw is a compact key, one small int per element.  Each span
 of trials scores each distinct key once and each symmetry class of keys
-once (``_run_span``): a class is the keys that path permutations, and
-the mode reflection ``m -> c - m`` where the pool and target admit it,
-map onto each other (``_class_tables``).  A new class is screened on its
-key first: the modes its elements let photons reach, folded from each
-drawn index's cached reach step (``elements.mode_reach``), tell whether
-it can produce a coincidence at all (``_can_click``).  A class that
-cannot scores 0 with no experiment or key layout built; one that can is
-built, and its reach becomes its key layout (``evaluate``).
+once (``_run_span``): a class is the keys that the admitted label maps,
+path permutations and the mode mirror ``m -> c - m``, map onto each
+other by conjugating each element (``_class_tables``).  A new class is
+screened on its key first: the modes its elements let photons reach,
+folded from each drawn index's cached reach step
+(``elements.mode_reach``), tell whether it can produce a coincidence at
+all (``_can_click``).  A class that cannot scores 0 with no experiment
+or key layout built; one that can is built, and its reach becomes its
+key layout (``evaluate``).
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class ElementPool:
             raise ValueError("need at least one element kind")
         if "crystal" in self.kinds and not self.crystal_modes:
             raise ValueError("kind 'crystal' needs at least one crystal mode pair")
+        for pair in self.crystal_modes:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(mode, int) for mode in pair)):
+                raise ValueError(f"crystal mode pair {pair!r} is not a pair of ints")
         if len(self.paths) < 2:
             raise ValueError("need at least two paths")
         for name in ("paths", "kinds", "crystal_modes"):
@@ -144,8 +148,7 @@ class SearchStats:
 
     ``evaluated`` counts the distinct setups drawn; every other trial is
     a cache hit.  ``classes`` counts their symmetry classes (under the
-    admitted path permutations and, if admitted, the mode reflection),
-    each screened once and, if it passes, scored by one ``evaluate`` call
+    admitted label maps, ``_class_tables``), each screened once and, if it passes, scored by one ``evaluate`` call
     (plus one per hit outside its class's first key).  ``screened``
     counts the setups whose class the screen scored 0 on its drawn key,
     unbuilt (``_can_click``).  ``histogram`` bins the setups'
@@ -511,146 +514,141 @@ def _accepts(target: Target, score: float, slack: float = 0.0) -> bool:
     return score == 1.0
 
 
-# A path permutation ``perm`` sends pool path ``i`` to ``perm[i]``.  It
+# A label map renames paths (``rename``) and maps modes (``mirror``).  It
 # keeps a setup's score when it keeps the detector set and the target: a
-# fidelity target's state up to a global phase, or each party's rank.
-# ``_image_tables`` drops those that turn a drawable element undrawable.
-# The mode reflection (``_reflection``) keeps paths and mirrors modes; it
-# commutes with every permutation, so the class tables are the admitted
-# permutations' and, if it holds, each of them followed by it.
+# fidelity target's state up to a global phase, or each party's rank.  A
+# mode bijection alone is a local unitary on every party, so it keeps any
+# rank target.  A label map acts on drawn elements by conjugation
+# (``_conjugate``), so the symmetry code reads elements through
+# ``_element`` and knows nothing of the index layout.  A key's class is its
+# least image under the admitted maps (``_conjugator``, ``_class_tables``).
 
 #: Pools with more paths than this search without symmetry: six paths
 #: have 720 permutations to check, eight already 40,320.
 _SYMMETRY_PATHS = 6
 
 
-def _symmetries(config: SearchConfig) -> list[tuple[int, ...]]:
-    """The path permutations that keep the detectors and the target, identity first."""
-    paths = config.pool.paths
-    n = len(paths)
-    identity = tuple(range(n))
-    if n > _SYMMETRY_PATHS:
-        return [identity]
-    target = config.target
-    rank = dict(zip(target.parties, target.ranks)) if isinstance(target, SrvTarget) else {}
-    groups: dict[tuple, list[int]] = {}
-    for i, path in enumerate(paths):
-        groups.setdefault((path in config.detectors, rank.get(path)), []).append(i)
-    blocks = list(groups.values())
-    order = list(itertools.chain(*blocks))
-    images = itertools.product(*map(itertools.permutations, blocks))
-    perms = [tuple(j for _, j in sorted(zip(order, itertools.chain(*image)))) for image in images]
-    if isinstance(target, FidelityTarget):
-        unit = target.state.normalized()
-        kept = [identity]
-        for perm in perms[1:]:
-            rename = dict(zip(paths, (paths[j] for j in perm)))
-            if _fixes(unit, lambda label: ModeLabel(rename[label.path], label.mode)):
-                kept.append(perm)
-        perms = kept
-    return perms
-
-
-def _fixes(unit: StateVector, move: Callable[[ModeLabel], ModeLabel]) -> bool:
-    """Whether moving each label by ``move`` maps the unit state ``unit`` to itself up to a global phase."""
+def _fixes(unit: StateVector, rename: dict[str, str], mirror: Callable[[int], int]) -> bool:
+    """Whether the label map maps the unit state ``unit`` to itself up to a global phase."""
     terms = unit.terms
     overlap = 0j
     for occ, amp in terms.items():
-        moved = tuple(sorted((move(label), count) for label, count in occ))
+        moved = tuple(sorted((ModeLabel(rename[label.path], mirror(label.mode)), count) for label, count in occ))
         overlap += terms.get(moved, 0j).conjugate() * amp
     return abs(overlap) >= 1.0 - 1e-12
 
 
-def _image_tables(pool: ElementPool, perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Each permutation's image of every element index, by index arithmetic.
+def _kind_paths(element: Element) -> tuple[str, tuple[str, ...]]:
+    """``element``'s kind, as ``ElementPool.kinds`` names it, and the paths it names."""
+    if isinstance(element, Crystal):
+        return "crystal", (element.out_a.path, element.out_b.path)
+    if isinstance(element, MultimodeCrystal):
+        return "multimode", (element.path_a, element.path_b)
+    if isinstance(element, ModeShifter):
+        return "shift", (element.path,)
+    if isinstance(element, PhaseShifter):
+        return "phase", (element.path,)
+    return "relabel", (element.source, element.target)
 
-    ``_element`` gives a crystal's mode pair to its paths in name order,
-    so the pair swaps when a permutation reverses the paths' name order.
-    A permutation that would need a swapped pair the pool cannot draw is
-    dropped, unless the pool draws no crystals.
+
+def _conjugate(element: Element, rename: dict[str, str], mirror: Callable[[int], int]) -> Element:
+    """``element`` under a label map, in the form ``_element`` gives it.
+
+    Paths are renamed and modes mapped; a crystal's paths are sorted by
+    name and a multimode crystal's mode list sorted.  A shift by ``d``
+    becomes one by ``mirror(d) - mirror(0)``, its conjugate under an affine
+    mode map; phases and relabels keep their values.
     """
-    paths = pool.paths
-    n, multimode, shift, phase, relabel = _blocks(pool)
-    modes, lists = len(pool.crystal_modes), len(MULTIMODE_LISTS)
-    mode_index = {pair: m for m, pair in enumerate(pool.crystal_modes)}
-    swapped = [mode_index.get((b, a)) for a, b in pool.crystal_modes]
-    crystal = "crystal" in pool.kinds
-    tables = []
-    for perm in perms:
-        image = list(range(relabel + n * n))
-        for i, j in itertools.combinations(range(n), 2):
-            a, b = perm[i], perm[j]
-            pair = a * n + b if a < b else b * n + a
-            if crystal:
-                flip = (paths[i] < paths[j]) != (paths[a] < paths[b])
-                if flip and None in swapped:
-                    break
-                for m in range(modes):
-                    image[(i * n + j) * modes + m] = pair * modes + (swapped[m] if flip else m)
-            for m in range(lists):
-                image[multimode + (i * n + j) * lists + m] = multimode + pair * lists + m
-        else:
-            for i, j in enumerate(perm):
-                for base, radix in ((shift, len(SHIFT_DELTAS)), (phase, len(PHASE_VALUES))):
-                    for m in range(radix):
-                        image[base + i * radix + m] = base + j * radix + m
-                for k in range(n):
-                    image[relabel + i * n + k] = relabel + j * n + perm[k]
-            tables.append(tuple(image))
-    return tables
+    if isinstance(element, Crystal):
+        a, b = sorted(ModeLabel(rename[label.path], mirror(label.mode)) for label in (element.out_a, element.out_b))
+        return Crystal(a, b, g=element.g)
+    if isinstance(element, MultimodeCrystal):
+        a, b = sorted((rename[element.path_a], rename[element.path_b]))
+        return MultimodeCrystal(a, b, modes=tuple(sorted(map(mirror, element.modes))), g=element.g)
+    if isinstance(element, ModeShifter):
+        return ModeShifter(rename[element.path], mirror(element.delta) - mirror(0))
+    if isinstance(element, PhaseShifter):
+        return PhaseShifter(rename[element.path], element.phi)
+    return Relabel(rename[element.source], rename[element.target])
 
 
-def _reflection(config: SearchConfig) -> tuple[int, ...] | None:
-    """The image of every element index under the mode reflection, or None.
+def _conjugator(config: SearchConfig) -> Callable[[dict[str, str], Callable[[int], int]], tuple[int, ...] | None]:
+    """A function from a label map to its image table, or None when
+    ``config`` does not admit the map: when it changes a path's role
+    (detected or not, and its rank as a party), moves a fidelity target's
+    state beyond a global phase, or sends a drawable element to an
+    undrawable one.
 
-    The reflection sends each label's mode ``m`` to ``c - m``, ``c`` the
-    least plus the greatest mode the pool's sources name: a crystal's
-    mode pair and a multimode crystal's mode list are reflected, a
-    shift's delta negated, and phases and relabels kept.  It is None
-    above ``_SYMMETRY_PATHS`` paths, when the pool draws no source, when
-    a drawable element's image is not drawable, or when it moves a
-    fidelity target's state; a rank target keeps each party's ranks.
+    The table gives each drawable element's index the index of the
+    element's image (``_conjugate``), and every other index itself.  An
+    image depends on the map only through the mode map and the images of
+    the element's own paths, so it is memoised on those: pass one
+    function object for one mode map.
     """
-    pool = config.pool
-    n, multimode, shift, phase, relabel = _blocks(pool)
-    modes = []
-    if "crystal" in pool.kinds:
-        modes += itertools.chain(*pool.crystal_modes)
-    if "multimode" in pool.kinds:
-        modes += itertools.chain(*MULTIMODE_LISTS)
-    if n > _SYMMETRY_PATHS or not modes:
-        return None
-    c = min(modes) + max(modes)
-    target = config.target
-    if isinstance(target, FidelityTarget) and not _fixes(target.state.normalized(), lambda label: ModeLabel(label.path, c - label.mode)):
-        return None
-    image = list(range(relabel + n * n))
-    blocks = (
-        ("crystal", 0, multimode, pool.crystal_modes, lambda pair: tuple(c - m for m in pair)),
-        ("multimode", multimode, shift, MULTIMODE_LISTS, lambda listed: tuple(sorted(c - m for m in listed))),
-        ("shift", shift, phase, SHIFT_DELTAS, lambda delta: -delta),
-    )
-    for kind, start, stop, values, reflect in blocks:
-        if kind not in pool.kinds:
-            continue
-        position = {value: k for k, value in enumerate(values)}
-        moved = [position.get(reflect(value)) for value in values]
-        if None in moved:
+    pool, target = config.pool, config.target
+    rank = dict(zip(target.parties, target.ranks)) if isinstance(target, SrvTarget) else {}
+    role = {path: (path in config.detectors, rank.get(path)) for path in pool.paths}
+    unit = target.state.normalized() if isinstance(target, FidelityTarget) else None
+    size = _blocks(pool)[-1] + len(pool.paths) ** 2
+    # The draw gives each element of a kind the pool draws, on distinct
+    # paths, at the least index that names it.
+    index: dict[Element, int] = {}
+    entries = []
+    for i in range(size):
+        element = _element(i, pool)
+        kind, paths = _kind_paths(element)
+        if kind in pool.kinds and len(set(paths)) == len(paths) and element not in index:
+            index[element] = i
+            entries.append((element, i, paths))
+    images: dict[tuple, int | None] = {}
+
+    def image_table(rename: dict[str, str], mirror: Callable[[int], int]) -> tuple[int, ...] | None:
+        if any(role[rename[path]] != value for path, value in role.items()):
             return None
-        radix = len(values)
-        for index in range(start, stop):
-            image[index] += moved[(index - start) % radix] - (index - start) % radix
-    return tuple(image)
+        if unit is not None and not _fixes(unit, rename, mirror):
+            return None
+        image = list(range(size))
+        for element, i, paths in entries:
+            key = (mirror, i, *[rename[path] for path in paths])
+            if key not in images:
+                images[key] = index.get(_conjugate(element, rename, mirror))
+            if images[key] is None:
+                return None
+            image[i] = images[key]
+        return tuple(image)
+
+    return image_table
 
 
 def _class_tables(config: SearchConfig) -> list[tuple[int, ...]]:
-    """The element image tables whose least image of a key is its class:
-    each admitted path permutation's, then each of those followed by the
-    mode reflection when the search admits it."""
-    tables = _image_tables(config.pool, _symmetries(config))
-    reflection = _reflection(config)
-    if reflection is not None:
-        tables += [tuple(reflection[index] for index in table) for table in tables]
+    """The element image tables whose least image of a key is its class.
+
+    They are each admitted path permutation's (``_conjugator``), the
+    identity first, then each of those followed by the mirror ``m -> c -
+    m`` when the mirror alone is admitted, ``c`` the least plus the
+    greatest mode the pool's sources name; the mirror commutes with every
+    path permutation, so the tables form a group.  Above
+    ``_SYMMETRY_PATHS`` paths, only the identity's.
+    """
+    pool = config.pool
+    paths = pool.paths
+    image_table = _conjugator(config)
+
+    def keep(mode: int) -> int:
+        return mode
+
+    if len(paths) > _SYMMETRY_PATHS:
+        return [image_table(dict(zip(paths, paths)), keep)]
+    renames = (dict(zip(paths, image)) for image in itertools.permutations(paths))
+    tables = [table for rename in renames if (table := image_table(rename, keep)) is not None]
+    modes = list(itertools.chain(*pool.crystal_modes)) if "crystal" in pool.kinds else []
+    if "multimode" in pool.kinds:
+        modes += itertools.chain(*MULTIMODE_LISTS)
+    if modes:
+        c = min(modes) + max(modes)
+        mirrored = image_table(dict(zip(paths, paths)), lambda m: c - m)
+        if mirrored is not None:
+            tables += [tuple(map(mirrored.__getitem__, table)) for table in tables]
     return tables
 
 

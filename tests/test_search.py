@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -104,6 +105,11 @@ def test_pool_restriction_to_crystals_and_shifters():
         ({"paths": ("a", "b", "a", "d")}, "paths has duplicates"),
         ({"kinds": ("crystal", "shift", "crystal")}, "kinds has duplicates"),
         ({"crystal_modes": ((0, 0), (1, 1), (0, 0))}, "crystal_modes has duplicates"),
+        ({"crystal_modes": ((0,), (1, 1))}, "not a pair of ints"),
+        ({"crystal_modes": ((0, 1, 1),)}, "not a pair of ints"),
+        ({"crystal_modes": ((0, "x"), (1, 1))}, "not a pair of ints"),
+        ({"crystal_modes": ((0, 0.5),)}, "not a pair of ints"),
+        ({"kinds": ("shift",), "crystal_modes": (0, 1)}, "not a pair of ints"),
     ],
     ids=[
         "no-kinds",
@@ -112,13 +118,20 @@ def test_pool_restriction_to_crystals_and_shifters():
         "repeated-path",
         "repeated-kind",
         "repeated-mode-pair",
+        "one-mode",
+        "three-modes",
+        "str-mode",
+        "float-mode",
+        "bare-ints-without-crystals",
     ],
 )
 def test_a_pool_that_cannot_draw_its_setups_is_rejected(options, message):
     # Unchecked, an empty crystal block let index 0 fall into the multimode
     # block, empty kinds failed mid-search, a repeated path drew crystals
-    # from a path into itself, and a repeated kind or mode pair weighted
-    # its draws and changed the stream of an equal pool.
+    # from a path into itself, a repeated kind or mode pair weighted its
+    # draws and changed the stream of an equal pool, and a malformed mode
+    # pair failed while the search built its symmetry classes (in a worker
+    # when there were several).
     with pytest.raises(ValueError, match=message):
         ElementPool(**{"paths": ("a", "b", "c", "d"), **options})
 
@@ -673,13 +686,23 @@ def test_a_class_score_near_the_threshold_scores_each_own_key(monkeypatch, offse
 # -- symmetry classes --------------------------------------------------------
 
 
+def keep(mode):
+    return mode
+
+
+def renames(paths):
+    """Each permutation of ``paths`` (identity first) and the rename it makes."""
+    for perm in itertools.permutations(range(len(paths))):
+        yield perm, dict(zip(paths, (paths[j] for j in perm)))
+
+
 def admitted(config):
     """The permutations the search keeps, each with its element image table."""
-    pool = config.pool
+    image_table = search_module._conjugator(config)
     return [
-        (perm, tables[0])
-        for perm in search_module._symmetries(config)
-        if (tables := search_module._image_tables(pool, [perm]))
+        (perm, table)
+        for perm, rename in renames(config.pool.paths)
+        if (table := image_table(rename, keep)) is not None
     ]
 
 
@@ -711,7 +734,8 @@ def test_a_permutation_that_needs_an_undrawable_mode_pair_is_dropped():
     # the pool cannot draw the reversed pair (1, 0).
     one_way = pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1),)))
     both_ways = pol_config(pool=replace(POL_POOL, crystal_modes=((0, 1), (1, 0))))
-    assert len(search_module._symmetries(one_way)) == 24
+    unit = one_way.target.state.normalized()
+    assert sum(search_module._fixes(unit, rename, keep) for _, rename in renames(POL_POOL.paths)) == 24
     assert [perm for perm, _ in admitted(one_way)] == [(0, 1, 2, 3)]
     assert len(admitted(both_ways)) == 24
 
@@ -724,13 +748,15 @@ def test_a_pool_above_the_path_cap_searches_without_symmetry(monkeypatch):
     target = FidelityTarget(ghz_target(4, 2), threshold=0.5)
     config = pol_config(pool=replace(POL_POOL, paths=paths), target=target, budget=2000)
     assert len(paths) > search_module._SYMMETRY_PATHS
-    assert search_module._symmetries(config) == [tuple(range(7))]
+    [table] = search_module._class_tables(config)
+    assert table == tuple(range(len(table)))
     hits, stats = search_with_stats(config)
     assert stats.classes == stats.evaluated
     reference = uncached_hits(config)
     assert reference and as_tuples(hits) == reference
     monkeypatch.setattr(search_module, "_SYMMETRY_PATHS", 7)
-    assert len(search_module._symmetries(config)) == 144
+    assert len(admitted(config)) == 144
+    assert len(search_module._class_tables(config)) == 2 * 144
     hits, stats = search_with_stats(config)
     assert stats.classes < stats.evaluated
     assert as_tuples(hits) == reference
@@ -812,9 +838,24 @@ SHIFT_CONFIG = SearchConfig(
 )
 
 
+def mirror_of(pool):
+    """The mode mirror ``m -> c - m``, ``c`` the least plus the greatest mode the pool's sources name."""
+    modes = [m for pair in pool.crystal_modes for m in pair] if "crystal" in pool.kinds else []
+    if "multimode" in pool.kinds:
+        modes += [m for listed in search_module.MULTIMODE_LISTS for m in listed]
+    c = min(modes) + max(modes)
+    return lambda m: c - m
+
+
+def reflection(config):
+    """The mirror's image table, or None where the search refuses it."""
+    paths = config.pool.paths
+    return search_module._conjugator(config)(dict(zip(paths, paths)), mirror_of(config.pool))
+
+
 def test_criterion_13s_pool_admits_the_reflection():
     config = pol_config()
-    assert search_module._reflection(config) is not None
+    assert reflection(config) is not None
     assert len(search_module._class_tables(config)) == 2 * len(admitted(config)) == 48
 
 
@@ -832,15 +873,16 @@ def test_criterion_13s_pool_admits_the_reflection():
     ids=["w", "product", "mixed", "one-way-mode-pair"],
 )
 def test_a_moved_target_or_an_undrawable_image_refuses_the_reflection(config):
-    assert search_module._reflection(config) is None
+    assert reflection(config) is None
     assert len(search_module._class_tables(config)) == len(admitted(config))
 
 
 def test_a_pool_above_the_path_cap_refuses_the_reflection(monkeypatch):
     config = pol_config(pool=replace(POL_POOL, paths=tuple("abcdefg")))
-    assert search_module._reflection(config) is None
+    assert reflection(config) is not None
+    assert len(search_module._class_tables(config)) == 1
     monkeypatch.setattr(search_module, "_SYMMETRY_PATHS", 7)
-    assert search_module._reflection(config) is not None
+    assert len(search_module._class_tables(config)) == 2 * len(admitted(config))
 
 
 def moved(element, rename, mirror):
@@ -859,13 +901,11 @@ def moved(element, rename, mirror):
 
 def class_symmetries(config):
     """Each class table's path permutation and mode map, in ``_class_tables``' order."""
-    pairs = [(perm, lambda m: m, table) for perm, table in admitted(config)]
-    reflection = search_module._reflection(config)
-    if reflection is not None:
-        # The pools here that admit it draw crystals and no multimode crystals.
-        modes = [m for pair in config.pool.crystal_modes for m in pair]
-        c = min(modes) + max(modes)
-        pairs += [(perm, lambda m: c - m, tuple(reflection[index] for index in table)) for perm, _, table in pairs]
+    pairs = [(perm, keep, table) for perm, table in admitted(config)]
+    mirrored = reflection(config)
+    if mirrored is not None:
+        mirror = mirror_of(config.pool)
+        pairs += [(perm, mirror, tuple(mirrored[index] for index in table)) for perm, _, table in pairs]
     assert [table for _, _, table in pairs] == search_module._class_tables(config)
     return pairs
 
@@ -910,8 +950,9 @@ SIX_PATH_RANKS = SearchConfig(
 
 # Each pool's class tables restricted to its drawable indices (an undrawable
 # index names no element, so no table's entry there means anything): the
-# table count and a sha256 of the sorted distinct tables, captured from the
-# index-arithmetic tables that the conjugation rule replaced.
+# table count and a sha256 of the sorted distinct tables.  The digests were
+# taken from an index-arithmetic construction of the tables that shared no
+# code with the conjugation rule.
 PINNED_TABLES = {
     "ghz": (
         pol_config(),
@@ -953,6 +994,23 @@ PINNED_TABLES = {
         8,
         "def87910f28397f2a8d95142a2b1c95cb9d119714db669ac9395efd37ac36dec",
     ),
+    # The mirror m -> 2 - m swaps the two mode pairs; every permutation
+    # reverses some pair of paths, and neither mode pair reversed is drawable.
+    "mirrored-mode-pairs-ranks": (
+        SearchConfig(
+            pool=ElementPool(paths=tuple("abcd"), crystal_modes=((0, 1), (2, 1))),
+            detectors=tuple("abcd"),
+            target=SrvTarget(tuple("abcd"), (2, 2, 2, 2)),
+        ),
+        2,
+        "a19bbcd31b52759f813747e9d4be757ab350b4ad041c2ce8babd28bb9dd90588",
+    ),
+    # Swapping t and the undetected u keeps each party's rank, not the detectors.
+    "undetected-path-ranks": (
+        SearchConfig(pool=ElementPool(paths=tuple("tabu")), detectors=tuple("tab"), target=SrvTarget(("a", "b"), (2, 2))),
+        4,
+        "7d0182dc95fd0114b324d93c7deb47190a7ee6fea732f8e8b6e0ad474980d08c",
+    ),
     "above-the-path-cap": (
         pol_config(pool=replace(POL_POOL, paths=tuple("abcdefg"))),
         1,
@@ -991,8 +1049,8 @@ def test_class_tables_are_pinned(name):
 def test_the_reflection_only_merges_classes(monkeypatch, config):
     timing = ("draw_s", "score_s", "trials_per_s")
     runs = []
-    for reflection in (search_module._reflection, lambda _: None):
-        monkeypatch.setattr(search_module, "_reflection", reflection)
+    for class_tables in (search_module._class_tables, lambda config: [table for _, table in admitted(config)]):
+        monkeypatch.setattr(search_module, "_class_tables", class_tables)
         hits, stats = search_with_stats(config)
         record = {name: value for name, value in stats.record().items() if name not in timing}
         runs.append((as_tuples(hits), record))
