@@ -227,16 +227,16 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
 
 def _path_names(option: str, text: str) -> tuple[str, ...]:
     """The comma-separated path names of ``option``; exit 2 naming it for
-    an empty or a repeated name, or one that a hit file could not write
-    (the experiment language splits on whitespace, ``:`` and ``#``)."""
+    a repeated name, or one that a hit file could not write
+    (``dsl.path_name``)."""
     names = tuple(text.split(","))
     for i, name in enumerate(names):
-        if not name:
-            raise SystemExit(_usage_error(f"bad {option} {text!r}: empty path name"))
+        try:
+            dsl.path_name(name)
+        except ValueError as exc:
+            raise SystemExit(_usage_error(f"bad {option} {text!r}: {exc}"))
         if name in names[:i]:
             raise SystemExit(_usage_error(f"bad {option} {text!r}: {name!r} appears twice"))
-        if any(c.isspace() or c in ":#" for c in name):
-            raise SystemExit(_usage_error(f"bad {option} {text!r}: {name!r} holds whitespace, ':' or '#'"))
     return names
 
 

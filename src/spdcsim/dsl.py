@@ -297,13 +297,27 @@ def parse(text: str) -> Experiment:
     )
 
 
+def path_name(path: str) -> str:
+    """``path``, if the language can write it as a path name.
+
+    Raises ``ValueError`` naming it when it is empty or holds whitespace,
+    ``:`` or ``#``: the parser splits on those, so the text would parse
+    to other paths or not at all.
+    """
+    if not path:
+        raise ValueError(f"path name {path!r} is empty")
+    if any(c.isspace() or c in ":#" for c in path):
+        raise ValueError(f"path name {path!r} holds whitespace, ':' or '#'")
+    return path
+
+
 def serialize(exp: Experiment) -> str:
     """Canonical text for an experiment; parsing it back is the identity.
 
     Raises ``ValueError`` naming the field when the experiment sets one
     the language cannot express (an explicit misalignment ``loss`` path,
-    ``creation_only``), rather than writing text that parses to a
-    different experiment.
+    ``creation_only``, a path :func:`path_name` rejects), rather than
+    writing text that parses to a different experiment.
     """
     if exp.creation_only:
         raise ValueError("cannot serialize creation_only=True: the language has no statement for it")
@@ -312,33 +326,33 @@ def serialize(exp: Experiment) -> str:
         lines.append(f"order {exp.expansion_order}")
     if exp.max_pairs is not None:
         lines.append(f"pairs {exp.max_pairs}")
-    lines.append("detectors " + " ".join(exp.detectors))
+    lines.append("detectors " + " ".join(map(path_name, exp.detectors)))
     for element in exp.elements:
         if isinstance(element, Misalignment) and element.loss is not None:
             raise ValueError(f"cannot serialize the loss field of {element!r}")
         if isinstance(element, Crystal):
             line = (
-                f"crystal {element.out_a.path}:{element.out_a.mode}"
-                f" {element.out_b.path}:{element.out_b.mode}"
+                f"crystal {path_name(element.out_a.path)}:{element.out_a.mode}"
+                f" {path_name(element.out_b.path)}:{element.out_b.mode}"
             )
             if element.g != 0.1:
                 line += f" g={element.g!r}"
             lines.append(line)
         elif isinstance(element, MultimodeCrystal):
             line = (
-                f"crystal {element.path_a}:0 {element.path_b}:0"
+                f"crystal {path_name(element.path_a)}:0 {path_name(element.path_b)}:0"
                 f" g={element.g!r}"
                 f" modes={','.join(str(m) for m in element.modes)}"
             )
             lines.append(line)
         elif isinstance(element, ModeShifter):
-            lines.append(f"shift {element.path} {element.delta}")
+            lines.append(f"shift {path_name(element.path)} {element.delta}")
         elif isinstance(element, PhaseShifter):
-            lines.append(f"phase {element.path} {element.phi!r}")
+            lines.append(f"phase {path_name(element.path)} {element.phi!r}")
         elif isinstance(element, Misalignment):
-            lines.append(f"misalign {element.path} T={element.transmissivity!r}")
+            lines.append(f"misalign {path_name(element.path)} T={element.transmissivity!r}")
         elif isinstance(element, Relabel):
-            lines.append(f"relabel {element.source} {element.target}")
+            lines.append(f"relabel {path_name(element.source)} {path_name(element.target)}")
         else:
             raise TypeError(f"cannot serialize {element!r}")
     return "\n".join(lines) + "\n"

@@ -40,10 +40,7 @@ class Experiment:
     creation_only: bool = False
 
     def __post_init__(self):
-        _check_distinct(self.detectors)
-        for path in self.detectors:
-            if path.startswith(LOSS_PREFIX):
-                raise ValueError(f"detector on loss path {path!r}")
+        _check_detectors(self.detectors)
         if self.expansion_order < 1:
             raise ValueError("expansion_order must be >= 1")
         if self.max_pairs is not None and self.max_pairs < 0:
@@ -166,8 +163,9 @@ def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], b
     ``key % mask``, loss paths included) and none of the detector blocks
     empty.  The n photons then sit one in each detector and none
     elsewhere.  A detector without a block can hold no photon, and no key
-    passes.  Repeated detectors raise ``ValueError``."""
-    _check_distinct(detectors)
+    passes.  Repeated detectors, or one on a loss path, raise
+    ``ValueError``."""
+    _check_detectors(detectors)
     n = len(detectors)
     mask = layout.mask
     blocks = [layout.block_bits((path,)) for path in detectors]
@@ -190,7 +188,8 @@ def post_select_keys(
 
     Equals ``post_select(run(exp), exp.detectors)`` bit for bit: the
     terms are kept in the same order and normalized and summed with the
-    same arithmetic.  Repeated detectors raise ``ValueError``.
+    same arithmetic.  Repeated detectors, or one on a loss path, raise
+    ``ValueError``.
 
     The kept terms are few, so they are decoded field by field
     (``KeyLayout.decode_fields``): the block memo of ``KeyLayout.decode``
@@ -239,9 +238,9 @@ def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionRe
     then each entry holds one photon, on its own detector.  The terms
     kept, their order and the result are those of
     ``post_select_pattern(state, {p: 1 for p in detectors})``.  Repeated
-    detectors raise ``ValueError``.
+    detectors, or one on a loss path, raise ``ValueError``.
     """
-    _check_distinct(detectors)
+    _check_detectors(detectors)
     n = len(detectors)
     paths = set(detectors)
     return _selection(
@@ -253,9 +252,13 @@ def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionRe
     )
 
 
-def _check_distinct(detectors: Sequence[str]) -> None:
+def _check_detectors(detectors: Sequence[str]) -> None:
+    """Raise ``ValueError`` for repeated detectors or one on a loss path."""
     if len(set(detectors)) != len(detectors):
         raise ValueError("detectors must be distinct")
+    for path in detectors:
+        if path.startswith(LOSS_PREFIX):
+            raise ValueError(f"detector on loss path {path!r}")
 
 
 def success_fraction(full: StateVector, selected: PostSelectionResult, n: int) -> float:

@@ -8,13 +8,15 @@ for bit however trials are spread over workers.  A chunk of trials draws
 at once in numpy, numpy's draws one for one (``_Words``, ``_draw_keys``),
 without ``numpy.random``.
 
-A trial's draw is a compact key, one small int per element.  Each span
-of trials scores each distinct key once and each symmetry class of keys
-once (``_run_span``): a class is the keys that the admitted label maps,
-path permutations and the mode mirror ``m -> c - m``, map onto each
-other by conjugating each element (``_class_tables``).  A new class is
-screened on its key first: the modes its elements let photons reach,
-folded from each drawn index's cached reach step
+A trial's draw is a compact key, one small int per element, naming
+entries of one element table per span (``_element_table``).  A span of
+trials works a chunk at a time (``_run_span``): it draws the chunk's
+keys, scores each new distinct key once and each symmetry class of keys
+once, then collects the chunk's hits.  A class is the keys that the
+admitted label maps, path permutations and the mode mirror ``m -> c -
+m``, map onto each other by conjugating each element (``_class_tables``).
+A new class is screened on its key first: the modes its elements let
+photons reach, folded from the table's reach steps
 (``elements.mode_reach``), tell whether it can produce a coincidence at
 all (``_can_click``).  A class that cannot scores 0 with no experiment
 or key layout built; one that can is built, and its reach becomes its
@@ -36,7 +38,7 @@ import numpy as np
 from .analysis import fidelity, schmidt_rank_vector
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import mode_reach, reach_step, resolve_loss_paths
-from .experiment import Experiment, _check_distinct, compile_run, post_select_keys, run_keys
+from .experiment import Experiment, _check_detectors, compile_run, post_select_keys, run_keys
 from .fock import ModeLabel, StateVector
 
 #: Mode lists a multimode crystal may draw.
@@ -124,8 +126,8 @@ class SearchConfig:
             raise ValueError("max_elements must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        # Each would make every trial score 0.
-        _check_distinct(self.detectors)
+        # Each would make every trial score 0 or fail at the first built one.
+        _check_detectors(self.detectors)
         detectors, target = set(self.detectors), self.target
         if not detectors <= set(self.pool.paths):
             raise ValueError("detectors must be pool paths")
@@ -148,13 +150,15 @@ class SearchStats:
 
     ``evaluated`` counts the distinct setups drawn; every other trial is
     a cache hit.  ``classes`` counts their symmetry classes (under the
-    admitted label maps, ``_class_tables``), each screened once and, if it passes, scored by one ``evaluate`` call
-    (plus one per hit outside its class's first key).  ``screened``
-    counts the setups whose class the screen scored 0 on its drawn key,
-    unbuilt (``_can_click``).  ``histogram`` bins the setups'
-    scores (their class's, or their own if scored themselves) in tenths
-    for a fidelity target, or as 0 and 1 for a rank target.  ``draw_s``
-    and ``score_s`` add up the workers' times; ``wall_s`` is elapsed.
+    admitted label maps, ``_class_tables``), each screened once and, if
+    it passes, scored by one ``evaluate`` call (plus one per hit outside
+    its class's first key).  ``screened`` counts the setups whose class
+    the screen scored 0 on its drawn key, unbuilt (``_can_click``).
+    ``histogram`` bins the setups' scores (their class's, or their own if
+    scored themselves) in tenths for a fidelity target, or as 0 and 1
+    for a rank target.  ``draw_s`` is each chunk's seeding and draw,
+    ``score_s`` its scoring and hits; both add up the workers' times.
+    ``wall_s`` is elapsed.
     """
 
     trials: int
@@ -402,11 +406,6 @@ def _chunks(seed: int, start: int, stop: int) -> Iterator[_Words]:
         start = end
 
 
-def _keys(config: SearchConfig, start: int, stop: int) -> Iterator[tuple[int, ...]]:
-    for words in _chunks(config.seed, start, stop):
-        yield from _draw_keys(config, words)
-
-
 def _element(index: int, pool: ElementPool) -> Element:
     """The element a drawn index names; crystal paths sorted by name."""
     paths = pool.paths
@@ -430,28 +429,29 @@ def _element(index: int, pool: ElementPool) -> Element:
     return Crystal(ModeLabel(a, mode_a), ModeLabel(b, mode_b), g=COUPLING)
 
 
-def _entries(key: tuple[int, ...], pool: ElementPool, table: dict) -> list[tuple[Element, tuple]]:
-    """The element and reach step (``elements.reach_step``) each index of
-    ``key`` names, memoised in ``table``."""
-    entries = []
-    for index in key:
-        entry = table.get(index)
-        if entry is None:
-            element = _element(index, pool)
-            entry = table[index] = (element, reach_step(element))
-        entries.append(entry)
-    return entries
+def _element_table(pool: ElementPool) -> dict[int, tuple[Element, tuple]]:
+    """Each index the draw can give, to its element and ``elements.reach_step``:
+    the least index naming each element of a pool kind on distinct paths."""
+    table: dict[int, tuple[Element, tuple]] = {}
+    seen: set[Element] = set()
+    for index in range(_blocks(pool)[-1] + len(pool.paths) ** 2):
+        element = _element(index, pool)
+        kind, paths = _kind_paths(element)
+        if kind in pool.kinds and len(set(paths)) == len(paths) and element not in seen:
+            seen.add(element)
+            table[index] = (element, reach_step(element))
+    return table
 
 
-def _build(key: tuple[int, ...], config: SearchConfig, table: dict) -> Experiment:
-    """The experiment a key names, its elements shared through ``table``."""
-    elements = tuple(element for element, _ in _entries(key, config.pool, table))
-    return Experiment(elements=elements, detectors=config.detectors)
+def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, tuple[Element, tuple]]) -> Experiment:
+    """The experiment a key names, its elements shared through the element table."""
+    return Experiment(elements=tuple(table[index][0] for index in key), detectors=config.detectors)
 
 
 def random_setup(config: SearchConfig, trial: int) -> Experiment:
     """The setup that trial ``trial`` of the search ``config`` draws."""
-    return _build(next(_keys(config, trial, trial + 1)), config, {})
+    key = _draw_keys(config, _Words(config.seed, trial, trial + 1))[0]
+    return Experiment(elements=tuple(_element(index, config.pool) for index in key), detectors=config.detectors)
 
 
 def evaluate(exp: Experiment, target: Target, reach: dict[str, set[int]] | None = None) -> float:
@@ -572,34 +572,28 @@ def _conjugate(element: Element, rename: dict[str, str], mirror: Callable[[int],
     return Relabel(rename[element.source], rename[element.target])
 
 
-def _conjugator(config: SearchConfig) -> Callable[[dict[str, str], Callable[[int], int]], tuple[int, ...] | None]:
+def _conjugator(
+    config: SearchConfig, table: dict[int, tuple[Element, tuple]]
+) -> Callable[[dict[str, str], Callable[[int], int]], tuple[int, ...] | None]:
     """A function from a label map to its image table, or None when
     ``config`` does not admit the map: when it changes a path's role
     (detected or not, and its rank as a party), moves a fidelity target's
     state beyond a global phase, or sends a drawable element to an
     undrawable one.
 
-    The table gives each drawable element's index the index of the
-    element's image (``_conjugate``), and every other index itself.  An
-    image depends on the map only through the mode map and the images of
-    the element's own paths, so it is memoised on those: pass one
-    function object for one mode map.
+    The image table gives each index of ``table`` (``_element_table``) the
+    index of its element's image (``_conjugate``), and each undrawable
+    index below them itself.  An image depends on the map only through the
+    mode map and the images of the element's own paths, so it is memoised
+    on those: pass one function object for one mode map.
     """
     pool, target = config.pool, config.target
     rank = dict(zip(target.parties, target.ranks)) if isinstance(target, SrvTarget) else {}
     role = {path: (path in config.detectors, rank.get(path)) for path in pool.paths}
     unit = target.state.normalized() if isinstance(target, FidelityTarget) else None
-    size = _blocks(pool)[-1] + len(pool.paths) ** 2
-    # The draw gives each element of a kind the pool draws, on distinct
-    # paths, at the least index that names it.
-    index: dict[Element, int] = {}
-    entries = []
-    for i in range(size):
-        element = _element(i, pool)
-        kind, paths = _kind_paths(element)
-        if kind in pool.kinds and len(set(paths)) == len(paths) and element not in index:
-            index[element] = i
-            entries.append((element, i, paths))
+    size = max(table) + 1
+    index = {element: i for i, (element, _) in table.items()}
+    entries = [(element, i, _kind_paths(element)[1]) for i, (element, _) in table.items()]
     images: dict[tuple, int | None] = {}
 
     def image_table(rename: dict[str, str], mirror: Callable[[int], int]) -> tuple[int, ...] | None:
@@ -620,8 +614,9 @@ def _conjugator(config: SearchConfig) -> Callable[[dict[str, str], Callable[[int
     return image_table
 
 
-def _class_tables(config: SearchConfig) -> list[tuple[int, ...]]:
-    """The element image tables whose least image of a key is its class.
+def _class_tables(config: SearchConfig, table: dict[int, tuple[Element, tuple]]) -> list[tuple[int, ...]]:
+    """The image tables over the element table ``table`` whose least image
+    of a key is its class.
 
     They are each admitted path permutation's (``_conjugator``), the
     identity first, then each of those followed by the mirror ``m -> c -
@@ -632,7 +627,7 @@ def _class_tables(config: SearchConfig) -> list[tuple[int, ...]]:
     """
     pool = config.pool
     paths = pool.paths
-    image_table = _conjugator(config)
+    image_table = _conjugator(config, table)
 
     def keep(mode: int) -> int:
         return mode
@@ -690,43 +685,44 @@ def _canonicaliser(tables: list[tuple[int, ...]]):
 
 
 def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchHit], dict, set, dict, float, float]:
-    """Trials ``start`` to ``stop``, each symmetry class (``_class_tables``)
-    scored once.
+    """Trials ``start`` to ``stop`` a chunk at a time, each symmetry class
+    (``_class_tables``) scored once.
 
-    The span keeps its own element table (each drawn index's element and
-    reach step) and score cache, and maps each class to its first key
-    drawn, whose score is the class's.  A new class, or a key that may be
-    a hit on its own (``_accepts`` with ``_NEAR``), is screened on its
-    key: its steps are folded into its mode reach, and a key that cannot
-    click scores 0 unbuilt.  An experiment is built only to score a key
-    that passes, on the reach it already has, or to report a hit.
+    The span builds its element table (``_element_table``) up front and
+    maps each class to its first key drawn, whose score is the class's.
+    A chunk's new keys are scored in first-drawn order: a new class, or a
+    key that may be a hit on its own (``_accepts`` with ``_NEAR``), is
+    screened on its key's mode reach, and one that cannot click scores 0
+    unbuilt.  Then the chunk's trials whose keys are accepted are hits.
+    An experiment is built only to score a key that passes, or for a hit.
     Returns the hits, the ``{key: score}`` of its distinct keys, the keys
     whose class the screen rejected, the ``{class: first key}`` map, and
-    its draw and score seconds.
+    the seconds of its chunks' seeding and draw and of their scoring.
     """
-    target = config.target
-    canonical = _canonicaliser(_class_tables(config))
-    table: dict[int, tuple[Element, tuple]] = {}
+    target, detectors = config.target, config.detectors
+    table = _element_table(config.pool)
+    canonical = _canonicaliser(_class_tables(config, table))
     scores: dict[tuple[int, ...], float] = {}
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     screened: set[tuple[int, ...]] = set()
+    accepted: set[tuple[int, ...]] = set()
     hits = []
     draw_s = score_s = 0.0
     clock = time.perf_counter
     last = clock()
-    for trial, key in zip(range(start, stop), _keys(config, start, stop)):
+    for words in _chunks(config.seed, start, stop):
+        keys = _draw_keys(config, words)
         drawn = clock()
         draw_s += drawn - last
-        score = scores.get(key)
-        exp = None
-        if score is None:
+        for key in keys:
+            if key in scores:
+                continue
             form = canonical(key)
             first = classes.get(form)
             if first is None or _accepts(target, scores[first], _NEAR):
-                reach = mode_reach([step for _, step in _entries(key, config.pool, table)])
-                if _can_click(reach, config.detectors, target):
-                    exp = _build(key, config, table)
-                    score = evaluate(exp, target, reach)
+                reach = mode_reach([table[index][1] for index in key])
+                if _can_click(reach, detectors, target):
+                    score = evaluate(_build(key, config, table), target, reach)
                 else:
                     score = 0.0
                     screened.add(key)
@@ -737,10 +733,12 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
             scores[key] = score
             if first in screened:
                 screened.add(key)
-        if _accepts(target, score):
-            if exp is None:
-                exp = _build(key, config, table)
-            hits.append(SearchHit(exp, score, trial))
+            if _accepts(target, score):
+                accepted.add(key)
+        for trial, key in enumerate(keys, start):
+            if key in accepted:
+                hits.append(SearchHit(_build(key, config, table), scores[key], trial))
+        start += len(keys)
         last = clock()
         score_s += last - drawn
     return hits, scores, screened, classes, draw_s, score_s

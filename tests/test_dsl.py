@@ -6,6 +6,7 @@ from spdcsim import dsl
 from spdcsim.analysis import ghz_layout
 from spdcsim.elements import Crystal, Misalignment, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from spdcsim.experiment import Experiment
+from spdcsim.fock import ModeLabel
 
 from conftest import CORPUS, label
 
@@ -175,12 +176,21 @@ def test_serialize_rejects_creation_only():
         dsl.serialize(exp)
 
 
-def test_serialize_rejects_explicit_loss_path():
-    exp = Experiment(
-        elements=(Crystal(label("a:0"), label("b:0")), Misalignment("a", 0.9, loss="loss#0")),
-        detectors=("a", "b"),
-    )
-    with pytest.raises(ValueError, match="the loss field"):
+@pytest.mark.parametrize(
+    "elements, detectors, message",
+    [
+        ((Misalignment("a", 0.9, loss="loss#0"),), ("a", "b"), "the loss field"),
+        # Written as ``relabel a loss#0``, which parses as a relabel to ``loss``.
+        ((Relabel("a", "loss#0"),), ("a", "b"), "'loss#0' holds whitespace"),
+        ((Crystal(label("a:0"), ModeLabel("a b", 0)),), ("a", "b"), "'a b' holds whitespace"),
+        ((Crystal(label("a:0"), ModeLabel("a:1", 0)),), ("a", "b"), "'a:1' holds whitespace"),
+        ((), ("a", ""), "path name '' is empty"),
+    ],
+    ids=["misalign-loss-field", "relabel-to-loss-path", "space-in-path", "colon-in-path", "empty-detector"],
+)
+def test_serialize_rejects_a_path_it_cannot_write(elements, detectors, message):
+    exp = Experiment(elements=(Crystal(label("a:0"), label("b:0")), *elements), detectors=detectors)
+    with pytest.raises(ValueError, match=message):
         dsl.serialize(exp)
 
 

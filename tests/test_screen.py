@@ -50,7 +50,7 @@ from spdcsim.search import (
 )
 
 from conftest import CORPUS, load_experiment
-from test_search import MIXED_CONFIG, pol_config
+from test_search import MIXED_CONFIG, element_table, pol_config, span_keys
 
 # The package re-exports the function ``search`` under the module's name.
 search_module = importlib.import_module("spdcsim.search")
@@ -218,10 +218,9 @@ def test_screen_counts_a_setup_whose_detector_no_photon_reaches(monkeypatch):
     assert evaluate(exp, target) == 0.0
     # The same setup as a search's only drawn key.
     config = pol_config(budget=1)
-    _, multimode, *_ = search_module._blocks(config.pool)
-    index = {search_module._element(i, config.pool): i for i in reversed(range(multimode))}
+    index = {element: i for i, (element, _) in element_table(config.pool).items()}
     key = tuple(index[element] for element in exp.elements)
-    monkeypatch.setattr(search_module, "_keys", lambda config, start, stop: iter([key]))
+    monkeypatch.setattr(search_module, "_draw_keys", lambda config, words: [key])
     hits, scores, screened, classes, _, _ = search_module._run_span(config, 0, 1)
     assert scores == {key: 0.0} and screened == {key} and list(classes.values()) == [key]
 
@@ -316,8 +315,6 @@ def assert_reach_is_the_layout(reach, exp, target):
     assert search_module._can_click(reach, exp.detectors, target) == layout_clicks(layout, exp.detectors, target)
 
 
-# One element table per pool for every example, as a span keeps one.
-TABLES = {name: {} for name in CONFIGS}
 START_LABELS = [ModeLabel(path, mode) for path in ("t", "a", "b", "c", "d") for mode in (-2, 0, 1, 3)]
 
 
@@ -330,8 +327,8 @@ START_LABELS = [ModeLabel(path, mode) for path in ("t", "a", "b", "c", "d") for 
 )
 def test_the_key_reach_is_the_compiled_layout_on_drawn_keys(name, seed, trial, labels):
     config = replace(CONFIGS[name], seed=seed)
-    key = next(search_module._keys(config, trial, trial + 1))
-    entries = search_module._entries(key, config.pool, TABLES[name])
+    key = span_keys(config, trial, trial + 1)[0]
+    entries = [element_table(config.pool)[index] for index in key]
     steps = [step for _, step in entries]
     exp = Experiment(elements=tuple(element for element, _ in entries), detectors=config.detectors)
     assert_reach_is_the_layout(mode_reach(steps), exp, config.target)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import itertools
@@ -297,6 +298,14 @@ def test_repeated_detectors_are_rejected_up_front():
         )
 
 
+def test_a_detector_on_a_loss_path_is_rejected_up_front():
+    # Unchecked, the config built and the search raised from ``Experiment``
+    # at its first clickable class, in a worker when there were several.
+    paths = ("a", "b", "c", "loss#0")
+    with pytest.raises(ValueError, match="detector on loss path 'loss#0'"):
+        SearchConfig(pool=ElementPool(paths=paths), detectors=paths, target=SrvTarget(("a", "b"), (2, 2)))
+
+
 def test_a_repeated_party_is_rejected():
     with pytest.raises(ValueError, match="parties must be distinct"):
         SrvTarget(parties=("a", "a"), ranks=(2, 2))
@@ -525,16 +534,37 @@ def numpy_draw(rng, config, blocks):
     return tuple(key)
 
 
+def span_keys(config, start, stop):
+    """Trials ``start`` to ``stop``'s keys as a span draws them, a chunk at a time."""
+    chunks = search_module._chunks(config.seed, start, stop)
+    return [key for words in chunks for key in search_module._draw_keys(config, words)]
+
+
 def numpy_keys(config, start, stop):
     blocks = search_module._blocks(config.pool)
     return [numpy_draw(reference_rng(config.seed, trial), config, blocks) for trial in range(start, stop)]
+
+
+@functools.cache
+def element_table(pool):
+    """The element table each span of a search on ``pool`` builds."""
+    return search_module._element_table(pool)
+
+
+def build(key, config):
+    """The experiment ``key`` names, as a span of the search ``config`` builds it."""
+    return search_module._build(key, config, element_table(config.pool))
+
+
+def class_tables(config):
+    return search_module._class_tables(config, element_table(config.pool))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 20240817, 2**40 + 3, 2**100 + 5])
 @pytest.mark.parametrize("config", [pol_config(), MIXED_CONFIG], ids=["ghz4", "mixed"])
 def test_draw_is_the_numpy_draw_key_for_key(config, seed):
     config = replace(config, seed=seed)
-    keys = list(search_module._keys(config, 0, 1000))
+    keys = span_keys(config, 0, 1000)
     assert keys == numpy_keys(config, 0, 1000)
     assert len(set(keys)) > 100
 
@@ -544,12 +574,12 @@ def test_keys_run_on_across_a_chunk_and_trial_2_32(config):
     chunk = search_module._CHUNK
     start, stop = 2**32 - chunk - 5, 2**32 + 40
     assert [words.rows for words in search_module._chunks(config.seed, start, stop)] == [chunk, 5, 40]
-    assert list(search_module._keys(config, start, stop)) == numpy_keys(config, start, stop)
+    assert span_keys(config, start, stop) == numpy_keys(config, start, stop)
 
 
 def test_rows_that_outgrow_their_first_word_table_draw_numpys_keys():
     config = replace(MIXED_CONFIG, max_elements=40, seed=11)
-    keys = list(search_module._keys(config, 0, 300))
+    keys = span_keys(config, 0, 300)
     assert keys == numpy_keys(config, 0, 300)
     # Every element draws at least three words: its kind and two parameters.
     assert max(map(len, keys)) * 3 > 2 * search_module._OUTPUTS
@@ -558,9 +588,9 @@ def test_rows_that_outgrow_their_first_word_table_draw_numpys_keys():
 def test_random_setup_is_the_searchs_own_draw():
     config = pol_config()
     chunk = search_module._CHUNK
-    keys = list(search_module._keys(config, 0, chunk + 3))
+    keys = span_keys(config, 0, chunk + 3)
     for trial in (0, 1, chunk - 1, chunk, chunk + 2):
-        assert random_setup(config, trial) == search_module._build(keys[trial], config, {})
+        assert random_setup(config, trial) == build(keys[trial], config)
 
 
 def test_a_serial_search_never_imports_numpy_random():
@@ -588,7 +618,7 @@ def uncached_hits(config):
     hits = []
     for trial in range(config.budget):
         key = numpy_draw(reference_rng(config.seed, trial), config, blocks)
-        exp = search_module._build(key, config, {})
+        exp = build(key, config)
         score = evaluate(exp, config.target)
         if _accepts(config.target, score):
             hits.append((trial, exp, repr(score)))
@@ -608,12 +638,12 @@ def test_cached_search_equals_the_uncached_loop(config, workers):
 
 
 def drawn_keys(config):
-    return list(search_module._keys(config, 0, config.budget))
+    return span_keys(config, 0, config.budget)
 
 
 def class_firsts(config, keys):
     """Each class's first drawn key, the one the search simulates for it."""
-    canonical = search_module._canonicaliser(search_module._class_tables(config))
+    canonical = search_module._canonicaliser(class_tables(config))
     firsts = {}
     for key in keys:
         firsts.setdefault(canonical(key), key)
@@ -621,7 +651,7 @@ def class_firsts(config, keys):
 
 
 def elements_of(config, key):
-    return search_module._build(key, config, {}).elements
+    return build(key, config).elements
 
 
 def clicks(exp, target):
@@ -650,7 +680,7 @@ def test_serial_search_scores_each_symmetry_class_once(monkeypatch):
     # The first key of each class that passes the screen, then the own key
     # of each distinct hit that is not its class's first.  A class the
     # screen rejects is never built.
-    passing = [key for key in firsts.values() if clicks(search_module._build(key, config, {}), config.target)]
+    passing = [key for key in firsts.values() if clicks(build(key, config), config.target)]
     own = {keys[hit.trial_index] for hit in hits} - set(firsts.values())
     assert own and 0 < len(passing) < len(firsts)
     assert Counter(scored) == Counter(elements_of(config, key) for key in [*passing, *own])
@@ -698,7 +728,7 @@ def renames(paths):
 
 def admitted(config):
     """The permutations the search keeps, each with its element image table."""
-    image_table = search_module._conjugator(config)
+    image_table = search_module._conjugator(config, element_table(config.pool))
     return [
         (perm, table)
         for perm, rename in renames(config.pool.paths)
@@ -748,7 +778,7 @@ def test_a_pool_above_the_path_cap_searches_without_symmetry(monkeypatch):
     target = FidelityTarget(ghz_target(4, 2), threshold=0.5)
     config = pol_config(pool=replace(POL_POOL, paths=paths), target=target, budget=2000)
     assert len(paths) > search_module._SYMMETRY_PATHS
-    [table] = search_module._class_tables(config)
+    [table] = class_tables(config)
     assert table == tuple(range(len(table)))
     hits, stats = search_with_stats(config)
     assert stats.classes == stats.evaluated
@@ -756,7 +786,7 @@ def test_a_pool_above_the_path_cap_searches_without_symmetry(monkeypatch):
     assert reference and as_tuples(hits) == reference
     monkeypatch.setattr(search_module, "_SYMMETRY_PATHS", 7)
     assert len(admitted(config)) == 144
-    assert len(search_module._class_tables(config)) == 2 * 144
+    assert len(class_tables(config)) == 2 * 144
     hits, stats = search_with_stats(config)
     assert stats.classes < stats.evaluated
     assert as_tuples(hits) == reference
@@ -806,8 +836,8 @@ def renamed(element, rename):
 @example(config=MIXED_CONFIG, seed=777, trial=965)
 def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, seed, trial):
     pool, target = config.pool, config.target
-    key = next(search_module._keys(replace(config, seed=seed), trial, trial + 1))
-    setup = search_module._build(key, config, {})
+    key = span_keys(replace(config, seed=seed), trial, trial + 1)[0]
+    setup = build(key, config)
     score = evaluate(setup, target)
     verdict = clicks(setup, target)
     same = {path: path for path in pool.paths}
@@ -817,7 +847,7 @@ def test_every_admitted_permutation_keeps_score_screen_and_drawability(config, s
         assert all(is_drawable(index, pool) for index in moved)
         # The image is the setup with its paths renamed.
         rename = dict(zip(pool.paths, (pool.paths[j] for j in perm)))
-        moved_setup = search_module._build(moved, config, {})
+        moved_setup = build(moved, config)
         assert [renamed(e, rename) for e in setup.elements] == [renamed(e, same) for e in moved_setup.elements]
         assert evaluate(moved_setup, target) == pytest.approx(score, abs=1e-9)
         assert clicks(moved_setup, target) == verdict
@@ -850,13 +880,14 @@ def mirror_of(pool):
 def reflection(config):
     """The mirror's image table, or None where the search refuses it."""
     paths = config.pool.paths
-    return search_module._conjugator(config)(dict(zip(paths, paths)), mirror_of(config.pool))
+    image_table = search_module._conjugator(config, element_table(config.pool))
+    return image_table(dict(zip(paths, paths)), mirror_of(config.pool))
 
 
 def test_criterion_13s_pool_admits_the_reflection():
     config = pol_config()
     assert reflection(config) is not None
-    assert len(search_module._class_tables(config)) == 2 * len(admitted(config)) == 48
+    assert len(class_tables(config)) == 2 * len(admitted(config)) == 48
 
 
 @pytest.mark.parametrize(
@@ -874,15 +905,15 @@ def test_criterion_13s_pool_admits_the_reflection():
 )
 def test_a_moved_target_or_an_undrawable_image_refuses_the_reflection(config):
     assert reflection(config) is None
-    assert len(search_module._class_tables(config)) == len(admitted(config))
+    assert len(class_tables(config)) == len(admitted(config))
 
 
 def test_a_pool_above_the_path_cap_refuses_the_reflection(monkeypatch):
     config = pol_config(pool=replace(POL_POOL, paths=tuple("abcdefg")))
     assert reflection(config) is not None
-    assert len(search_module._class_tables(config)) == 1
+    assert len(class_tables(config)) == 1
     monkeypatch.setattr(search_module, "_SYMMETRY_PATHS", 7)
-    assert len(search_module._class_tables(config)) == 2 * len(admitted(config))
+    assert len(class_tables(config)) == 2 * len(admitted(config))
 
 
 def moved(element, rename, mirror):
@@ -899,6 +930,14 @@ def moved(element, rename, mirror):
     return renamed(element, rename)
 
 
+def test_conjugating_a_multimode_crystal_sorts_its_mirrored_mode_list():
+    # Every drawable mode list starts at mode 0, so no pool that draws
+    # multimode crystals admits the mirror, and no search meets this case.
+    element = MultimodeCrystal("a", "b", (0, 1, 2))
+    image = search_module._conjugate(element, {"a": "b", "b": "a"}, lambda m: 3 - m)
+    assert image == MultimodeCrystal("a", "b", (1, 2, 3))
+
+
 def class_symmetries(config):
     """Each class table's path permutation and mode map, in ``_class_tables``' order."""
     pairs = [(perm, keep, table) for perm, table in admitted(config)]
@@ -906,7 +945,7 @@ def class_symmetries(config):
     if mirrored is not None:
         mirror = mirror_of(config.pool)
         pairs += [(perm, mirror, tuple(mirrored[index] for index in table)) for perm, _, table in pairs]
-    assert [table for _, _, table in pairs] == search_module._class_tables(config)
+    assert [table for _, _, table in pairs] == class_tables(config)
     return pairs
 
 
@@ -920,8 +959,8 @@ def class_symmetries(config):
 @example(config=SHIFT_CONFIG, seed=0, trial=136)  # a hit with a shifter
 def test_every_class_table_keeps_score_screen_and_drawability(config, seed, trial):
     pool, target = config.pool, config.target
-    key = next(search_module._keys(replace(config, seed=seed), trial, trial + 1))
-    setup = search_module._build(key, config, {})
+    key = span_keys(replace(config, seed=seed), trial, trial + 1)[0]
+    setup = build(key, config)
     score = evaluate(setup, target)
     verdict = clicks(setup, target)
     same = {path: path for path in pool.paths}
@@ -933,7 +972,7 @@ def test_every_class_table_keeps_score_screen_and_drawability(config, seed, tria
         assert all(is_drawable(index, pool) for index in image)
         # The image is the setup with its paths renamed and its modes mirrored.
         rename = dict(zip(pool.paths, (pool.paths[j] for j in perm)))
-        image_setup = search_module._build(image, config, {})
+        image_setup = build(image, config)
         assert [moved(e, rename, mirror) for e in setup.elements] == [renamed(e, same) for e in image_setup.elements]
         assert evaluate(image_setup, target) == pytest.approx(score, abs=1e-9)
         assert clicks(image_setup, target) == verdict
@@ -1033,7 +1072,7 @@ def table_digest(config):
     pool = config.pool
     n, relabel = len(pool.paths), search_module._blocks(pool)[-1]
     drawable = [index for index in range(relabel + n * n) if is_drawable(index, pool)]
-    tables = search_module._class_tables(config)
+    tables = class_tables(config)
     restricted = sorted({tuple(table[index] for index in drawable) for table in tables})
     text = "\n".join(",".join(map(str, table)) for table in restricted)
     return len(tables), hashlib.sha256(text.encode()).hexdigest()
@@ -1049,8 +1088,8 @@ def test_class_tables_are_pinned(name):
 def test_the_reflection_only_merges_classes(monkeypatch, config):
     timing = ("draw_s", "score_s", "trials_per_s")
     runs = []
-    for class_tables in (search_module._class_tables, lambda config: [table for _, table in admitted(config)]):
-        monkeypatch.setattr(search_module, "_class_tables", class_tables)
+    for tables in (search_module._class_tables, lambda config, table: [image for _, image in admitted(config)]):
+        monkeypatch.setattr(search_module, "_class_tables", tables)
         hits, stats = search_with_stats(config)
         record = {name: value for name, value in stats.record().items() if name not in timing}
         runs.append((as_tuples(hits), record))
@@ -1058,6 +1097,43 @@ def test_the_reflection_only_merges_classes(monkeypatch, config):
     assert mirrored_hits and mirrored_hits == plain_hits
     assert mirrored.pop("classes") < plain.pop("classes")
     assert mirrored == plain
+
+
+# Two paths and two mode pairs: most trials draw one of six keys, and the
+# two that make a Bell state are hits, repeated across chunks and inside one.
+BELL_CONFIG = SearchConfig(
+    pool=ElementPool(paths=("a", "b")),
+    detectors=("a", "b"),
+    target=FidelityTarget(ghz_target(2, 2, paths=("a", "b"))),
+    max_elements=2,
+    budget=300,
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("config", [pol_config(), MIXED_CONFIG, BELL_CONFIG], ids=["ghz4", "mixed", "bell"])
+def test_hits_and_counts_do_not_depend_on_the_chunk_size(monkeypatch, config, chunk):
+    # A span scores a chunk's new keys, then collects its hits: chunks of 1
+    # put every repeat of a key in a later chunk, chunks of 7 cut the span
+    # elsewhere and repeat keys inside a chunk.
+    keys = drawn_keys(config)
+    if chunk > 1:
+        assert any(len(set(keys[at : at + chunk])) < chunk for at in range(0, len(keys), chunk))
+    timing = ("draw_s", "score_s", "trials_per_s")
+    runs = []
+    for size in (search_module._CHUNK, chunk):
+        monkeypatch.setattr(search_module, "_CHUNK", size)
+        hits, stats = search_with_stats(config)
+        record = {name: value for name, value in stats.record().items() if name not in timing}
+        runs.append((as_tuples(hits), record))
+    (default_hits, default), (chunked_hits, chunked) = runs
+    assert default_hits and chunked_hits == default_hits
+    assert chunked == default
+    if config is BELL_CONFIG:
+        # A hit key recurs in later chunks, and inside a chunk of 7.
+        trials = [trial for trial, _, _ in default_hits]
+        assert len({keys[trial] for trial in trials}) < len(trials)
+        assert len({(trial // 7, keys[trial]) for trial in trials}) < len(trials)
 
 
 def test_parallel_stats_are_the_serial_stats():
