@@ -29,9 +29,7 @@ def ghz_target(n: int, d: int, paths: Sequence[str] | None = None) -> StateVecto
     """Maximally entangled ``(1/sqrt(d)) sum_k |k, k, ..., k>`` over n paths."""
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 parties and d >= 2 levels")
-    paths = _default_paths(n) if paths is None else list(paths)
-    if len(paths) != n:
-        raise ValueError(f"expected {n} paths, got {len(paths)}")
+    paths = _party_paths(n, paths)
     amp = 1.0 / math.sqrt(d)
     state = StateVector.zero()
     for k in range(d):
@@ -45,9 +43,7 @@ def w_target(n: int, paths: Sequence[str] | None = None) -> StateVector:
     """Single-excitation superposition: one vertical photon among n."""
     if n < 3:
         raise ValueError("need n >= 3 parties")
-    paths = _default_paths(n) if paths is None else list(paths)
-    if len(paths) != n:
-        raise ValueError(f"expected {n} paths, got {len(paths)}")
+    paths = _party_paths(n, paths)
     amp = 1.0 / math.sqrt(n)
     state = StateVector.zero()
     for k in range(n):
@@ -56,10 +52,18 @@ def w_target(n: int, paths: Sequence[str] | None = None) -> StateVector:
     return state
 
 
-def _default_paths(n: int) -> list[str]:
-    if n > 26:
-        raise ValueError("more than 26 paths need explicit names")
-    return [chr(ord("a") + i) for i in range(n)]
+def _party_paths(n: int, paths: Sequence[str] | None) -> list[str]:
+    """The ``n`` distinct party ``paths``, by default a, b, c, ..."""
+    if paths is None:
+        if n > 26:
+            raise ValueError("more than 26 paths need explicit names")
+        return [chr(ord("a") + i) for i in range(n)]
+    paths = list(paths)
+    if len(paths) != n:
+        raise ValueError(f"expected {n} paths, got {len(paths)}")
+    if len(set(paths)) != n:
+        raise ValueError(f"paths must be distinct, got {', '.join(paths)}")
+    return paths
 
 
 # -- fidelity ----------------------------------------------------------------
@@ -335,7 +339,7 @@ def ghz_layout(n: int, d: int, *, g: float = 0.1, paths: Sequence[str] | None = 
         raise ValueError("need n >= 2 and d >= 1")
     if d > n - 1:
         raise ValueError("1-factorization exhausted: at most n - 1 disjoint layers")
-    paths = _default_paths(n) if paths is None else list(paths)
+    paths = _party_paths(n, paths)
     matchings = round_robin_matchings(n)[:d]
     elements: list[Element] = []
     for layer, matching in enumerate(matchings):

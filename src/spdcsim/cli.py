@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Machine-readable results go to stdout; diagnostics go to stderr.  Exit
-codes: 0 success, 1 failed check or empty result, 2 bad input.
+codes: 0 success, 1 failed check or empty result, 2 bad input.  Every
+bad input raises ``_BadInput``, which ``main`` reports; argparse reports
+its own.
 """
 
 from __future__ import annotations
@@ -10,32 +12,38 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, coherence, dsl
-from .experiment import Experiment, post_select, run
+from .experiment import Experiment, PostSelectionResult, post_select, run
 from .fock import StateVector, parse_state
 from .search import ElementPool, FidelityTarget, SearchConfig, SrvTarget, Target, search_with_stats
 
 
-def _read_experiment(path: str) -> Experiment:
+class _BadInput(Exception):
+    """Bad input, said in the message; ``main`` prints it and exits 2."""
+
+
+@contextmanager
+def _bad_input(what: str = ""):
+    """Report an ``OSError`` or ``ValueError`` in the block as bad input,
+    its text after ``what``."""
     try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"{what}: {exc}" if what else str(exc)) from None
+
+
+def _read_experiment(path: str) -> Experiment:
+    with _bad_input(f"cannot read {path}"):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
     try:
         return dsl.parse(text)
     except dsl.ExperimentParseError as exc:
-        for issue in exc.issues:
-            print(f"{path}:{issue}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _usage_error(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
+        raise _BadInput("\n".join(f"{path}:{issue}" for issue in exc.issues)) from None
 
 
 def _checked(convert, ok, rule: str):
@@ -70,42 +78,55 @@ def _print_state(state: StateVector, as_json: bool) -> None:
         sys.stdout.write(state.serialize())
 
 
-def _target_state(spec: str, paths: tuple[str, ...]) -> StateVector | None:
-    """The named target on the detector ``paths``; None, once said why, for bad input."""
-    try:
-        return _parse_target(spec, paths)
-    except ValueError as exc:
-        _usage_error(f"bad target {spec!r}: {exc}")
-        return None
-
-
-def _parse_target(spec: str, paths: tuple[str, ...]) -> StateVector:
-    """``ghz:``/``w:`` targets are built on ``paths``; a state file must sit on them."""
-    kind, _, sizes = spec.partition(":")
-    if kind in ("ghz", "w"):
-        form = "ghz:<n>:<d>" if kind == "ghz" else "w:<n>"
+def _target_state(spec: str, paths: tuple[str, ...]) -> StateVector:
+    """The target ``spec`` on the detector ``paths``: ``ghz:``/``w:``
+    targets are built on them; a state file must sit on them."""
+    with _bad_input(f"bad target {spec!r}"):
+        kind, _, sizes = spec.partition(":")
+        if kind in ("ghz", "w"):
+            form = "ghz:<n>:<d>" if kind == "ghz" else "w:<n>"
+            try:
+                numbers = [int(text) for text in sizes.split(":")]
+            except ValueError:
+                numbers = []
+            if len(numbers) != form.count(":"):
+                raise ValueError(f"expected {form} with integers")
+            if kind == "ghz":
+                return analysis.ghz_target(*numbers, paths=paths)
+            return analysis.w_target(*numbers, paths=paths)
+        path = Path(spec)
+        if not path.exists():
+            raise ValueError("not ghz:<n>:<d>, w:<n>, or a state file")
         try:
-            numbers = [int(text) for text in sizes.split(":")]
-        except ValueError:
-            numbers = []
-        if len(numbers) != form.count(":"):
-            raise ValueError(f"expected {form} with integers")
-        if numbers[0] != len(paths):
-            raise ValueError(f"{numbers[0]} parties, but {len(paths)} detectors {','.join(paths)}")
-        if kind == "ghz":
-            return analysis.ghz_target(*numbers, paths=paths)
-        return analysis.w_target(*numbers, paths=paths)
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError("not ghz:<n>:<d>, w:<n>, or a state file")
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read it: {exc}") from None
-    state = parse_state(text)
-    if state.paths() != set(paths):
-        raise ValueError(f"its paths {','.join(sorted(state.paths()))} are not the detectors {','.join(paths)}")
-    return state
+            text = path.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read it: {exc}") from None
+        state = parse_state(text)
+        if state.paths() != set(paths):
+            raise ValueError(f"its paths {','.join(sorted(state.paths()))} are not the detectors {','.join(paths)}")
+        return state
+
+
+def _names(option: str, text: str | None, allowed: tuple[str, ...], where: str) -> tuple[str, ...]:
+    """The comma-separated names of ``option``, by default all of
+    ``allowed``: each one of ``allowed`` (``where``), none twice."""
+    if not text:
+        return allowed
+    names = tuple(text.split(","))
+    for i, name in enumerate(names):
+        if name not in allowed:
+            raise _BadInput(f"bad {option} {text!r}: {name!r} is not {where}")
+        if name in names[:i]:
+            raise _BadInput(f"bad {option} {text!r}: {name!r} appears twice")
+    return names
+
+
+def _selected(exp: Experiment) -> PostSelectionResult:
+    """The post-selected run of ``exp``; a zero state is an empty result."""
+    selected = post_select(run(exp), exp.detectors)
+    if selected.state.is_zero():
+        raise ValueError("post-selected component is zero")
+    return selected
 
 
 # -- subcommands ---------------------------------------------------------
@@ -115,14 +136,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
     if args.order is not None:
         exp = replace(exp, expansion_order=args.order)
-    state = run(exp)
     if args.no_postselect:
-        _print_state(state, args.json)
+        _print_state(run(exp), args.json)
         return 0
-    selected = post_select(state, exp.detectors)
-    if selected.state.is_zero():
-        print("post-selected component is zero", file=sys.stderr)
-        return 1
+    selected = _selected(exp)
     _print_state(selected.state, args.json)
     print(f"success_weight {selected.success_weight!r}", file=sys.stderr)
     return 0
@@ -131,28 +148,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
     target = _target_state(args.target, exp.detectors)
-    if target is None:
-        return 2
-    selected = post_select(run(exp), exp.detectors)
-    if selected.state.is_zero():
-        print("post-selected component is zero", file=sys.stderr)
-        return 1
-    value = analysis.fidelity(selected.state, target)
-    print(repr(value))
+    print(repr(analysis.fidelity(_selected(exp).state, target)))
     return 0
 
 
 def _cmd_srv(args: argparse.Namespace) -> int:
     exp = _read_experiment(args.file)
-    parties = _parties(args.parties, exp.detectors)
-    if parties is None:
-        return 2
-    selected = post_select(run(exp), exp.detectors)
-    if selected.state.is_zero():
-        print("post-selected component is zero", file=sys.stderr)
-        return 1
-    srv = analysis.schmidt_rank_vector(selected.state, parties)
-    ranks = srv.ranks
+    parties = _names("--parties", args.parties, exp.detectors, "a detector path")
+    ranks = analysis.schmidt_rank_vector(_selected(exp).state, parties).ranks
     if args.parties is None:
         # Separable spectator paths (for example a trigger) rank 1; they
         # are omitted unless everything is separable.
@@ -163,11 +166,9 @@ def _cmd_srv(args: argparse.Namespace) -> int:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
-    try:
+    with _bad_input(f"bad n={args.n} d={args.d}"):
         value = analysis.efficiency_formula(args.n, args.d)
         layout = analysis.ghz_layout(args.n, args.d) if args.simulate == "" else None
-    except ValueError as exc:
-        return _usage_error(f"bad n={args.n} d={args.d}: {exc}")
     print(f"formula {value}")
     if args.simulate is not None:
         exp = layout or _read_experiment(args.simulate)
@@ -186,34 +187,24 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
-    if args.kind != "ghz":
-        return _usage_error(f"unknown layout kind {args.kind!r}")
-    try:
+    with _bad_input(f"bad n={args.n} d={args.d}"):
         exp = analysis.ghz_layout(args.n, args.d)
-    except ValueError as exc:
-        return _usage_error(f"bad n={args.n} d={args.d}: {exc}")
     sys.stdout.write(dsl.serialize(exp))
     return 0
 
 
 def _cmd_build2(args: argparse.Namespace) -> int:
-    try:
+    with _bad_input("bad coefficient list"):
         coefficients = [complex(token) for token in args.coefficients.split(",")]
-    except ValueError as exc:
-        return _usage_error(f"bad coefficient list: {exc}")
-    try:
+    with _bad_input():
         exp = analysis.two_photon_builder(coefficients)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     sys.stdout.write(dsl.serialize(exp))
     return 0
 
 
 def _cmd_coherence(args: argparse.Namespace) -> int:
-    try:
+    with _bad_input():
         spec = coherence.parse_spec_file(Path(args.file).read_text())
-    except (OSError, ValueError) as exc:
-        return _usage_error(str(exc))
     report = coherence.check_coherence(spec)
     for constraint in report.constraints:
         status = "ok" if constraint.satisfied else "VIOLATED"
@@ -225,61 +216,18 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _path_names(option: str, text: str) -> tuple[str, ...]:
-    """The comma-separated path names of ``option``; exit 2 naming it for
-    a repeated name, or one that a hit file could not write
-    (``dsl.path_name``)."""
-    names = tuple(text.split(","))
-    for i, name in enumerate(names):
-        try:
-            dsl.path_name(name)
-        except ValueError as exc:
-            raise SystemExit(_usage_error(f"bad {option} {text!r}: {exc}"))
-        if name in names[:i]:
-            raise SystemExit(_usage_error(f"bad {option} {text!r}: {name!r} appears twice"))
-    return names
-
-
-def _parties(text: str | None, detectors: tuple[str, ...]) -> tuple[str, ...] | None:
-    """The comma-separated ``--parties``, by default the detectors; None,
-    once said why, for a party that is no detector path or appears twice."""
-    if not text:
-        return detectors
-    parties = tuple(text.split(","))
-    for i, party in enumerate(parties):
-        if party not in detectors:
-            _usage_error(f"bad --parties {text!r}: {party!r} is not a detector path")
-            return None
-        if party in parties[:i]:
-            _usage_error(f"bad --parties {text!r}: {party!r} appears twice")
-            return None
-    return parties
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
-    paths = _path_names("--paths", args.paths)
-    try:
-        pool = ElementPool(paths=paths, kinds=tuple(args.pool.split(",")))
-    except ValueError as exc:
-        return _usage_error(f"bad --pool {args.pool!r} or --paths {args.paths!r}: {exc}")
-    detectors = _path_names("--detectors", args.detectors) if args.detectors else paths
-    for path in detectors:
-        if path not in paths:
-            return _usage_error(f"bad --detectors {args.detectors!r}: {path!r} is not in --paths {args.paths!r}")
-    parties = _parties(args.parties, detectors)
-    if parties is None:
-        return 2
+    # The pool judges the path names: a hit file must be able to write them.
+    with _bad_input(f"bad --pool {args.pool!r} or --paths {args.paths!r}"):
+        pool = ElementPool(paths=tuple(args.paths.split(",")), kinds=tuple(args.pool.split(",")))
+    detectors = _names("--detectors", args.detectors, pool.paths, f"in --paths {args.paths!r}")
+    parties = _names("--parties", args.parties, detectors, "a detector path")
     if args.target.startswith("srv:"):
-        try:
+        with _bad_input(f"bad target {args.target!r}"):
             ranks = tuple(int(r) for r in args.target[len("srv:"):].split(","))
             target: Target = SrvTarget(parties=parties, ranks=ranks)
-        except ValueError as exc:
-            return _usage_error(f"bad target {args.target!r}: {exc}")
     else:
-        state = _target_state(args.target, detectors)
-        if state is None:
-            return 2
-        target = FidelityTarget(state, threshold=args.threshold)
+        target = FidelityTarget(_target_state(args.target, detectors), threshold=args.threshold)
     config = SearchConfig(
         pool=pool,
         detectors=detectors,
@@ -290,10 +238,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
-        try:
+        with _bad_input(f"bad --out {args.out!r}"):
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            return _usage_error(f"bad --out {args.out!r}: {exc}")
     # The pool starts all its processes at once; hits and stats do not
     # depend on the worker count, so more workers than cores buy nothing.
     workers = min(args.workers, os.cpu_count() or 1)
@@ -382,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -13,7 +13,8 @@ One statement per line, ``#`` starts a comment.  Statements:
 
 Mode tokens are integers or the polarization aliases H (0) and V (1).
 With ``modes=`` the list sets the modes, so both path tokens must carry
-mode 0 (``a:0`` or ``a:H``).
+mode 0 (``a:0`` or ``a:H``).  ``detectors``, ``order`` and ``pairs``
+lines, and a crystal's ``g=`` and ``modes=``, may each appear once.
 Parsing collects every problem in one pass and reports each with its
 line, column, and length.
 """
@@ -85,7 +86,7 @@ class _LineParser:
         self.issues: list[ParseIssue] = []
         self.elements: list[Element] = []
         self.detectors: tuple[str, ...] | None = None
-        self.detectors_line = False
+        self.seen: set[str] = set()  # the keywords of the once-only statements given
         self.order: int | None = None
         self.pairs: int | None = None
 
@@ -108,6 +109,11 @@ class _LineParser:
             self.fail(keyword, f"unknown keyword {keyword.text!r}",
                       "crystal, shift, phase, misalign, relabel, detectors, order, pairs")
             return
+        if keyword.text in ("detectors", "order", "pairs"):
+            if keyword.text in self.seen:
+                self.fail(keyword, f"duplicate {keyword.text} line")
+                return
+            self.seen.add(keyword.text)
         handler(tokens)
 
     # -- helpers ---------------------------------------------------------
@@ -162,8 +168,15 @@ class _LineParser:
         g = 0.1
         modes: tuple[int, ...] | None = None
         ok = label_a is not None and label_b is not None
+        given: set[str] = set()
         for token in tokens[3:]:
             key, sep, value = token.text.partition("=")
+            if sep:
+                if key in given:
+                    self.fail(token, f"duplicate crystal option {key}=")
+                    ok = False
+                    continue
+                given.add(key)
             if key == "g" and sep:
                 parsed = self._float(token, value)
                 if parsed is None:
@@ -239,10 +252,6 @@ class _LineParser:
         self.elements.append(Relabel(tokens[1].text, tokens[2].text))
 
     def _detectors(self, tokens: list[_Token]) -> None:
-        if self.detectors_line:
-            self.fail(tokens[0], "duplicate detectors line")
-            return
-        self.detectors_line = True
         if len(tokens) < 2:
             self.fail(tokens[0], "detectors line lists no paths", "detectors <p> <p> ...")
             return
@@ -283,7 +292,7 @@ def parse(text: str) -> Experiment:
         tokens = _tokenize(line, line_no)
         if tokens:
             parser.parse_line(tokens)
-    if not parser.detectors_line:
+    if "detectors" not in parser.seen:
         parser.issues.append(
             ParseIssue(SourceSpan(1, 1, 1), "missing detectors statement", "detectors <p> ...")
         )

@@ -365,16 +365,18 @@ def substitute(
     ``n`` in one mode carry ``sqrt(C(n + m, n))`` (bosonic) or 1.  With
     one target on ``p`` itself (a shift, a phase, a misalignment at
     ``T = 1``) nothing merges: a shift moves ``p``'s block of fields and a
-    phase reads the block's digit sum.  Otherwise ``p``'s block is taken
-    out and its fields are added into the targets' blocks, label by
-    label in mode order.
+    phase reads the block's digit sum.  Otherwise one merge loop takes
+    ``p``'s block out and adds its fields into the targets' blocks, label
+    by label in mode order, with one branch per way of sharing
+    (:func:`_shares`): one for a single target (a relabel, a
+    misalignment at ``T = 0``), ``n + 1`` for ``n`` photons split two ways.
     """
     path, delta, targets = _substitution(element)
     if path not in layout.blocks:
         # No term holds a photon in ``path``.  ``0 + amp`` turns a -0.0
-        # part into 0.0, as the accumulation does in the relabel and split
-        # branches below; the shift/phase branch stores a term with a
-        # photon in ``path`` as ``out[key] = amp``, keeping a -0.0 part.
+        # part into 0.0, as the accumulation does in the merge loop below;
+        # the shift/phase branch stores a term with a photon in ``path``
+        # as ``out[key] = amp``, keeping a -0.0 part.
         return {key: 0 + amp for key, amp in terms.items()}
     out: dict[int, Any] = {}
     get = out.get
@@ -402,33 +404,9 @@ def substitute(
     for target, _ in targets:
         t_offset, t_low, _ = layout.blocks[target]
         bases.append(t_offset + (low + delta - t_low) * width)
+    # One branch per way of sharing each field's photons among the
+    # targets, the first field's share varying slowest.
     comb, sqrt = math.comb, math.sqrt
-    if len(targets) == 1:
-        # A relabel (or a misalignment at T = 0): the coefficient is 1, so
-        # the block moves whole and only the merge factors remain.
-        base = bases[0]
-        landing = (path_bits >> offset) << base
-        for key, amp in terms.items():
-            bits = key & path_bits
-            if not bits:
-                out[key] = get(key, 0) + amp
-                continue
-            key -= bits
-            bits >>= offset
-            if bosonic and key & landing:
-                shift, rest = base, bits
-                while rest:
-                    n = rest & mask
-                    held = key >> shift & mask
-                    if n and held:
-                        amp = amp * sqrt(comb(held + n, n))
-                    rest >>= width
-                    shift += width
-            key += bits << base
-            out[key] = get(key, 0) + amp
-        return out
-    # A split into two targets: one branch per way of sharing each field's
-    # photons, the first field's share varying slowest.
     coeffs = [c for _, c in targets]
     shares: dict[int, list] = {}
     for key, amp in terms.items():
@@ -465,17 +443,19 @@ def substitute(
     return out
 
 
-def _shares(n: int, coeffs: Sequence[Any], bosonic: bool) -> list[tuple[Any, tuple[int, int]]]:
-    """Each way ``(k, n - k)`` of sharing ``n`` photons between two
-    targets, ``k`` largest first, with its weight in ``(c_1 a^dag_1 +
-    c_2 a^dag_2)^n``: ``c_1^k c_2^(n-k)`` times ``C(n, k)`` (monomial) or
+def _shares(n: int, coeffs: Sequence[Any], bosonic: bool) -> list[tuple[Any, tuple[int, ...]]]:
+    """Each way of sharing ``n`` photons among one or two targets, with
+    its weight in ``(c_1 a^dag_1 + c_2 a^dag_2)^n``: all ``n`` to the one
+    target, weight ``c_1^n``, or ``(k, n - k)``, ``k`` largest first,
+    weight ``c_1^k c_2^(n-k)`` times ``C(n, k)`` (monomial) or
     ``sqrt(C(n, k))`` (bosonic)."""
     out = []
-    for k in range(n, -1, -1):
+    for k in range(n, -1, -1) if len(coeffs) == 2 else (n,):
         weight = math.sqrt(math.comb(n, k)) if bosonic else math.comb(n, k)
-        weight = weight * coeffs[0] ** k
-        weight = weight * coeffs[1] ** (n - k)
-        out.append((weight, (k, n - k)))
+        counts = (k, n - k)[: len(coeffs)]
+        for c, m in zip(coeffs, counts):
+            weight = weight * c ** m
+        out.append((weight, counts))
     return out
 
 

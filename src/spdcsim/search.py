@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .analysis import fidelity, schmidt_rank_vector
+from .dsl import path_name
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import mode_reach, reach_step, resolve_loss_paths
 from .experiment import Experiment, _check_detectors, compile_run, post_select_keys, run_keys
@@ -86,7 +87,9 @@ Target = Union[FidelityTarget, SrvTarget]
 class ElementPool:
     """What the sampler may draw: paths, element kinds and crystal mode pairs.
 
-    The other parameter choices are the module constants above.
+    The other parameter choices are the module constants above.  Every
+    path is a name :func:`~spdcsim.dsl.path_name` accepts, so every hit
+    can be written as experiment text.
     """
 
     paths: tuple[str, ...]
@@ -105,6 +108,8 @@ class ElementPool:
                 raise ValueError(f"crystal mode pair {pair!r} is not a pair of ints")
         if len(self.paths) < 2:
             raise ValueError("need at least two paths")
+        for path in self.paths:
+            path_name(path)
         for name in ("paths", "kinds", "crystal_modes"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} has duplicates")

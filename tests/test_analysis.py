@@ -84,6 +84,9 @@ def test_ghz_target_pair_is_bell_state():
         1 / math.sqrt(2)
     )
     assert len(bell) == 2
+    # Unchecked, a repeated path gave the one-photon state (|a:0> + |a:1>)/sqrt(2).
+    with pytest.raises(ValueError, match="paths must be distinct, got a, a"):
+        ghz_target(2, 2, paths=("a", "a"))
 
 
 def test_w_target_four_photon():
@@ -98,6 +101,8 @@ def test_w_target_three_photon():
     state = w_target(3)
     assert len(state) == 3
     assert state.norm() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="paths must be distinct, got a, b, a"):
+        w_target(3, paths=("a", "b", "a"))
 
 
 def test_w_and_ghz_overlap():
@@ -314,6 +319,9 @@ def test_ghz_layout_two_level_matches_target():
     exp = ghz_layout(4, 2)
     selected = post_select(run(exp), exp.detectors)
     assert fidelity(selected.state, ghz_target(4, 2)) == pytest.approx(1.0, abs=1e-12)
+    # Unchecked, a fifth path became a detector no crystal feeds.
+    with pytest.raises(ValueError, match="expected 4 paths, got 5"):
+        ghz_layout(4, 2, paths="abcde")
 
 
 def test_ghz_layout_three_level_matches_target():

@@ -93,6 +93,25 @@ def test_duplicate_detectors_line():
     assert any("duplicate detectors" in issue.message for issue in err.value.issues)
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("detectors a b\norder 2\norder 3\n", (3, 1), "duplicate order line"),
+        ("pairs 1\ndetectors a b\npairs 2\n", (3, 1), "duplicate pairs line"),
+        ("detectors a b\ncrystal a:0 b:0 g=0.1 g=0.2\n", (2, 23), "duplicate crystal option g="),
+        ("detectors a b\ncrystal a:0 b:0 modes=0,1 modes=0,2\n", (2, 27), "duplicate crystal option modes="),
+    ],
+    ids=["order", "pairs", "g", "modes"],
+)
+def test_a_repeated_setting_is_rejected_with_its_position(text, position, message):
+    # Unchecked, the last one won: ``order 2`` then ``order 3`` parsed as order 3.
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse(text)
+    [issue] = err.value.issues
+    assert (issue.span.line, issue.span.column) == position
+    assert issue.message == message
+
+
 def test_duplicate_detector_path():
     with pytest.raises(dsl.ExperimentParseError) as err:
         dsl.parse("detectors a a\n")

@@ -111,6 +111,10 @@ def test_pool_restriction_to_crystals_and_shifters():
         ({"crystal_modes": ((0, "x"), (1, 1))}, "not a pair of ints"),
         ({"crystal_modes": ((0, 0.5),)}, "not a pair of ints"),
         ({"kinds": ("shift",), "crystal_modes": (0, 1)}, "not a pair of ints"),
+        ({"paths": ("a", "", "c", "d")}, "path name '' is empty"),
+        ({"paths": ("a b", "c", "d")}, "path name 'a b' holds whitespace"),
+        ({"paths": ("a:1", "c", "d")}, "path name 'a:1' holds"),
+        ({"paths": ("a", "b", "loss#0")}, "path name 'loss#0' holds"),
     ],
     ids=[
         "no-kinds",
@@ -124,6 +128,10 @@ def test_pool_restriction_to_crystals_and_shifters():
         "str-mode",
         "float-mode",
         "bare-ints-without-crystals",
+        "empty-path-name",
+        "path-name-with-space",
+        "path-name-with-colon",
+        "loss-path-name",
     ],
 )
 def test_a_pool_that_cannot_draw_its_setups_is_rejected(options, message):
@@ -132,7 +140,8 @@ def test_a_pool_that_cannot_draw_its_setups_is_rejected(options, message):
     # from a path into itself, a repeated kind or mode pair weighted its
     # draws and changed the stream of an equal pool, and a malformed mode
     # pair failed while the search built its symmetry classes (in a worker
-    # when there were several).
+    # when there were several).  A path name that the experiment language
+    # cannot write gave hits that could not be saved as files.
     with pytest.raises(ValueError, match=message):
         ElementPool(**{"paths": ("a", "b", "c", "d"), **options})
 
@@ -301,8 +310,9 @@ def test_repeated_detectors_are_rejected_up_front():
 def test_a_detector_on_a_loss_path_is_rejected_up_front():
     # Unchecked, the config built and the search raised from ``Experiment``
     # at its first clickable class, in a worker when there were several.
+    # A loss path cannot be a pool path, so no detector can sit on one.
     paths = ("a", "b", "c", "loss#0")
-    with pytest.raises(ValueError, match="detector on loss path 'loss#0'"):
+    with pytest.raises(ValueError, match="path name 'loss#0'"):
         SearchConfig(pool=ElementPool(paths=paths), detectors=paths, target=SrvTarget(("a", "b"), (2, 2)))
 
 
