@@ -117,6 +117,8 @@ def parse_spec_file(text: str) -> CoherenceSpec:
             raise ValueError(f"line {line_no}: bad number {value_text.strip()!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"line {line_no}: {key} = {value_text.strip()} is not finite")
+        if key in values:
+            raise ValueError(f"line {line_no}: {key} is given twice")
         values[key] = value
     missing = [k for k in _FILE_KEYS if k not in values and k != "epsilon"]
     if missing:

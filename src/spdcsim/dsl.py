@@ -6,11 +6,15 @@ One statement per line, ``#`` starts a comment.  Statements:
     shift <path> <int>
     phase <path> <float>
     misalign <path> T=<float>
-    relabel <p1> <p2>
-    detectors <p> <p> ...
+    relabel <path> <path>
+    detectors <path> <path> ...
     order <int>
     pairs <int>
 
+``_STATEMENTS`` defines every statement but ``crystal`` and
+``detectors``, for ``parse`` and ``serialize`` alike.  Each statement
+takes exactly its arguments, and every path token (a crystal's and each
+detector included) is a name :func:`path_name` accepts.
 Mode tokens are integers or the polarization aliases H (0) and V (1).
 With ``modes=`` the list sets the modes, so both path tokens must carry
 mode 0 (``a:0`` or ``a:H``).  ``detectors``, ``order`` and ``pairs``
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .elements import (
     Crystal,
@@ -37,6 +42,60 @@ from .experiment import Experiment
 from .fock import ModeLabel
 
 _MODE_ALIASES = {"H": 0, "V": 1}
+
+
+def path_name(path: str) -> str:
+    """``path``, if the language can write it as a path name.
+
+    Raises ``ValueError`` naming it when it is empty or holds whitespace,
+    ``:`` or ``#``: the parser splits on those, so the text would parse
+    to other paths or not at all.
+    """
+    if not path:
+        raise ValueError(f"path name {path!r} is empty")
+    if any(c.isspace() or c in ":#" for c in path):
+        raise ValueError(f"path name {path!r} holds whitespace, ':' or '#'")
+    return path
+
+
+def _number(kind: type, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"malformed number {text!r}") from None
+
+
+def _mode(text: str) -> int:
+    return _MODE_ALIASES[text] if text in _MODE_ALIASES else _number(int, text)
+
+
+def _transmissivity(text: str) -> float:
+    key, sep, value = text.partition("=")
+    if key != "T" or not sep:
+        raise ValueError(f"expected T=<float>, got {text!r}")
+    return _number(float, value)
+
+
+# form -> (usage, reader: text -> value or ValueError, writer: value -> text)
+_FORMS = {
+    "path": ("<path>", path_name, path_name),
+    "int": ("<int>", partial(_number, int), str),
+    "float": ("<float>", partial(_number, float), repr),
+    "T=float": ("T=<float>", _transmissivity, "T={!r}".format),
+    "mode": ("an integer, H, or V", _mode, str),
+}
+
+# keyword -> (element class, or None for the Experiment field a setting
+# sets, and its arguments in order as (field, form) pairs)
+_STATEMENTS = {
+    "shift": (ModeShifter, (("path", "path"), ("delta", "int"))),
+    "phase": (PhaseShifter, (("path", "path"), ("phi", "float"))),
+    "misalign": (Misalignment, (("path", "path"), ("transmissivity", "T=float"))),
+    "relabel": (Relabel, (("source", "path"), ("target", "path"))),
+    "order": (None, (("expansion_order", "int"),)),
+    "pairs": (None, (("max_pairs", "int"),)),
+}
+_KEYWORD_OF = {kind: keyword for keyword, (kind, _) in _STATEMENTS.items() if kind}
 
 
 @dataclass(frozen=True)
@@ -85,83 +144,75 @@ class _LineParser:
     def __init__(self):
         self.issues: list[ParseIssue] = []
         self.elements: list[Element] = []
-        self.detectors: tuple[str, ...] | None = None
-        self.seen: set[str] = set()  # the keywords of the once-only statements given
-        self.order: int | None = None
-        self.pairs: int | None = None
+        # Experiment field -> value; a once-only line is in it from its keyword on.
+        self.settings: dict[str, object] = {}
 
     def fail(self, token: _Token, message: str, expected: str = "") -> None:
         self.issues.append(ParseIssue(token.span, message, expected))
 
     def parse_line(self, tokens: list[_Token]) -> None:
         keyword = tokens[0]
-        handler = {
-            "crystal": self._crystal,
-            "shift": self._shift,
-            "phase": self._phase,
-            "misalign": self._misalign,
-            "relabel": self._relabel,
-            "detectors": self._detectors,
-            "order": self._order,
-            "pairs": self._pairs,
-        }.get(keyword.text)
-        if handler is None:
+        if keyword.text == "crystal":
+            self._crystal(tokens)
+        elif keyword.text == "detectors":
+            self._detectors(tokens)
+        elif keyword.text in _STATEMENTS:
+            self._statement(tokens)
+        else:
             self.fail(keyword, f"unknown keyword {keyword.text!r}",
-                      "crystal, shift, phase, misalign, relabel, detectors, order, pairs")
-            return
-        if keyword.text in ("detectors", "order", "pairs"):
-            if keyword.text in self.seen:
-                self.fail(keyword, f"duplicate {keyword.text} line")
-                return
-            self.seen.add(keyword.text)
-        handler(tokens)
+                      ", ".join(["crystal", "detectors", *_STATEMENTS]))
 
-    # -- helpers ---------------------------------------------------------
+    def _read(self, token: _Token, form: str, text: str | None = None):
+        """The value of ``text`` (the token's own by default), or ``None``
+        after recording an issue at ``token``."""
+        usage, reader, _ = _FORMS[form]
+        try:
+            return reader(token.text if text is None else text)
+        except ValueError as exc:
+            self.fail(token, str(exc), usage)
+            return None
 
-    def _want(self, tokens: list[_Token], count: int, usage: str) -> bool:
-        if len(tokens) - 1 < count:
-            self.fail(tokens[0], f"statement needs {count} argument(s)", usage)
+    def _first(self, keyword: _Token, field: str) -> bool:
+        if field in self.settings:
+            self.fail(keyword, f"duplicate {keyword.text} line")
             return False
+        self.settings[field] = None  # given, even if the line is rejected
         return True
 
-    def _int(self, token: _Token) -> int | None:
+    def _statement(self, tokens: list[_Token]) -> None:
+        keyword, *args = tokens
+        kind, params = _STATEMENTS[keyword.text]
+        if kind is None and not self._first(keyword, params[0][0]):
+            return
+        if len(args) != len(params):
+            usage = " ".join([keyword.text, *(_FORMS[form][0] for _, form in params)])
+            self.fail(keyword, f"statement takes {len(params)} argument(s), got {len(args)}", usage)
+            return
+        values = {field: self._read(token, form) for token, (field, form) in zip(args, params)}
+        if None in values.values():
+            return
         try:
-            return int(token.text)
-        except ValueError:
-            self.fail(token, f"malformed integer {token.text!r}", "an integer")
-            return None
-
-    def _float(self, token: _Token, text: str | None = None) -> float | None:
-        raw = token.text if text is None else text
-        try:
-            return float(raw)
-        except ValueError:
-            self.fail(token, f"malformed number {raw!r}", "a number")
-            return None
-
-    def _mode(self, token: _Token, text: str) -> int | None:
-        if text in _MODE_ALIASES:
-            return _MODE_ALIASES[text]
-        try:
-            return int(text)
-        except ValueError:
-            self.fail(token, f"malformed mode {text!r}", "an integer, H, or V")
-            return None
+            built = (kind or Experiment)(**values)  # a setting is checked as Experiment checks it
+        except ValueError as exc:
+            self.fail(args[-1], str(exc))
+            return
+        if kind is None:
+            self.settings.update(values)
+        else:
+            self.elements.append(built)
 
     def _labeled(self, token: _Token) -> ModeLabel | None:
         path, sep, mode_text = token.text.partition(":")
-        if not sep or not path:
+        if not sep:
             self.fail(token, f"expected path:mode, got {token.text!r}", "path:mode")
             return None
-        mode = self._mode(token, mode_text)
-        if mode is None:
-            return None
-        return ModeLabel(path, mode)
-
-    # -- statements ---------------------------------------------------------
+        path = self._read(token, "path", path)
+        mode = None if path is None else self._read(token, "mode", mode_text)
+        return None if mode is None else ModeLabel(path, mode)
 
     def _crystal(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 2, "crystal pA:m pB:m [g=x] [modes=i,j,...]"):
+        if len(tokens) < 3:
+            self.fail(tokens[0], "statement needs 2 argument(s)", "crystal pA:m pB:m [g=x] [modes=i,j,...]")
             return
         label_a = self._labeled(tokens[1])
         label_b = self._labeled(tokens[2])
@@ -178,21 +229,11 @@ class _LineParser:
                     continue
                 given.add(key)
             if key == "g" and sep:
-                parsed = self._float(token, value)
-                if parsed is None:
-                    ok = False
-                else:
-                    g = parsed
+                g = self._read(token, "float", value)
+                ok = ok and g is not None
             elif key == "modes" and sep:
-                items = []
-                for piece in value.split(","):
-                    mode = self._mode(token, piece)
-                    if mode is None:
-                        ok = False
-                        break
-                    items.append(mode)
-                else:
-                    modes = tuple(items)
+                modes = tuple(self._read(token, "mode", piece) for piece in value.split(","))
+                ok = ok and None not in modes
             else:
                 self.fail(token, f"unknown crystal option {token.text!r}", "g=<float> or modes=<list>")
                 ok = False
@@ -204,85 +245,29 @@ class _LineParser:
         if not ok:
             return
         try:
-            if modes is None:
-                self.elements.append(Crystal(label_a, label_b, g=g))
-            else:
-                self.elements.append(
-                    MultimodeCrystal(label_a.path, label_b.path, modes=modes, g=g)
-                )
+            self.elements.append(
+                Crystal(label_a, label_b, g=g) if modes is None
+                else MultimodeCrystal(label_a.path, label_b.path, modes=modes, g=g)
+            )
         except ValueError as exc:
             self.fail(tokens[0], str(exc))
 
-    def _shift(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 2, "shift <path> <int>"):
-            return
-        delta = self._int(tokens[2])
-        if delta is not None:
-            self.elements.append(ModeShifter(tokens[1].text, delta))
-
-    def _phase(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 2, "phase <path> <float>"):
-            return
-        phi = self._float(tokens[2])
-        if phi is None:
-            return
-        try:
-            self.elements.append(PhaseShifter(tokens[1].text, phi))
-        except ValueError as exc:
-            self.fail(tokens[2], str(exc))
-
-    def _misalign(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 2, "misalign <path> T=<float>"):
-            return
-        key, sep, value = tokens[2].text.partition("=")
-        if key != "T" or not sep:
-            self.fail(tokens[2], f"expected T=<float>, got {tokens[2].text!r}", "T=<float>")
-            return
-        t = self._float(tokens[2], value)
-        if t is None:
-            return
-        try:
-            self.elements.append(Misalignment(tokens[1].text, t))
-        except ValueError as exc:
-            self.fail(tokens[2], str(exc))
-
-    def _relabel(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 2, "relabel <from> <to>"):
-            return
-        self.elements.append(Relabel(tokens[1].text, tokens[2].text))
-
     def _detectors(self, tokens: list[_Token]) -> None:
-        if len(tokens) < 2:
-            self.fail(tokens[0], "detectors line lists no paths", "detectors <p> <p> ...")
+        keyword, *args = tokens
+        if not self._first(keyword, "detectors"):
             return
-        paths = tuple(t.text for t in tokens[1:])
-        for i, token in enumerate(tokens[1:]):
-            if token.text in paths[:i]:
-                self.fail(token, f"duplicate detector path {token.text!r}")
-                return
-        self.detectors = paths
-
-    def _order(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 1, "order <int>"):
+        if not args:
+            self.fail(keyword, "detectors line lists no paths", "detectors <path> <path> ...")
             return
-        value = self._int(tokens[1])
-        if value is None:
-            return
-        if value < 1:
-            self.fail(tokens[1], "expansion order must be >= 1")
-            return
-        self.order = value
-
-    def _pairs(self, tokens: list[_Token]) -> None:
-        if not self._want(tokens, 1, "pairs <int>"):
-            return
-        value = self._int(tokens[1])
-        if value is None:
-            return
-        if value < 0:
-            self.fail(tokens[1], "pair budget must be >= 0")
-            return
-        self.pairs = value
+        paths: list[str] = []
+        for token in args:
+            path = self._read(token, "path")
+            if path in paths:
+                self.fail(token, f"duplicate detector path {path!r}")
+            elif path is not None:
+                paths.append(path)
+        if len(paths) == len(args):
+            self.settings["detectors"] = tuple(paths)
 
 
 def parse(text: str) -> Experiment:
@@ -292,32 +277,19 @@ def parse(text: str) -> Experiment:
         tokens = _tokenize(line, line_no)
         if tokens:
             parser.parse_line(tokens)
-    if "detectors" not in parser.seen:
+    if "detectors" not in parser.settings:
         parser.issues.append(
-            ParseIssue(SourceSpan(1, 1, 1), "missing detectors statement", "detectors <p> ...")
+            ParseIssue(SourceSpan(1, 1, 1), "missing detectors statement", "detectors <path> ...")
         )
     if parser.issues:
         raise ExperimentParseError(parser.issues)
-    return Experiment(
-        elements=tuple(parser.elements),
-        detectors=parser.detectors,
-        max_pairs=parser.pairs,
-        expansion_order=parser.order if parser.order is not None else 2,
-    )
+    return Experiment(elements=tuple(parser.elements), **parser.settings)
 
 
-def path_name(path: str) -> str:
-    """``path``, if the language can write it as a path name.
-
-    Raises ``ValueError`` naming it when it is empty or holds whitespace,
-    ``:`` or ``#``: the parser splits on those, so the text would parse
-    to other paths or not at all.
-    """
-    if not path:
-        raise ValueError(f"path name {path!r} is empty")
-    if any(c.isspace() or c in ":#" for c in path):
-        raise ValueError(f"path name {path!r} holds whitespace, ':' or '#'")
-    return path
+def _line(keyword: str, source) -> str:
+    """``keyword``'s statement for the fields of ``source``, by the table."""
+    _, params = _STATEMENTS[keyword]
+    return " ".join([keyword, *(_FORMS[form][2](getattr(source, field)) for field, form in params)])
 
 
 def serialize(exp: Experiment) -> str:
@@ -330,11 +302,12 @@ def serialize(exp: Experiment) -> str:
     """
     if exp.creation_only:
         raise ValueError("cannot serialize creation_only=True: the language has no statement for it")
-    lines = []
-    if exp.expansion_order != 2:
-        lines.append(f"order {exp.expansion_order}")
-    if exp.max_pairs is not None:
-        lines.append(f"pairs {exp.max_pairs}")
+    # A setting at its default (the dataclass's class attribute) is left out.
+    lines = [
+        _line(keyword, exp)
+        for keyword, (kind, params) in _STATEMENTS.items()
+        if kind is None and getattr(exp, params[0][0]) != getattr(Experiment, params[0][0])
+    ]
     lines.append("detectors " + " ".join(map(path_name, exp.detectors)))
     for element in exp.elements:
         if isinstance(element, Misalignment) and element.loss is not None:
@@ -354,14 +327,8 @@ def serialize(exp: Experiment) -> str:
                 f" modes={','.join(str(m) for m in element.modes)}"
             )
             lines.append(line)
-        elif isinstance(element, ModeShifter):
-            lines.append(f"shift {path_name(element.path)} {element.delta}")
-        elif isinstance(element, PhaseShifter):
-            lines.append(f"phase {path_name(element.path)} {element.phi!r}")
-        elif isinstance(element, Misalignment):
-            lines.append(f"misalign {path_name(element.path)} T={element.transmissivity!r}")
-        elif isinstance(element, Relabel):
-            lines.append(f"relabel {path_name(element.source)} {path_name(element.target)}")
+        elif type(element) in _KEYWORD_OF:
+            lines.append(_line(_KEYWORD_OF[type(element)], element))
         else:
             raise TypeError(f"cannot serialize {element!r}")
     return "\n".join(lines) + "\n"

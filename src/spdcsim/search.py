@@ -111,8 +111,10 @@ class ElementPool:
         for path in self.paths:
             path_name(path)
         for name in ("paths", "kinds", "crystal_modes"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ValueError(f"{name} has duplicates")
+            items = getattr(self, name)
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValueError(f"{name}: {item!r} appears twice")
 
 
 @dataclass(frozen=True)

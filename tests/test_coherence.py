@@ -141,6 +141,9 @@ def test_parse_spec_file_reports_problems():
         parse_spec_file("lp1 = abc")
     with pytest.raises(ValueError, match="expected one of"):
         parse_spec_file("bogus = 1.0")
+    # Unchecked, the last value won: lp1 = 2.0 failed a file that passes without it.
+    with pytest.raises(ValueError, match="^line 3: lp1 is given twice$"):
+        parse_spec_file("lp1 = 1.0\nl1 = 1.0\nlp1 = 2.0")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

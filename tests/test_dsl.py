@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdcsim import dsl
 from spdcsim.analysis import ghz_layout
-from spdcsim.elements import Crystal, Misalignment, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
+from spdcsim.elements import G_WARN, Crystal, Misalignment, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from spdcsim.experiment import Experiment
 from spdcsim.fock import ModeLabel
 
@@ -39,6 +40,7 @@ def test_parse_every_statement_kind():
     assert exp.elements[0].modes == (0, 1, 2)
     assert exp.elements[1] == Crystal(label("a:1"), label("d:0"))
     assert exp.elements[4].transmissivity == 0.75
+    assert exp.elements[5] == Relabel("b", "d")
 
 
 def test_empty_file_reports_missing_detectors():
@@ -126,6 +128,40 @@ def test_a_rejected_detectors_line_is_not_also_missing():
     assert issue.message == "duplicate detector path 'a'"
 
 
+COLON = "holds whitespace, ':' or '#'"
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("detectors a b\nshift a 1 junk\n", (2, 1), "statement takes 2 argument(s), got 3"),
+        ("detectors a b\nrelabel a b c\n", (2, 1), "statement takes 2 argument(s), got 3"),
+        ("detectors a b\norder 2 3\n", (2, 1), "statement takes 1 argument(s), got 2"),
+        ("detectors a b\nmisalign a\n", (2, 1), "statement takes 2 argument(s), got 1"),
+        ("detectors a b\nshift a:0 1\n", (2, 7), f"path name 'a:0' {COLON}"),
+        ("detectors a b\nrelabel a b:1\n", (2, 11), f"path name 'b:1' {COLON}"),
+        ("detectors a:0 b\n", (1, 11), f"path name 'a:0' {COLON}"),
+    ],
+    ids=["shift-extra", "relabel-extra", "order-extra", "misalign-short", "shift-path", "relabel-path", "detector-path"],
+)
+def test_a_statement_takes_exactly_its_arguments_and_paths_it_can_write(text, position, message):
+    # Unchecked, ``shift a 1 junk`` ran as ``shift a 1``, ``order 2 3`` as
+    # ``order 2``, ``shift a:0 1`` shifted a path no photon reaches, and
+    # ``detectors a:0 b`` post-selected nothing.
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse(text)
+    [issue] = err.value.issues
+    assert (issue.span.line, issue.span.column) == position
+    assert issue.message == message
+
+
+def test_an_argument_count_issue_gives_the_usage_from_the_table():
+    with pytest.raises(dsl.ExperimentParseError) as err:
+        dsl.parse("detectors a b\nmisalign a T=0.5 b\n")
+    [issue] = err.value.issues
+    assert str(issue) == "2:1: statement takes 2 argument(s), got 3 (expected misalign <path> T=<float>)"
+
+
 def test_all_errors_collected_in_one_pass():
     text = "bogus x\nmisalign a T=2\nphase b oops\n"
     with pytest.raises(dsl.ExperimentParseError) as err:
@@ -211,6 +247,36 @@ def test_serialize_rejects_a_path_it_cannot_write(elements, detectors, message):
     exp = Experiment(elements=(Crystal(label("a:0"), label("b:0")), *elements), detectors=detectors)
     with pytest.raises(ValueError, match=message):
         dsl.serialize(exp)
+
+
+_names = st.text("abcxyz01_-", min_size=1, max_size=3)
+_couplings = st.floats(min_value=0.0, max_value=G_WARN, exclude_min=True)
+_labels = st.builds(ModeLabel, _names, st.integers(-3, 3))
+_mode_lists = st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True).map(tuple)
+_elements = st.one_of(
+    st.builds(Crystal, _labels, _labels, _couplings),
+    st.builds(MultimodeCrystal, _names, _names, _mode_lists, _couplings),
+    st.builds(ModeShifter, _names, st.integers(-5, 5)),
+    st.builds(PhaseShifter, _names, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Misalignment, _names, st.floats(0.0, 1.0)),
+    st.builds(Relabel, _names, _names),
+)
+_experiments = st.builds(
+    Experiment,
+    elements=st.lists(_elements, max_size=8).map(tuple),
+    detectors=st.lists(_names, min_size=1, max_size=4, unique=True).map(tuple),
+    max_pairs=st.none() | st.integers(0, 4),
+    expansion_order=st.integers(1, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_experiments)
+def test_round_trip_of_every_element_kind_is_identity(exp):
+    # No corpus file holds a relabel, a negative mode or a zero pair budget.
+    text = dsl.serialize(exp)
+    assert dsl.parse(text) == exp
+    assert dsl.serialize(dsl.parse(text)) == text
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)

@@ -103,9 +103,9 @@ def test_pool_restriction_to_crystals_and_shifters():
         ({"kinds": ()}, "at least one element kind"),
         ({"crystal_modes": ()}, "crystal mode pair"),
         ({"kinds": ("shift", "crystal"), "crystal_modes": ()}, "crystal mode pair"),
-        ({"paths": ("a", "b", "a", "d")}, "paths has duplicates"),
-        ({"kinds": ("crystal", "shift", "crystal")}, "kinds has duplicates"),
-        ({"crystal_modes": ((0, 0), (1, 1), (0, 0))}, "crystal_modes has duplicates"),
+        ({"paths": ("a", "b", "a", "d")}, "paths: 'a' appears twice"),
+        ({"kinds": ("crystal", "shift", "crystal")}, "kinds: 'crystal' appears twice"),
+        ({"crystal_modes": ((0, 0), (1, 1), (0, 0))}, r"crystal_modes: \(0, 0\) appears twice"),
         ({"crystal_modes": ((0,), (1, 1))}, "not a pair of ints"),
         ({"crystal_modes": ((0, 1, 1),)}, "not a pair of ints"),
         ({"crystal_modes": ((0, "x"), (1, 1))}, "not a pair of ints"),
