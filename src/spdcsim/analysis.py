@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -106,21 +106,34 @@ def schmidt_rank_vector(state: StateVector, parties: Sequence[str]) -> SchmidtRa
     _check_party_occupancy(psi, parties)
     ranks = []
     for party in parties:
-        local_index: dict = {}
-        rest_index: dict = {}
-        entries: list[tuple[int, int, complex]] = []
-        for occ, amp in psi.terms.items():
-            local = tuple((label.mode, n) for label, n in occ if label.path == party)
-            rest = tuple(item for item in occ if item[0].path != party)
-            i = local_index.setdefault(local, len(local_index))
-            j = rest_index.setdefault(rest, len(rest_index))
-            entries.append((i, j, amp))
-        matrix = np.zeros((len(local_index), len(rest_index)), dtype=complex)
-        for i, j, amp in entries:
-            matrix[i, j] += amp
-        singular = np.linalg.svd(matrix, compute_uv=False)
-        ranks.append(int(np.sum(singular > SRV_TOLERANCE)))
+        cells = (
+            (
+                tuple((label.mode, n) for label, n in occ if label.path == party),
+                tuple(item for item in occ if item[0].path != party),
+                amp,
+            )
+            for occ, amp in psi.terms.items()
+        )
+        ranks.append(schmidt_rank(cells))
     return SchmidtRankVector(tuple(parties), tuple(ranks))
+
+
+def schmidt_rank(cells: Iterable[tuple[Hashable, Hashable, complex]]) -> int:
+    """The Schmidt rank of a bipartite state given as ``(local, rest,
+    amp)`` cells, one per term: the number of singular values above
+    :data:`SRV_TOLERANCE` of the matrix holding each ``amp`` in row
+    ``local`` and column ``rest``, rows and columns numbered in order of
+    first appearance."""
+    rows: dict = {}
+    cols: dict = {}
+    entries: list[tuple[int, int, complex]] = []
+    for local, rest, amp in cells:
+        entries.append((rows.setdefault(local, len(rows)), cols.setdefault(rest, len(cols)), amp))
+    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
+    for i, j, amp in entries:
+        matrix[i, j] += amp
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(singular > SRV_TOLERANCE))
 
 
 def _check_party_occupancy(state: StateVector, parties: Sequence[str]) -> None:

@@ -21,7 +21,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .fock import LOSS_PREFIX, PRUNE_EPSILON, KeyLayout, ModeLabel, StateVector, loss_path
 from .fock import apply_pair_generator, occupation_photons
@@ -166,7 +166,24 @@ def expand_crystal(
     limit: int | None = None,
 ) -> dict[int, Any]:
     """``sum_k weights[k] D^k`` applied to a coefficient dict on
-    ``layout``'s packed keys, unpruned.
+    ``layout``'s packed keys, unpruned: :func:`crystal_transfer`'s step,
+    compiled and taken once."""
+    return crystal_transfer(crystal, weights, layout, creation_only=creation_only, bosonic=bosonic, limit=limit)(terms)
+
+
+def crystal_transfer(
+    crystal: Crystal | MultimodeCrystal,
+    weights: Sequence[Any],
+    layout: KeyLayout,
+    *,
+    creation_only: bool = False,
+    bosonic: bool = True,
+    limit: int | None = None,
+) -> Callable[[Mapping[int, Any]], dict[int, Any]]:
+    """The step that applies ``sum_k weights[k] D^k`` to a coefficient
+    dict on ``layout``'s packed keys, unpruned, with everything that does
+    not depend on the terms resolved here, once: the crystal's slots,
+    local bits and transfer table.
 
     The series order is ``len(weights) - 1``; the float engine passes
     :func:`taylor_weights`, the exact efficiency integers scaled by a
@@ -186,9 +203,10 @@ def expand_crystal(
     The table is kept for the life of the process, one per signature:
     the crystal's slot offsets, ``layout.mask``, the weights and their
     types (so a float table never serves an exact caller),
-    ``creation_only``, ``bosonic`` and the limit.  A call expands only
-    the local occupations its signature's table lacks; at most
-    :data:`TABLE_SIGNATURES` signatures are kept.
+    ``creation_only``, ``bosonic`` and the limit.  A step expands only
+    the local occupations its table lacks; at most
+    :data:`TABLE_SIGNATURES` signatures are kept, and a step keeps its
+    own table when the memo drops it.
 
     A missing occupation is expanded alone (:func:`_expand_local`) and
     stored with one assignment, so no call ever reads a half-built entry
@@ -214,20 +232,24 @@ def expand_crystal(
         if len(_tables) >= TABLE_SIGNATURES:
             _tables.clear()
         table = _tables[signature] = {}
-    out: dict[int, Any] = {}
-    get = out.get
-    for key, amp in terms.items():
-        local = key & local_bits
-        entries = table.get(local)
-        if entries is None:
-            entries = table[local] = _expand_local(local, slots, mask, weights, creation_only, bosonic, limit)
-        spare = limit - (key - local) % mask  # the limit less the photons outside the crystal
-        for photons, delta, coeff in entries:
-            if photons > spare:
-                break
-            key_out = key + delta
-            out[key_out] = get(key_out, 0) + amp * coeff
-    return out
+
+    def transfer(terms: Mapping[int, Any]) -> dict[int, Any]:
+        out: dict[int, Any] = {}
+        get = out.get
+        for key, amp in terms.items():
+            local = key & local_bits
+            entries = table.get(local)
+            if entries is None:
+                entries = table[local] = _expand_local(local, slots, mask, weights, creation_only, bosonic, limit)
+            spare = limit - (key - local) % mask  # the limit less the photons outside the crystal
+            for photons, delta, coeff in entries:
+                if photons > spare:
+                    break
+                key_out = key + delta
+                out[key_out] = get(key_out, 0) + amp * coeff
+        return out
+
+    return transfer
 
 
 def _expand_local(
@@ -370,6 +392,8 @@ def substitute(
     by label in mode order, with one branch per way of sharing
     (:func:`_shares`): one for a single target (a relabel, a
     misalignment at ``T = 0``), ``n + 1`` for ``n`` photons split two ways.
+    A term whose single target holds no photon where the block lands
+    skips the loop: the block moves in one add, with the loop's result.
     """
     path, delta, targets = _substitution(element)
     if path not in layout.blocks:
@@ -409,9 +433,18 @@ def substitute(
     comb, sqrt = math.comb, math.sqrt
     coeffs = [c for _, c in targets]
     shares: dict[int, list] = {}
+    # A single target (its ``c`` is 1) whose fields under ``p``'s block are
+    # all empty takes the whole block in one move: the loop would give
+    # every field one branch of weight 1 and no bosonic factor.
+    base = bases[0]
+    landing = path_bits >> offset << base if len(bases) == 1 else 0
     for key, amp in terms.items():
         bits = key & path_bits
         if not bits:
+            out[key] = get(key, 0) + amp
+            continue
+        if landing and not key & landing:
+            key += (bits >> offset << base) - bits
             out[key] = get(key, 0) + amp
             continue
         branches = [(key - bits, amp)]
@@ -477,27 +510,29 @@ def apply_element(
     most = max(map(occupation_photons, state.terms), default=0)
     layout = compile_layout((element,), max(most, limit or 0) + 2 * order, labels)
     terms = {layout.encode(occ): amp for occ, amp in state.terms.items()}
-    terms = evolve(terms, element, layout, order=order, creation_only=creation_only, limit=limit)
+    terms = element_step(element, layout, order=order, creation_only=creation_only, limit=limit)(terms)
     return StateVector({layout.decode(key): amp for key, amp in terms.items()})
 
 
-def evolve(
-    terms: Mapping[int, Any],
-    element: Element,
-    layout: KeyLayout,
-    *,
-    order: int,
-    creation_only: bool,
-    limit: int | None,
-) -> dict[int, Any]:
-    """One element on packed float amplitudes, pruned as
-    :class:`~spdcsim.fock.StateVector` prunes."""
+def element_step(
+    element: Element, layout: KeyLayout, *, order: int, creation_only: bool, limit: int | None
+) -> Callable[[Mapping[int, complex]], dict[int, complex]]:
+    """The step that applies one element to packed float amplitudes on
+    ``layout``, pruned as :class:`~spdcsim.fock.StateVector` prunes; a
+    source's Taylor weights and transfer step (:func:`crystal_transfer`)
+    are resolved here, once."""
     if isinstance(element, (Crystal, MultimodeCrystal)):
         weights = taylor_weights(element.g, order)
-        terms = expand_crystal(terms, element, weights, layout, creation_only=creation_only, limit=limit)
+        apply = crystal_transfer(element, weights, layout, creation_only=creation_only, limit=limit)
     else:
-        terms = substitute(terms, element, layout)
-    return {key: amp for key, amp in terms.items() if abs(amp) > PRUNE_EPSILON}
+
+        def apply(terms: Mapping[int, complex]) -> dict[int, complex]:
+            return substitute(terms, element, layout)
+
+    def step(terms: Mapping[int, complex]) -> dict[int, complex]:
+        return {key: amp for key, amp in apply(terms).items() if abs(amp) > PRUNE_EPSILON}
+
+    return step
 
 
 def resolve_loss_paths(elements: tuple[Element, ...]) -> tuple[Element, ...]:

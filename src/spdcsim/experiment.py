@@ -16,7 +16,7 @@ from .elements import (
     Relabel,
     compile_layout,
     crystal_pairs,
-    evolve,
+    element_step,
     resolve_loss_paths,
 )
 from .fock import LOSS_PREFIX, KeyLayout, Occupation, StateVector, occupation_photons
@@ -110,12 +110,22 @@ def compile_run(
 def run_keys(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, complex]:
     """Evolve vacuum through the compiled ``elements`` (:func:`compile_run`)
     on ``layout``'s packed keys, pruned after each element; :func:`run`
-    without the decode."""
+    without the decode.
+
+    Each element's step (``elements.element_step``) is compiled the first
+    time it runs on ``layout`` under ``exp``'s settings and kept in
+    ``layout.steps``, so a caller that runs many element lists on one
+    layout, as a search span does, compiles each element once.
+    """
     limit = 2 * exp.pair_budget
-    order = exp.expansion_order
+    order, creation_only = exp.expansion_order, exp.creation_only
+    steps = layout.steps.setdefault((order, creation_only, limit), {})
     terms = {0: 1.0 + 0j}
     for element in elements:
-        terms = evolve(terms, element, layout, order=order, creation_only=exp.creation_only, limit=limit)
+        step = steps.get(element)
+        if step is None:
+            step = steps[element] = element_step(element, layout, order=order, creation_only=creation_only, limit=limit)
+        terms = step(terms)
     return terms
 
 
@@ -125,7 +135,7 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
 
     Two steps: :func:`compile_run` compiles the resolved element list
     once into a packed-key layout, and :func:`run_keys` evolves the
-    ``int``-keyed terms (``elements.evolve``), pruned after each
+    ``int``-keyed terms (``elements.element_step``), pruned after each
     element.  The keys are decoded to canonical occupation tuples once,
     at the end.
 
@@ -169,7 +179,7 @@ def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], b
     n = len(detectors)
     mask = layout.mask
     blocks = [layout.block_bits((path,)) for path in detectors]
-    return lambda key: key % mask == n and all(key & bits for bits in blocks)
+    return lambda key: key % mask == n and all(map(key.__and__, blocks))
 
 
 def sector_rule(layout: KeyLayout, n: int) -> Callable[[int], bool]:
@@ -178,26 +188,6 @@ def sector_rule(layout: KeyLayout, n: int) -> Callable[[int], bool]:
     mask = layout.mask
     kept = ~layout.block_bits(path for path in layout.blocks if path.startswith(LOSS_PREFIX))
     return lambda key: (key & kept) % mask == n
-
-
-def post_select_keys(
-    terms: Mapping[int, complex], layout: KeyLayout, detectors: Sequence[str]
-) -> PostSelectionResult:
-    """:func:`post_select` on packed terms (:func:`run_keys`), decoding
-    only the kept ones.
-
-    Equals ``post_select(run(exp), exp.detectors)`` bit for bit: the
-    terms are kept in the same order and normalized and summed with the
-    same arithmetic.  Repeated detectors, or one on a loss path, raise
-    ``ValueError``.
-
-    The kept terms are few, so they are decoded field by field
-    (``KeyLayout.decode_fields``): the block memo of ``KeyLayout.decode``
-    would cost more to fill than it saves.
-    """
-    passes = nfold_rule(layout, detectors)
-    decode = layout.decode_fields
-    return _selection({decode(key, 0): amp for key, amp in terms.items() if passes(key)})
 
 
 def post_select_pattern(

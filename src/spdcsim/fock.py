@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 #: Amplitudes at or below this magnitude are dropped from sparse states.
 PRUNE_EPSILON = 1e-14
@@ -104,7 +104,7 @@ class KeyLayout:
     digit sum ``key % mask`` is the term's exact photon count.
     """
 
-    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels", "_decoder")
+    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels", "steps", "_decoder")
 
     def __init__(self, modes: Mapping[str, Iterable[int]], bound: int):
         width = (bound + 1).bit_length()
@@ -125,6 +125,9 @@ class KeyLayout:
                 label = ModeLabel(path, mode)
                 self.fields[label] = len(self.labels) * width
                 self.labels.append(label)
+        #: run settings -> element -> its compiled step on this layout,
+        #: filled by ``experiment.run_keys``
+        self.steps: dict[tuple, dict] = {}
         #: (each block's bits, offset and first field index; block memo),
         #: built by the first :meth:`decode`
         self._decoder = None
@@ -237,6 +240,32 @@ def apply_pair_generator(
                 value = amp * sqrt(na * nb) if bosonic else amp * (na * nb)
                 out[lowered] = get(lowered, 0) - value
     return out
+
+
+def normalized_terms(terms: Mapping[Any, complex]) -> dict[Any, complex]:
+    """``terms`` over their norm, in order, dropping each amplitude that
+    falls to ``PRUNE_EPSILON`` or below; ``{}`` when the norm is 0.  The
+    terms of :meth:`StateVector.normalized` on any keys, packed ones
+    included, with the same arithmetic."""
+    n = math.sqrt(sum(abs(amp) ** 2 for amp in terms.values()))
+    if n == 0.0:
+        return {}
+    c = complex(1.0 / n)
+    return {key: scaled for key, amp in terms.items() if abs(scaled := amp * c) > PRUNE_EPSILON}
+
+
+def inner_terms(bra: Mapping[Any, complex], ket: Mapping[Any, complex]) -> complex:
+    """``<bra|ket>`` over coefficient dicts with keys of one kind: the
+    sum, over the smaller dict in its order, of each shared key's
+    ``conj(bra) * ket`` (:meth:`StateVector.inner`)."""
+    if len(bra) > len(ket):
+        return inner_terms(ket, bra).conjugate()
+    total = 0j
+    for key, amp in bra.items():
+        other = ket.get(key)
+        if other is not None:
+            total += amp.conjugate() * other
+    return total
 
 
 def occupation_photons(occ: Occupation, *, include_loss: bool = True) -> int:
@@ -360,24 +389,14 @@ class StateVector:
 
     def inner(self, other: "StateVector") -> complex:
         """Hermitian inner product ``<self|other>`` in the number basis."""
-        if len(self.terms) > len(other.terms):
-            return other.inner(self).conjugate()
-        total = 0j
-        for occ, amp in self.terms.items():
-            other_amp = other.terms.get(occ)
-            if other_amp is not None:
-                total += amp.conjugate() * other_amp
-        return total
+        return inner_terms(self.terms, other.terms)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(amp) ** 2 for amp in self.terms.values()))
 
     def normalized(self) -> "StateVector":
         """Unit-norm copy; the zero state is returned unchanged."""
-        n = self.norm()
-        if n == 0.0:
-            return StateVector.zero()
-        return self * (1.0 / n)
+        return StateVector(normalized_terms(self.terms))
 
     # -- sector selection ---------------------------------------------------
 

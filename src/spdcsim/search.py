@@ -18,9 +18,12 @@ m``, map onto each other by conjugating each element (``_class_tables``).
 A new class is screened on its key first: the modes its elements let
 photons reach, folded from the table's reach steps
 (``elements.mode_reach``), tell whether it can produce a coincidence at
-all (``_can_click``).  A class that cannot scores 0 with no experiment
-or key layout built; one that can is built, and its reach becomes its
-key layout (``evaluate``).
+all (``_can_click``).  A class that cannot scores 0 with nothing
+compiled.  One that can is scored on packed keys from its table
+elements (``_score``), through its reach's key layout and target,
+compiled once per span for every key that shares the layout
+(``_compile``); an ``Experiment`` is built only for a hit.
+``evaluate`` scores one built setup through the same two steps.
 """
 
 from __future__ import annotations
@@ -29,18 +32,17 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .analysis import fidelity, schmidt_rank_vector
+from .analysis import schmidt_rank
 from .dsl import path_name
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import mode_reach, reach_step, resolve_loss_paths
-from .experiment import Experiment, _check_detectors, compile_run, post_select_keys, run_keys
-from .fock import ModeLabel, StateVector
+from .experiment import Experiment, _check_detectors, compile_run, nfold_rule, run_keys
+from .fock import KeyLayout, ModeLabel, StateVector, inner_terms, normalized_terms
 
 #: Mode lists a multimode crystal may draw.
 MULTIMODE_LISTS = ((0, 1), (0, 1, 2), (0, 1, 2, 3))
@@ -158,8 +160,8 @@ class SearchStats:
     ``evaluated`` counts the distinct setups drawn; every other trial is
     a cache hit.  ``classes`` counts their symmetry classes (under the
     admitted label maps, ``_class_tables``), each screened once and, if
-    it passes, scored by one ``evaluate`` call (plus one per hit outside
-    its class's first key).  ``screened`` counts the setups whose class
+    it passes, scored once on packed keys (plus once per hit outside its
+    class's first key).  ``screened`` counts the setups whose class
     the screen scored 0 on its drawn key, unbuilt (``_can_click``).
     ``histogram`` bins the setups' scores (their class's, or their own if
     scored themselves) in tenths for a fidelity target, or as 0 and 1
@@ -461,31 +463,101 @@ def random_setup(config: SearchConfig, trial: int) -> Experiment:
     return Experiment(elements=tuple(_element(index, config.pool) for index in key), detectors=config.detectors)
 
 
-def evaluate(exp: Experiment, target: Target, reach: dict[str, set[int]] | None = None) -> float:
+def evaluate(exp: Experiment, target: Target, reach: Mapping[str, set[int]] | None = None) -> float:
     """Simulate, post-select, and score; empty selections score zero.
 
     A setup whose mode reach (``elements.mode_reach`` of its resolved
     elements, or ``reach`` when the caller has folded it) cannot produce a
     coincidence scores ``0.0`` uncompiled (:func:`_can_click`).  Otherwise
-    the reach becomes its key layout (``compile_run``), and its packed
-    terms are evolved, post-selected on keys (as ``post_select(run(exp),
-    exp.detectors)``) and scored.
+    the reach is compiled into a key layout and target (:func:`_compile`)
+    for this one setup, and the setup is scored on packed keys
+    (:func:`_score`), as a search scores it.  The score is bit for bit
+    ``fidelity`` or ``schmidt_rank_vector`` of ``post_select(run(exp),
+    exp.detectors).state``.
     """
+    elements = resolve_loss_paths(exp.elements)
     if reach is None:
-        reach = mode_reach(map(reach_step, resolve_loss_paths(exp.elements)))
+        reach = mode_reach(map(reach_step, elements))
     if not _can_click(reach, exp.detectors, target):
         return 0.0
-    elements, layout = compile_run(exp, reach)
-    selected = post_select_keys(run_keys(exp, elements, layout), layout, exp.detectors)
-    if selected.state.is_zero() or selected.success_weight == 0.0:
-        return 0.0
+    return _score(_compile(exp, reach, target), elements)
+
+
+class _Compiled(NamedTuple):
+    """What scoring any setup of one key layout needs (:func:`_compile`)."""
+
+    #: the settings: detectors, pair budget, series order, convention
+    exp: Experiment
+    layout: KeyLayout
+    #: ``experiment.nfold_rule`` on ``layout``
+    passes: Callable[[int], bool]
+    target: Target
+    #: a fidelity target's normalized terms on ``layout``'s keys, a term
+    #: with no field under a negative key; a rank target's party blocks,
+    #: or None when a party is not a detector
+    encoded: dict[int, complex] | tuple[int, ...] | None
+
+
+def _compile(exp: Experiment, reach: Mapping[str, set[int]], target: Target) -> _Compiled:
+    """The key layout over ``reach`` for ``exp``'s settings
+    (``compile_run``), its n-fold rule, and ``target`` on its keys.
+
+    A fidelity target keeps the order and length of
+    ``target.state.normalized()`` (a term holding a label without a
+    field, which no setup of the layout can reach, takes a key of its own
+    below 0), so ``fock.inner_terms`` iterates the same dict as
+    ``StateVector.inner`` would.  After the n-fold selection every
+    detector holds one photon in every term and every other path none,
+    so ``schmidt_rank_vector``'s party-occupancy check fails exactly when
+    a rank target's party is not a detector.
+    """
+    layout = compile_run(exp, reach)[1]
+    encoded: dict[int, complex] | tuple[int, ...] | None = None
     if isinstance(target, FidelityTarget):
-        return fidelity(selected.state, target.state)
-    try:
-        srv = schmidt_rank_vector(selected.state, target.parties)
-    except ValueError:
+        encoded = {}
+        for occ, amp in target.state.normalized().terms.items():
+            try:
+                key = layout.encode(occ)
+            except ValueError:
+                key = -1 - len(encoded)
+            encoded[key] = amp
+    elif set(target.parties) <= set(exp.detectors):
+        encoded = tuple(layout.block_bits((party,)) for party in target.parties)
+    return _Compiled(exp, layout, nfold_rule(layout, exp.detectors), target, encoded)
+
+
+def _score(compiled: _Compiled, elements: Sequence[Element]) -> float:
+    """The score of the setup of resolved ``elements`` and ``compiled``'s
+    settings, from its packed terms (``run_keys``), decoding nothing.
+
+    Each step is that of ``post_select`` and then ``fidelity`` or
+    ``schmidt_rank_vector``, with the same arithmetic on keys in place of
+    occupations: the terms passing the n-fold rule, normalized
+    (``post_select``; ``fock.normalized_terms``); nothing left scores 0;
+    normalized again (the scorer's own ``normalized``).  A fidelity is
+    ``min(|<target|psi>|^2, 1)``.  A rank target scores 1 when every
+    party is a detector (:func:`_compile`) and each party's Schmidt rank
+    (``analysis.schmidt_rank``, over the key's bits in the party's block
+    and the rest, in first-appearance order) is its target rank, checked
+    party by party; else 0.
+    """
+    exp, layout, passes, target, encoded = compiled
+    selected = normalized_terms({key: amp for key, amp in run_keys(exp, elements, layout).items() if passes(key)})
+    if not selected:
+        # ``post_select``'s state is zero exactly when nothing passed,
+        # which is when its success weight is 0.
         return 0.0
-    return 1.0 if srv.ranks == target.ranks else 0.0
+    psi = normalized_terms(selected)
+    if isinstance(target, FidelityTarget):
+        if not encoded:
+            raise ValueError("fidelity of the zero state is undefined")
+        return min(abs(inner_terms(encoded, psi)) ** 2, 1.0)
+    if encoded is None:
+        return 0.0
+    for bits, rank in zip(encoded, target.ranks):
+        if schmidt_rank((key & bits, key & ~bits, amp) for key, amp in psi.items()) != rank:
+            return 0.0
+    return 1.0
 
 
 def _can_click(reach: dict[str, set[int]], detectors: Sequence[str], target: Target) -> bool:
@@ -700,8 +772,12 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
     A chunk's new keys are scored in first-drawn order: a new class, or a
     key that may be a hit on its own (``_accepts`` with ``_NEAR``), is
     screened on its key's mode reach, and one that cannot click scores 0
-    unbuilt.  Then the chunk's trials whose keys are accepted are hits.
-    An experiment is built only to score a key that passes, or for a hit.
+    uncompiled.  One that passes is scored on packed keys (``_score``)
+    from its table elements, through its reach's compiled layout and
+    target (``_compile``), which the span compiles once per distinct key
+    layout (each path's least and greatest reached mode) and keeps for
+    its life.  Then the chunk's trials whose keys are accepted are hits;
+    an experiment is built only for a hit.
     Returns the hits, the ``{key: score}`` of its distinct keys, the keys
     whose class the screen rejected, the ``{class: first key}`` map, and
     the seconds of its chunks' seeding and draw and of their scoring.
@@ -709,6 +785,8 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
     target, detectors = config.target, config.detectors
     table = _element_table(config.pool)
     canonical = _canonicaliser(_class_tables(config, table))
+    settings = Experiment(detectors=detectors)
+    compiled: dict[frozenset, _Compiled] = {}
     scores: dict[tuple[int, ...], float] = {}
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     screened: set[tuple[int, ...]] = set()
@@ -729,7 +807,11 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
             if first is None or _accepts(target, scores[first], _NEAR):
                 reach = mode_reach([table[index][1] for index in key])
                 if _can_click(reach, detectors, target):
-                    score = evaluate(_build(key, config, table), target, reach)
+                    extent = frozenset((path, min(modes), max(modes)) for path, modes in reach.items())
+                    entry = compiled.get(extent)
+                    if entry is None:
+                        entry = compiled[extent] = _compile(settings, reach, target)
+                    score = _score(entry, [table[index][0] for index in key])
                 else:
                     score = 0.0
                     screened.add(key)
@@ -755,9 +837,10 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
     """``search``, plus what it did.
 
     The budget is split into ``min(workers, budget)`` contiguous spans,
-    run here when there is one and in a process pool otherwise.  The stats count the union of the spans' scored keys and
-    classes, so they are the serial search's for any worker count.  No
-    cache outlives the call.
+    run here when there is one and in a process pool otherwise (imported
+    only then, so a serial search loads no process machinery).  The stats
+    count the union of the spans' scored keys and classes, so they are
+    the serial search's for any worker count.  No cache outlives the call.
     """
     start = time.perf_counter()
     n = max(1, min(workers, config.budget))
@@ -765,6 +848,8 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
     if n == 1:
         parts = [_run_span(config, 0, config.budget)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n) as pool:
             # ``map`` keeps the span order, so the hits stay in trial order.
             parts = list(pool.map(_run_span, [config] * n, bounds[:-1], bounds[1:]))

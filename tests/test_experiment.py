@@ -10,10 +10,8 @@ from spdcsim.experiment import (
     compile_run,
     nfold_rule,
     post_select,
-    post_select_keys,
     post_select_pattern,
     run,
-    run_keys,
     success_fraction,
     with_uniform_misalignment,
 )
@@ -122,14 +120,6 @@ def test_nfold_rule_rejects_repeated_detectors():
     _, layout = compile_run(two_matching_polarization_layout())
     with pytest.raises(ValueError, match="detectors must be distinct"):
         nfold_rule(layout, ("a", "a"))
-
-
-def test_post_select_keys_rejects_repeated_detectors():
-    exp = two_matching_polarization_layout()
-    elements, layout = compile_run(exp)
-    terms = run_keys(exp, elements, layout)
-    with pytest.raises(ValueError, match="detectors must be distinct"):
-        post_select_keys(terms, layout, ("a", "a"))
 
 
 SELECTION_PATHS = ("a", "b", "c", "loss#0")

@@ -14,7 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spdcsim import elements
 from spdcsim.analysis import efficiency_simulated, ghz_layout, ghz_target
@@ -187,6 +187,54 @@ def test_passive_kernel_conventions_agree(terms, element):
     bosonic_in = pack(layout, monomial_to_bosonic(terms).terms)
     bosonic = unpack(layout, substitute(bosonic_in, element, layout))
     assert_close(StateVector(bosonic), monomial_to_bosonic(monomial))
+
+
+def relabelled_by_the_merge_loop(terms, source, target, bosonic):
+    """``Relabel(source, target)`` on occupation-keyed ``terms`` as the
+    merge loop of ``substitute`` makes it: each of the source's labels, in
+    mode order, lands on the target's label of its mode, times
+    ``sqrt(C(held + k, k))`` for ``k`` photons landing on ``held``
+    (bosonic), and each result is added to what its key holds."""
+    out = {}
+    for occ, amp in terms.items():
+        counts = dict(occ)
+        for label, k in occ:
+            if label.path == source:
+                del counts[label]
+                landing = ModeLabel(target, label.mode)
+                held = counts.get(landing, 0)
+                counts[landing] = held + k
+                if held and bosonic:
+                    amp = amp * math.sqrt(math.comb(held + k, k))
+        moved = make_occupation(counts)
+        out[moved] = out.get(moved, 0) + amp
+    return out
+
+
+signed_zero_amplitudes = st.one_of(
+    amplitudes, st.sampled_from([complex(-0.0, 1.0), complex(0.5, -0.0), complex(-0.0, -0.0) + 0.25])
+)
+A0, A1, B0 = ModeLabel("a", 0), ModeLabel("a", 1), ModeLabel("b", 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(occupations, signed_zero_amplitudes, min_size=1, max_size=6),
+    st.sampled_from([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")]),
+    st.booleans(),
+)
+# A target with no photon where the block lands, so the block moves in
+# one add, and an occupied one, so the terms take the merge loop; each
+# also holds a term that lands on the key of an earlier one.
+@example({((A0, 1),): 0.5 - 0.0j, ((B0, 1),): complex(-0.0, 2.0), ((A1, 2),): 1j}, ("a", "b"), True)
+@example({((A0, 1), (B0, 1)): 0.5, ((B0, 2),): 0.25, ((A0, 2),): -1.0}, ("a", "b"), True)
+def test_a_relabel_onto_empty_fields_equals_the_merge_loop(terms, paths, bosonic):
+    source, target = paths
+    element = Relabel(source, target)
+    layout = compile_layout((element,), most_photons(terms), labels_of(terms))
+    out = substitute(pack(layout, terms), element, layout, bosonic=bosonic)
+    expected = relabelled_by_the_merge_loop(terms, source, target, bosonic)
+    assert repr(list(out.items())) == repr([(layout.encode(occ), amp) for occ, amp in expected.items()])
 
 
 @pytest.mark.parametrize(

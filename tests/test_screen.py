@@ -1,11 +1,12 @@
 """Selection and scoring on packed keys against the decoded-tuple path.
 
 The search screens each candidate on the mode reach folded from its
-drawn key and post-selects on packed keys; the exact efficiency counts
-on keys too.  Each is checked here against the public ``StateVector``
-code it must equal bit for bit: ``post_select(run(exp), exp.detectors)``,
-``_matches`` and ``occupation_photons``; the reach fold is checked
-against the key layout it builds and a set-based static pass of its own.
+drawn key, then post-selects and scores it on packed keys; the exact
+efficiency counts on keys too.  Each is checked here against the public
+``StateVector`` code it must equal bit for bit: ``post_select(run(exp),
+exp.detectors)``, ``fidelity``, ``schmidt_rank_vector``, ``_matches``
+and ``occupation_photons``; the reach fold is checked against the key
+layout it builds and a set-based static pass of its own.
 """
 
 import importlib
@@ -14,9 +15,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spdcsim.analysis import _monomial_terms, efficiency_simulated, fidelity, schmidt_rank_vector
+from spdcsim.analysis import _monomial_terms, efficiency_simulated, fidelity, ghz_target, schmidt_rank_vector, w_target
 from spdcsim.elements import (
     Crystal,
     Misalignment,
@@ -27,6 +28,7 @@ from spdcsim.elements import (
     crystal_pairs,
     mode_reach,
     reach_step,
+    resolve_loss_paths,
 )
 from spdcsim.experiment import (
     Experiment,
@@ -34,12 +36,11 @@ from spdcsim.experiment import (
     compile_run,
     nfold_rule,
     post_select,
-    post_select_keys,
     run,
     run_keys,
     sector_rule,
 )
-from spdcsim.fock import KeyLayout, ModeLabel, StateVector, occupation_photons
+from spdcsim.fock import KeyLayout, ModeLabel, StateVector, normalized_terms, occupation_photons
 from spdcsim.search import (
     ElementPool,
     FidelityTarget,
@@ -60,7 +61,13 @@ CONFIGS = {"ghz4": pol_config(), "mixed": MIXED_CONFIG}
 
 def unscreened_score(exp, target):
     """``evaluate`` without the screen: simulate, decode, select, score."""
-    selected = post_select(run(exp), exp.detectors)
+    return decoded_score(run(exp), exp.detectors, target)
+
+
+def decoded_score(full, detectors, target):
+    """The score of the state ``full`` on decoded occupations:
+    ``post_select``, then ``fidelity`` or ``schmidt_rank_vector``."""
+    selected = post_select(full, detectors)
     if selected.state.is_zero() or selected.success_weight == 0.0:
         return 0.0
     if isinstance(target, FidelityTarget):
@@ -82,13 +89,24 @@ def drawn(name, seed, trial):
     return random_setup(replace(config, seed=seed), trial), config.target
 
 
+def key_score(exp, target):
+    """The search's score of ``exp`` on packed keys, unscreened: compiled
+    afresh over the reach of its resolved elements."""
+    elements = resolve_loss_paths(exp.elements)
+    compiled = search_module._compile(exp, mode_reach(map(reach_step, elements)), target)
+    return search_module._score(compiled, elements)
+
+
 def assert_selection_on_keys_equals_post_select(exp):
+    # The n-fold rule on keys, then the normalization ``_score`` makes.
     elements, layout = compile_run(exp)
-    packed = post_select_keys(run_keys(exp, elements, layout), layout, exp.detectors)
+    passes = nfold_rule(layout, exp.detectors)
+    selected = {key: amp for key, amp in run_keys(exp, elements, layout).items() if passes(key)}
+    packed = StateVector({layout.decode(key): amp for key, amp in normalized_terms(selected).items()})
     reference = post_select(run(exp), exp.detectors)
-    assert packed.state.serialize() == reference.state.serialize()
-    assert list(packed.state.terms) == list(reference.state.terms)
-    assert repr(packed.success_weight) == repr(reference.success_weight)
+    assert packed.serialize() == reference.state.serialize()
+    assert list(packed.terms) == list(reference.state.terms)
+    assert repr(sum(abs(amp) ** 2 for amp in selected.values())) == repr(reference.success_weight)
 
 
 # -- packed selection ---------------------------------------------------------
@@ -105,6 +123,131 @@ def test_packed_selection_equals_post_select_on_drawn_setups(name, seed, trial):
 def test_packed_selection_equals_post_select_on_the_corpus(path, creation_only):
     exp = replace(load_experiment(path.name), creation_only=creation_only)
     assert_selection_on_keys_equals_post_select(exp)
+
+
+# -- scores on keys -------------------------------------------------------------
+
+# Each pool's own target, and targets of the other kind: GHZ(4,3) has
+# terms in mode 2, which no crystal-pool setup reaches, and the pair
+# (a, e) holds a party no setup detects.
+SCORE_TARGETS = {
+    "ghz4": (
+        pol_config().target,
+        FidelityTarget(ghz_target(4, 3)),
+        FidelityTarget(w_target(4)),
+        SrvTarget(tuple("abcd"), (2, 2, 2, 2)),
+        SrvTarget(("a", "e"), (1, 1)),
+    ),
+    "mixed": (
+        MIXED_CONFIG.target,
+        FidelityTarget(ghz_target(4, 2, paths=MIXED_CONFIG.detectors)),
+        FidelityTarget(ghz_target(3, 3, paths=("a", "b", "c"))),
+        SrvTarget(MIXED_CONFIG.detectors, (1, 2, 2, 2)),
+        SrvTarget(("t", "a", "x"), (1, 2, 2)),
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CONFIGS)), st.integers(0, 2**32 - 1), st.integers(0, 10**6))
+def test_the_key_score_equals_the_decoded_score_on_drawn_setups(name, seed, trial):
+    exp = drawn(name, seed, trial)[0]
+    full = run(exp)
+    for target in SCORE_TARGETS[name]:
+        assert repr(key_score(exp, target)) == repr(decoded_score(full, exp.detectors, target))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_the_key_score_equals_the_decoded_score_on_the_corpus(path):
+    exp = load_experiment(path.name)
+    full = run(exp)
+    selected = post_select(full, exp.detectors).state
+    n = len(exp.detectors)
+    targets = [SrvTarget((*exp.detectors, "x"), (1,) * (n + 1))]
+    if n >= 2:
+        targets += [FidelityTarget(ghz_target(n, d, paths=exp.detectors)) for d in (2, 3, 5)]
+    if not selected.is_zero():
+        ranks = schmidt_rank_vector(selected, exp.detectors).ranks
+        targets += [FidelityTarget(selected), SrvTarget(exp.detectors, ranks)]
+        targets += [SrvTarget(exp.detectors[::-1], ranks), SrvTarget(exp.detectors[1:], ranks[1:])]
+    for target in targets:
+        assert repr(key_score(exp, target)) == repr(decoded_score(full, exp.detectors, target))
+
+
+SCORE_LAYOUT = {path: {0, 1} for path in "abcd"}
+SCORE_DETECTORS = tuple("abcd")
+
+
+def one_per_detector(modes):
+    """The occupation of one photon per detector, in the given modes."""
+    return tuple((ModeLabel(path, mode), 1) for path, mode in zip(SCORE_DETECTORS, modes))
+
+
+# Selected terms of one photon per detector, and terms the n-fold rule drops.
+score_occupations = st.one_of(
+    st.tuples(*(st.integers(0, 1) for _ in SCORE_DETECTORS)).map(one_per_detector),
+    st.dictionaries(st.sampled_from(KeyLayout(SCORE_LAYOUT, 1).labels), st.integers(1, 2), max_size=3).map(
+        lambda counts: tuple(sorted(counts.items()))
+    ),
+)
+# Amplitudes of every size a run keeps, down to just above the prune.
+score_amplitudes = st.one_of(
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.floats(1.0000001e-14, 1e-12).map(complex),
+)
+SCORE_TERM_TARGETS = (
+    FidelityTarget(ghz_target(4, 2)),
+    FidelityTarget(ghz_target(4, 3)),
+    FidelityTarget(w_target(4)),
+    FidelityTarget(
+        StateVector({one_per_detector((0,) * 4): 1, one_per_detector((1,) * 4): 0.5j, one_per_detector((0, 1, 0, 1)): -0.25})
+    ),
+    SrvTarget(SCORE_DETECTORS, (2, 2, 2, 2)),
+    SrvTarget(("b", "d"), (2, 1)),
+    SrvTarget(("a", "e"), (1, 1)),
+)
+# The first normalization keeps the last term at 1.0000000000000002e-14;
+# the second, by a norm just above 1, drops it.
+PRUNED_BY_THE_SECOND_NORMALIZATION = [
+    (one_per_detector((0, 0, 0, 0)), 0.894231100748672 + 0.6923948368566255j),
+    (one_per_detector((1, 1, 1, 1)), 0.5547554385216404 + 0.17800451596510336j),
+    (one_per_detector((0, 1, 0, 1)), 1.2722024508407468e-14 + 0j),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(score_occupations, score_amplitudes), min_size=1, max_size=8),
+    st.sampled_from(SCORE_TERM_TARGETS),
+)
+@example(PRUNED_BY_THE_SECOND_NORMALIZATION, SCORE_TERM_TARGETS[3])
+@example(PRUNED_BY_THE_SECOND_NORMALIZATION, SCORE_TERM_TARGETS[4])
+def test_the_key_score_equals_the_decoded_score_on_any_run(terms, target):
+    # ``run_keys`` replaced by the drawn terms: the selection, both
+    # normalizations and the scoring alone.
+    exp = Experiment(detectors=SCORE_DETECTORS)
+    compiled = search_module._compile(exp, SCORE_LAYOUT, target)
+    packed = {compiled.layout.encode(occ): amp for occ, amp in terms}
+    full = StateVector({compiled.layout.decode(key): amp for key, amp in packed.items()})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "run_keys", lambda exp, elements, layout: packed)
+        score = search_module._score(compiled, ())
+    assert repr(score) == repr(decoded_score(full, exp.detectors, target))
+
+
+def test_the_edge_cases_of_the_key_score_are_reached():
+    # The second normalization drops a term the first kept.
+    state = StateVector(dict(PRUNED_BY_THE_SECOND_NORMALIZATION))
+    once = state.normalized()
+    assert len(once) == 3 and len(once.normalized()) == 2
+    # A target term with a mode outside the layout gets a key below 0.
+    exp = Experiment(detectors=SCORE_DETECTORS)
+    encoded = search_module._compile(exp, SCORE_LAYOUT, SCORE_TERM_TARGETS[1]).encoded
+    assert len(encoded) == 3 and sorted(key < 0 for key in encoded) == [False, False, True]
+    # A party no setup detects scores 0 on any selection.
+    ghz = dict(PRUNED_BY_THE_SECOND_NORMALIZATION[:2])
+    assert decoded_score(StateVector(ghz), SCORE_DETECTORS, SrvTarget(("a", "e"), (1, 1))) == 0.0
+    assert search_module._compile(exp, SCORE_LAYOUT, SrvTarget(("a", "e"), (1, 1))).encoded is None
 
 
 # -- the n-fold and sector rules on keys ---------------------------------------
@@ -214,7 +357,7 @@ def test_screen_counts_a_setup_whose_detector_no_photon_reaches(monkeypatch):
     )
     target = FidelityTarget(pol_config().target.state)
     assert screens_out(exp, target)
-    monkeypatch.setattr(search_module, "compile_run", None)
+    monkeypatch.setattr(search_module, "_compile", None)
     assert evaluate(exp, target) == 0.0
     # The same setup as a search's only drawn key.
     config = pol_config(budget=1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spdcsim.analysis import ghz_target, w_target
 from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel, mode_reach, reach_step
-from spdcsim.experiment import Experiment
+from spdcsim.experiment import Experiment, compile_run
 from spdcsim.fock import ModeLabel, StateVector
 from spdcsim.search import (
     ElementPool,
@@ -202,6 +202,9 @@ def test_sampler_is_deterministic_per_trial():
 def test_evaluate_two_matching_layout_scores_one():
     exp = load_experiment("found_ghz4_polarization.exp")
     assert evaluate(exp, FidelityTarget(ghz_target(4, 2))) == pytest.approx(1.0)
+    # As ``fidelity``, a zero target is refused once something is selected.
+    with pytest.raises(ValueError, match="fidelity of the zero state is undefined"):
+        evaluate(exp, FidelityTarget(StateVector()))
 
 
 def test_evaluate_empty_experiment_scores_zero():
@@ -670,20 +673,24 @@ def clicks(exp, target):
 
 
 def counting(scored):
-    """An ``evaluate`` that records each setup it scores and checks the reach it is given."""
+    """A ``_score`` that records each setup it scores and checks the key
+    layout it is given: its setup's own, the one ``compile_run`` builds."""
+    score = search_module._score
 
-    def counting_evaluate(exp, target, reach=None):
-        assert reach == mode_reach(map(reach_step, exp.elements))
+    def counting_score(compiled, elements):
+        exp = Experiment(elements=tuple(elements), detectors=compiled.exp.detectors)
+        layout = compile_run(exp)[1]
+        assert (compiled.layout.blocks, compiled.layout.bound) == (layout.blocks, layout.bound)
         scored.append(exp.elements)
-        return evaluate(exp, target, reach)
+        return score(compiled, elements)
 
-    return counting_evaluate
+    return counting_score
 
 
 def test_serial_search_scores_each_symmetry_class_once(monkeypatch):
     config = pol_config(budget=1500)
     scored = []
-    monkeypatch.setattr(search_module, "evaluate", counting(scored))
+    monkeypatch.setattr(search_module, "_score", counting(scored))
     hits, stats = search_with_stats(config)
     keys = drawn_keys(config)
     firsts = class_firsts(config, keys)
@@ -712,7 +719,7 @@ def test_a_class_score_near_the_threshold_scores_each_own_key(monkeypatch, offse
     score = counts.most_common(1)[0][0]
     config = replace(base, target=FidelityTarget(base.target.state, threshold=score + offset))
     scored = []
-    monkeypatch.setattr(search_module, "evaluate", counting(scored))
+    monkeypatch.setattr(search_module, "_score", counting(scored))
     hits = search(config)
     keys = drawn_keys(config)
     firsts = class_firsts(config, keys)
@@ -1159,6 +1166,76 @@ def test_parallel_stats_are_the_serial_stats():
     assert serial_hits and parallel_hits == serial_hits
     assert 0 < serial["screened"] < serial["evaluated"] < serial["trials"]
     assert parallel == serial
+
+
+# Each pool's span scores: the distinct-key count and a sha256 of the sorted
+# ``key score.hex()`` lines.  Taken before the search scored setups on
+# packed keys, from ``evaluate`` on built experiments.
+PINNED_SCORES = {
+    "ghz4": (pol_config(budget=3000), 1506, "80ac5a7228d080bb22fe04c2cf08566f57c70498565a1f37050e27e8af356872"),
+    "mixed": (
+        replace(MIXED_CONFIG, budget=2000),
+        1731,
+        "5e2be11c4c96277e9eb567883862a943e854e91527aba7ee90dcd81b32082f43",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCORES))
+def test_span_scores_are_pinned(name):
+    config, count, digest = PINNED_SCORES[name]
+    scores = _run_span(config, 0, config.budget)[1]
+    text = "\n".join(f"{','.join(map(str, key))} {score.hex()}" for key, score in sorted(scores.items()))
+    assert (len(scores), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_searches_sharing_key_layouts_score_their_own_targets(monkeypatch, workers):
+    # Same pool, seed and detectors, so the searches draw the same keys and
+    # compile the same key layouts; a compiled target kept from one search
+    # would score the next.
+    compile_step = search_module._compile
+    compiled = []
+
+    def recording_compile(exp, reach, target):
+        compiled[-1].append(frozenset((path, min(m), max(m)) for path, m in reach.items()))
+        return compile_step(exp, reach, target)
+
+    configs = [
+        pol_config(budget=1500),
+        pol_config(budget=1500, target=SrvTarget(tuple("abcd"), (2, 2, 2, 2))),
+        pol_config(budget=1500, target=FidelityTarget(ghz_target(4, 2), threshold=0.5)),
+    ]
+    runs = []
+    for config in configs:
+        compiled.append([])
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, "_compile", recording_compile)
+            runs.append(as_tuples(search(config, workers=workers)))
+    for config, hits in zip(configs, runs):
+        assert hits and hits == uncached_hits(config)
+    assert runs[0] != runs[1] and runs[0] != runs[2] and runs[1] != runs[2]
+    if workers == 1:
+        # Each search compiles each of its layouts once, and they share some.
+        assert all(len(extents) == len(set(extents)) for extents in compiled)
+        assert set(compiled[0]) & set(compiled[1]) and set(compiled[0]) & set(compiled[2])
+
+
+def test_a_serial_search_loads_no_process_pool():
+    code = (
+        "import sys\n"
+        "import spdcsim\n"
+        "from spdcsim.cli import main\n"
+        "loaded = lambda: [name for name in ('concurrent.futures', 'multiprocessing') if name in sys.modules]\n"
+        "imported = loaded()\n"
+        "main(['search', 'ghz:4:2', '--budget', '200', '--seed', '20240817'])\n"
+        "print(imported, loaded())\n"
+    )
+    src = Path(search_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert "hit trial=147" in result.stdout
+    assert result.stdout.splitlines()[-1] == "[] []"
 
 
 def test_equal_elements_are_shared_within_a_search():
