@@ -136,8 +136,11 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     Two steps: :func:`compile_run` compiles the resolved element list
     once into a packed-key layout, and :func:`run_keys` evolves the
     ``int``-keyed terms (``elements.element_step``), pruned after each
-    element.  The keys are decoded to canonical occupation tuples once,
-    at the end.
+    element.  The state returned keeps the keys and their layout, and
+    decodes them to canonical occupation tuples the first time its
+    ``terms`` are read (:class:`~spdcsim.fock.StateVector`), so
+    :func:`post_select` and :func:`success_fraction` select on the keys
+    and decode only the terms they keep.
 
     Each crystal is expanded through a transfer table keyed by the
     crystal's local bits and kept for the life of the process, one per
@@ -163,8 +166,9 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     if strict:
         validate_paths(exp)
     elements, layout = compile_run(exp)
-    decode = layout.decode
-    return StateVector({decode(key): amp for key, amp in run_keys(exp, elements, layout).items()})
+    keys = run_keys(exp, elements, layout)
+    layout.steps.clear()  # the state keeps the layout to decode; the steps served this run only
+    return StateVector._from_keys(keys, layout)
 
 
 def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], bool]:
@@ -218,28 +222,31 @@ def _matches(occ: Occupation, pattern: Mapping[str, int]) -> bool:
     )
 
 
+def _packed(state: StateVector) -> tuple[dict[int, complex], KeyLayout]:
+    """``state``'s terms on packed keys, in term order, and their layout:
+    a run state's own, or its terms encoded on a layout over its own
+    labels, as ``elements.apply_element`` packs a state."""
+    if state._packed:
+        return state._packed
+    terms = state.terms
+    layout = compile_layout((), max(map(occupation_photons, terms), default=0), (label for occ in terms for label, _ in occ))
+    return {layout.encode(occ): amp for occ, amp in terms.items()}, layout
+
+
 def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionResult:
     """n-fold coincidence selection: exactly one photon per detector path.
 
     Terms with photons in any other path, loss paths included, are
-    rejected; a lost photon cannot contribute to the coincidence.  A
-    canonical occupation passes when it has ``n = len(detectors)``
-    entries and the paths of its entries of count 1 are the n detectors:
-    then each entry holds one photon, on its own detector.  The terms
-    kept, their order and the result are those of
-    ``post_select_pattern(state, {p: 1 for p in detectors})``.  Repeated
-    detectors, or one on a loss path, raise ``ValueError``.
+    rejected; a lost photon cannot contribute to the coincidence.  The
+    rule is :func:`nfold_rule`, applied to the state's packed keys, and
+    only the terms kept are decoded.  The terms kept, their order and
+    the result are those of ``post_select_pattern(state, {p: 1 for p in
+    detectors})``.  Repeated detectors, or one on a loss path, raise
+    ``ValueError``.
     """
-    _check_detectors(detectors)
-    n = len(detectors)
-    paths = set(detectors)
-    return _selection(
-        {
-            occ: amp
-            for occ, amp in state.terms.items()
-            if len(occ) == n and {label.path for label, count in occ if count == 1} == paths
-        }
-    )
+    keys, layout = _packed(state)
+    passes = nfold_rule(layout, detectors)
+    return _selection({layout.decode(key): amp for key, amp in keys.items() if passes(key)})
 
 
 def _check_detectors(detectors: Sequence[str]) -> None:
@@ -256,13 +263,12 @@ def success_fraction(full: StateVector, selected: PostSelectionResult, n: int) -
 
     Photons are counted over non-loss paths, so a term that lost a
     photon to misalignment competes in the sector of its surviving
-    photon number.
+    photon number.  The terms are counted on the full state's packed
+    keys by :func:`sector_rule`, decoding none.
     """
-    denom = sum(
-        abs(amp) ** 2
-        for occ, amp in full.terms.items()
-        if occupation_photons(occ, include_loss=False) == n
-    )
+    keys, layout = _packed(full)
+    in_sector = sector_rule(layout, n)
+    denom = sum(abs(amp) ** 2 for key, amp in keys.items() if in_sector(key))
     if denom == 0.0:
         raise ValueError(f"no {n}-photon component in the supplied state")
     return selected.success_weight / denom

@@ -275,6 +275,20 @@ def occupation_photons(occ: Occupation, *, include_loss: bool = True) -> int:
     return sum(n for label, n in occ if not label.is_loss())
 
 
+def _cleaned(terms: Mapping[Any, complex] | None) -> dict[Any, complex]:
+    """``terms`` as :class:`StateVector` checks and prunes them."""
+    cleaned: dict[Any, complex] = {}
+    if terms:
+        for key, amp in terms.items():
+            amp = complex(amp)
+            size = abs(amp)  # inf if a part is inf, else nan if a part is nan
+            if PRUNE_EPSILON < size < math.inf:
+                cleaned[key] = amp
+            elif not size <= PRUNE_EPSILON:
+                raise ValueError(f"amplitude {amp} is not finite")
+    return cleaned
+
+
 class StateVector:
     """Sparse superposition of occupation patterns with complex amplitudes.
 
@@ -282,21 +296,33 @@ class StateVector:
     never mutated.  Terms with amplitude magnitude at or below
     ``PRUNE_EPSILON`` are dropped on construction; a non-finite
     amplitude raises ``ValueError``.
+
+    A state that :func:`~spdcsim.experiment.run` returns keeps run's
+    packed keys and their :class:`KeyLayout` as ``_packed``, checked as
+    above when it is built, and decodes them into ``terms`` the first
+    time ``terms`` is read, once, in key order; ``len`` decodes nothing.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_packed")
 
     def __init__(self, terms: Mapping[Occupation, complex] | None = None):
-        cleaned: dict[Occupation, complex] = {}
-        if terms:
-            for occ, amp in terms.items():
-                amp = complex(amp)
-                size = abs(amp)  # inf if a part is inf, else nan if a part is nan
-                if PRUNE_EPSILON < size < math.inf:
-                    cleaned[occ] = amp
-                elif not size <= PRUNE_EPSILON:
-                    raise ValueError(f"amplitude {amp} is not finite")
-        self.terms = cleaned
+        self.terms = _cleaned(terms)
+        self._packed = None
+
+    @classmethod
+    def _from_keys(cls, keys: Mapping[int, complex], layout: KeyLayout) -> "StateVector":
+        """The state of packed ``keys`` on ``layout``, decoded on first read."""
+        state = cls.__new__(cls)
+        state._packed = (_cleaned(keys), layout)
+        return state
+
+    def __getattr__(self, name: str) -> Any:
+        # Called only for an unset slot: ``terms`` of an undecoded run state.
+        if name != "terms":
+            raise AttributeError(name)
+        keys, layout = self._packed
+        self.terms = dict(zip(map(layout.decode, keys), keys.values()))
+        return self.terms
 
     # -- constructors ---------------------------------------------------
 
@@ -325,7 +351,7 @@ class StateVector:
         return iter(sorted(self.terms.items()))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._packed[0] if self._packed else self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):

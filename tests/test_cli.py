@@ -6,9 +6,11 @@ import pytest
 
 from spdcsim import dsl
 from spdcsim.analysis import ghz_layout, ghz_target
-from spdcsim.cli import main
+from spdcsim.cli import _print_state, main
+from spdcsim.experiment import compile_run, run_keys
+from spdcsim.fock import StateVector
 
-from conftest import EXPERIMENTS_DIR
+from conftest import CORPUS, EXPERIMENTS_DIR
 
 
 def invoke(capsys, *argv):
@@ -35,6 +37,19 @@ def test_run_json_emits_one_object_per_term(capsys):
     assert len(records) == 2
     assert set(records[0]) == {"re", "im", "occupations"}
     assert records[0]["occupations"][0].keys() == {"path", "mode", "count"}
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_run_without_postselection_prints_the_eagerly_decoded_state(capsys, path):
+    exp = dsl.parse(path.read_text())
+    elements, layout = compile_run(exp)
+    eager = StateVector({layout.decode(key): amp for key, amp in run_keys(exp, elements, layout).items()})
+    for as_json in (False, True):
+        code, out, _ = invoke(capsys, "run", path, "--no-postselect", *(["--json"] if as_json else []))
+        assert code == 0
+        _print_state(eager, as_json)
+        assert out == capsys.readouterr().out
+        assert out.count("\n") == len(eager)
 
 
 def test_run_reports_parse_errors_with_position(tmp_path, capsys):

@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spdcsim.elements import (
     Crystal,
@@ -11,9 +12,13 @@ from spdcsim.elements import (
     PhaseShifter,
     Relabel,
     apply_element,
+    element_step,
+    expand_crystal,
     resolve_loss_paths,
+    substitute,
+    taylor_weights,
 )
-from spdcsim.fock import ModeLabel, StateVector, vacuum
+from spdcsim.fock import PRUNE_EPSILON, KeyLayout, ModeLabel, StateVector, vacuum
 
 from conftest import basis, label
 
@@ -281,3 +286,50 @@ def test_disjoint_crystals_commute(g1, g2):
     other = apply_element(apply_element(vacuum(), c2), c1)
     # Equality in canonical form: the difference prunes to nothing.
     assert (one - other).is_zero()
+
+
+PRUNE_LAYOUT = KeyLayout({"a": {0, 1}, "b": {0}}, 3)
+PRUNE_KEYS = [
+    sum(n << offset for n, offset in zip(counts, PRUNE_LAYOUT.fields.values()))
+    for counts in itertools.product(range(4), repeat=3)
+    if sum(counts) <= 3
+]
+# A phase of 0 passes amplitudes through bit for bit, a shift of a path
+# off the layout adds each to 0, and a phase of pi, a relabel and a
+# crystal compute new ones.
+PRUNE_ELEMENTS = [
+    PhaseShifter("b", 0.0),
+    PhaseShifter("a", math.pi),
+    ModeShifter("c", 1),
+    Relabel("b", "a"),
+    Crystal(label("a:1"), label("b:0")),
+]
+prune_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, PRUNE_EPSILON, -PRUNE_EPSILON, math.nextafter(PRUNE_EPSILON, 1.0)]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PRUNE_ELEMENTS),
+    st.dictionaries(st.sampled_from(PRUNE_KEYS), st.builds(complex, prune_parts, prune_parts), max_size=12),
+)
+@example(
+    PhaseShifter("b", 0.0),
+    # a:0, a:1, b:0 and a:0 b:0, each field 3 bits wide
+    {1: complex(PRUNE_EPSILON, -0.0), 8: complex(-PRUNE_EPSILON, 0.0), 64: complex(-0.0, 0.5), 65: complex(PRUNE_EPSILON, PRUNE_EPSILON)},
+)
+def test_the_step_prunes_as_the_rebuilt_dict(element, terms):
+    # The reference for any other way of pruning, such as deleting from
+    # the kernel's fresh dict: the same keys, order and value bits, with
+    # magnitudes at exactly PRUNE_EPSILON dropped and ``terms`` untouched.
+    before = repr(list(terms.items()))
+    if isinstance(element, Crystal):
+        unpruned = expand_crystal(terms, element, taylor_weights(element.g, 2), PRUNE_LAYOUT)
+    else:
+        unpruned = substitute(terms, element, PRUNE_LAYOUT)
+    want = {key: amp for key, amp in unpruned.items() if abs(amp) > PRUNE_EPSILON}
+    got = element_step(element, PRUNE_LAYOUT, order=2, creation_only=False, limit=None)(terms)
+    assert repr(list(got.items())) == repr(list(want.items()))
+    assert repr(list(terms.items())) == before

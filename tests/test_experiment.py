@@ -1,8 +1,11 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spdcsim.analysis import ghz_layout
 from spdcsim.elements import Crystal, Misalignment, ModeShifter, Relabel
 from spdcsim.experiment import (
     Experiment,
@@ -12,12 +15,13 @@ from spdcsim.experiment import (
     post_select,
     post_select_pattern,
     run,
+    run_keys,
     success_fraction,
     with_uniform_misalignment,
 )
-from spdcsim.fock import ModeLabel, StateVector, make_occupation, vacuum
+from spdcsim.fock import KeyLayout, ModeLabel, StateVector, make_occupation, occupation_photons, vacuum
 
-from conftest import basis, label, load_experiment
+from conftest import CORPUS, basis, label, load_experiment
 
 
 def two_matching_polarization_layout(g=0.1):
@@ -146,6 +150,82 @@ def test_post_select_is_the_one_photon_per_detector_pattern(detectors, data):
     pattern = post_select_pattern(state, {p: 1 for p in detectors})
     assert list(direct.state.terms.items()) == list(pattern.state.terms.items())
     assert direct.success_weight == pattern.success_weight
+
+
+LADDER = ((4, 2), (4, 3), (6, 2), (6, 3), (6, 4), (6, 5), (8, 2), (8, 3))
+CORPUS_EXPERIMENTS = [pytest.param(load_experiment(path.name), id=path.stem) for path in CORPUS]
+RUN_CASES = CORPUS_EXPERIMENTS + [pytest.param(ghz_layout(n, d), id=f"ghz_layout_{n}_{d}") for n, d in LADDER]
+
+
+def items_text(state):
+    """Each term and the ``repr`` of its amplitude, in dict order."""
+    return repr(list(state.terms.items()))
+
+
+@pytest.mark.parametrize("exp", RUN_CASES)
+def test_a_run_state_reads_as_its_eagerly_decoded_keys(exp):
+    elements, layout = compile_run(exp)
+    eager = {layout.decode(key): amp for key, amp in run_keys(exp, elements, layout).items()}
+    state = run(exp)
+    assert len(state) == len(eager)
+    assert items_text(state) == repr(list(eager.items()))
+
+
+@pytest.mark.parametrize("exp", RUN_CASES)
+def test_post_select_on_a_run_state_equals_it_on_the_decoded_state(exp):
+    packed = post_select(run(exp), exp.detectors)
+    decoded = StateVector(dict(run(exp).terms))
+    for oracle in (post_select(decoded, exp.detectors), post_select_pattern(decoded, {p: 1 for p in exp.detectors})):
+        assert items_text(packed.state) == items_text(oracle.state)
+        assert float(packed.success_weight).hex() == float(oracle.success_weight).hex()
+
+
+@pytest.mark.parametrize("exp", CORPUS_EXPERIMENTS)
+def test_success_fraction_counts_the_sector_of_the_decoded_terms(exp):
+    full = run(exp)
+    selected = post_select(full, exp.detectors)
+    n = len(exp.detectors)
+    try:
+        got = success_fraction(full, selected, n)
+    except ValueError:
+        got = None
+    denom = sum(abs(amp) ** 2 for occ, amp in full.terms.items() if occupation_photons(occ, include_loss=False) == n)
+    if denom == 0.0:
+        assert got is None
+    else:
+        assert got.hex() == (selected.success_weight / denom).hex()
+        assert success_fraction(StateVector(dict(full.terms)), selected, n).hex() == got.hex()
+
+
+def test_a_run_state_decodes_only_what_is_read(monkeypatch):
+    decoded = []
+    decode = KeyLayout.decode
+
+    def counted(layout, key):
+        decoded.append(key)
+        return decode(layout, key)
+
+    monkeypatch.setattr(KeyLayout, "decode", counted)
+    for path in CORPUS:
+        exp = load_experiment(path.name)
+        state = run(exp)
+        size = len(state)
+        selected = post_select(state, exp.detectors)
+        assert len(decoded) == len(selected.state) < size
+        if selected.success_weight:
+            success_fraction(state, selected, len(exp.detectors))
+        assert len(decoded) == len(selected.state)
+        state.serialize()
+        assert len(decoded) == len(selected.state) + size
+        decoded.clear()
+
+
+def test_a_run_state_pickles_and_deep_copies():
+    exp = load_experiment("ghz6_5dim_oam.exp")
+    want = run(exp)
+    for copied in (pickle.loads(pickle.dumps(run(exp))), copy.deepcopy(run(exp))):
+        assert items_text(copied) == items_text(want)
+        assert post_select(copied, exp.detectors) == post_select(want, exp.detectors)
 
 
 def test_post_selection_is_idempotent():

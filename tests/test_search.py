@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spdcsim.analysis import ghz_target, w_target
 from spdcsim.elements import Crystal, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel, mode_reach, reach_step
-from spdcsim.experiment import Experiment, compile_run
+from spdcsim.experiment import Experiment, compile_run, run
 from spdcsim.fock import ModeLabel, StateVector
 from spdcsim.search import (
     ElementPool,
@@ -252,6 +252,16 @@ def test_search_workers_do_not_change_results():
     parallel = search(pol_config(budget=1200), workers=4)
     assert [h.trial_index for h in serial] == [h.trial_index for h in parallel]
     assert [h.experiment for h in serial] == [h.experiment for h in parallel]
+
+
+def test_a_run_state_target_reaches_the_workers():
+    # ``run``'s own state, pickled to the workers before anything decodes
+    # it; its vacuum term holds every fidelity near 2e-4.
+    exp = load_experiment("ghz4_polarization.exp")
+    parallel = search(pol_config(budget=1200, target=FidelityTarget(run(exp), threshold=1e-4)), workers=2)
+    serial = search(pol_config(budget=1200, target=FidelityTarget(run(exp), threshold=1e-4)), workers=1)
+    assert serial
+    assert as_tuples(parallel) == as_tuples(serial)
 
 
 def test_search_with_srv_target_finds_asymmetric_layouts():
