@@ -7,14 +7,14 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import expand_crystal, substitute
-from .experiment import Experiment, compile_run, nfold_rule, run_keys, sector_rule
-from .fock import LOSS_PREFIX, KeyLayout, ModeLabel, StateVector
+from .experiment import Experiment, _packed, compile_run, nfold_rule, run_keys, sector_rule
+from .fock import LOSS_PREFIX, KeyLayout, ModeLabel, StateVector, inner_terms, normalized_terms
 
 #: Singular values below this count as zero when ranking reduced states.
 SRV_TOLERANCE = 1e-10
@@ -70,11 +70,32 @@ def _party_paths(n: int, paths: Sequence[str] | None) -> list[str]:
 
 
 def fidelity(state: StateVector, target: StateVector) -> float:
-    """Squared overlap ``|<target|state>|^2`` after normalizing both."""
-    if state.is_zero() or target.is_zero():
+    """Squared overlap ``|<target|state>|^2`` after normalizing both, on
+    the state's packed keys (``experiment._packed``), decoding nothing."""
+    keys, layout = _packed(state)
+    return _fidelity(_encode_target(target, layout), normalized_terms(keys))
+
+
+def _encode_target(target: StateVector, layout: KeyLayout) -> dict[int, complex]:
+    """``target.normalized()``'s terms on ``layout``'s keys, in order; a
+    term that has no key there (a label without a field, or photons above
+    the bound), which no state on the layout holds, takes its own key
+    below 0, so ``fock.inner_terms`` iterates as ``StateVector.inner``."""
+    encoded: dict[int, complex] = {}
+    for occ, amp in target.normalized().terms.items():
+        try:
+            key = layout.encode(occ)
+        except ValueError:
+            key = -1 - len(encoded)
+        encoded[key] = amp
+    return encoded
+
+
+def _fidelity(encoded: Mapping[int, complex], psi: Mapping[int, complex]) -> float:
+    """``min(|<target|psi>|^2, 1)`` of an encoded target and normalized terms on one layout."""
+    if not encoded or not psi:
         raise ValueError("fidelity of the zero state is undefined")
-    overlap = target.normalized().inner(state.normalized())
-    return min(abs(overlap) ** 2, 1.0)
+    return min(abs(inner_terms(encoded, psi)) ** 2, 1.0)
 
 
 # -- Schmidt-rank vectors -----------------------------------------------------
@@ -97,25 +118,23 @@ def schmidt_rank_vector(state: StateVector, parties: Sequence[str]) -> SchmidtRa
     Every term must put the same photon count in each party path (one
     photon in the usual post-selected case; a fixed higher count is
     accepted so composite parties can be ranked too).  Ranks come from
-    the singular values of the party-vs-rest coefficient matrix.
+    the singular values of the party-vs-rest coefficient matrix, on the
+    state's packed keys (``experiment._packed``), decoding nothing.
     """
-    if state.is_zero():
+    keys, layout = _packed(state)
+    if not keys:
         raise ValueError("cannot rank the zero state")
     parties = list(parties)
-    psi = state.normalized()
-    _check_party_occupancy(psi, parties)
-    ranks = []
-    for party in parties:
-        cells = (
-            (
-                tuple((label.mode, n) for label, n in occ if label.path == party),
-                tuple(item for item in occ if item[0].path != party),
-                amp,
-            )
-            for occ, amp in psi.terms.items()
-        )
-        ranks.append(schmidt_rank(cells))
-    return SchmidtRankVector(tuple(parties), tuple(ranks))
+    psi = normalized_terms(keys)
+    blocks = {party: layout.block_bits((party,)) for party in parties}
+    _check_party_occupancy(psi, blocks, layout.mask)
+    return SchmidtRankVector(tuple(parties), tuple(_party_rank(psi, blocks[party]) for party in parties))
+
+
+def _party_rank(psi: Mapping[int, complex], bits: int) -> int:
+    """The Schmidt rank of packed terms ``psi`` between a party's block
+    ``bits`` and the rest of the key, each injective in its occupations."""
+    return schmidt_rank((key & bits, key & ~bits, amp) for key, amp in psi.items())
 
 
 def schmidt_rank(cells: Iterable[tuple[Hashable, Hashable, complex]]) -> int:
@@ -136,21 +155,17 @@ def schmidt_rank(cells: Iterable[tuple[Hashable, Hashable, complex]]) -> int:
     return int(np.sum(singular > SRV_TOLERANCE))
 
 
-def _check_party_occupancy(state: StateVector, parties: Sequence[str]) -> None:
+def _check_party_occupancy(psi: Mapping[int, complex], blocks: Mapping[str, int], mask: int) -> None:
+    """Raise ``ValueError`` where a party's block holds no photon, or a count
+    (its digit sum ``(key & bits) % mask``) other than in earlier terms."""
     expected: dict[str, int] = {}
-    for occ, _ in state.terms.items():
-        counts = {p: 0 for p in parties}
-        for label, n in occ:
-            if label.path in counts:
-                counts[label.path] += n
-        for party, n in counts.items():
+    for key in psi:
+        for party, bits in blocks.items():
+            n = (key & bits) % mask
             if n == 0:
                 raise ValueError(f"party path {party!r} holds no photon in some term")
-            if party in expected and expected[party] != n:
-                raise ValueError(
-                    f"party path {party!r} has varying photon number across terms"
-                )
-            expected[party] = n
+            if expected.setdefault(party, n) != n:
+                raise ValueError(f"party path {party!r} has varying photon number across terms")
 
 
 # -- efficiency ---------------------------------------------------------------

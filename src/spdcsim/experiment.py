@@ -19,7 +19,7 @@ from .elements import (
     element_step,
     resolve_loss_paths,
 )
-from .fock import LOSS_PREFIX, KeyLayout, Occupation, StateVector, occupation_photons
+from .fock import LOSS_PREFIX, KeyLayout, StateVector, normalized_terms, occupation_photons
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,19 @@ def compile_run(
     return elements, KeyLayout(reach, bound)
 
 
-def run_keys(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, complex]:
+def run_keys(exp: Experiment, elements: Sequence[Element], layout: KeyLayout, steps: dict | None = None) -> dict[int, complex]:
     """Evolve vacuum through the compiled ``elements`` (:func:`compile_run`)
     on ``layout``'s packed keys, pruned after each element; :func:`run`
     without the decode.
 
     Each element's step (``elements.element_step``) is compiled the first
-    time it runs on ``layout`` under ``exp``'s settings and kept in
-    ``layout.steps``, so a caller that runs many element lists on one
+    time it runs and kept in ``steps``, a memo of steps on ``layout`` under
+    ``exp``'s settings, so a caller that runs many element lists on one
     layout, as a search span does, compiles each element once.
     """
     limit = 2 * exp.pair_budget
     order, creation_only = exp.expansion_order, exp.creation_only
-    steps = layout.steps.setdefault((order, creation_only, limit), {})
+    steps = {} if steps is None else steps
     terms = {0: 1.0 + 0j}
     for element in elements:
         step = steps.get(element)
@@ -139,8 +139,8 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     element.  The state returned keeps the keys and their layout, and
     decodes them to canonical occupation tuples the first time its
     ``terms`` are read (:class:`~spdcsim.fock.StateVector`), so
-    :func:`post_select` and :func:`success_fraction` select on the keys
-    and decode only the terms they keep.
+    :func:`post_select`, :func:`success_fraction` and the scores of
+    ``analysis`` read the keys and decode nothing.
 
     Each crystal is expanded through a transfer table keyed by the
     crystal's local bits and kept for the life of the process, one per
@@ -166,9 +166,7 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     if strict:
         validate_paths(exp)
     elements, layout = compile_run(exp)
-    keys = run_keys(exp, elements, layout)
-    layout.steps.clear()  # the state keeps the layout to decode; the steps served this run only
-    return StateVector._from_keys(keys, layout)
+    return StateVector._from_keys(run_keys(exp, elements, layout), layout)
 
 
 def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], bool]:
@@ -194,38 +192,42 @@ def sector_rule(layout: KeyLayout, n: int) -> Callable[[int], bool]:
     return lambda key: (key & kept) % mask == n
 
 
+def pattern_rule(layout: KeyLayout, pattern: Mapping[str, int]) -> Callable[[int], bool]:
+    """Whether a key of ``layout`` holds ``pattern[path]`` photons in each
+    path of ``pattern`` (its block's digit sum ``(key & block) % mask``)
+    and none outside the pattern's blocks."""
+    mask = layout.mask
+    counts = [(layout.block_bits((path,)), n) for path, n in pattern.items()]
+    outside = ~layout.block_bits(pattern)
+    return lambda key: not key & outside and all((key & bits) % mask == n for bits, n in counts)
+
+
 def post_select_pattern(
     state: StateVector, pattern: Mapping[str, int]
 ) -> PostSelectionResult:
     """Keep terms matching an exact per-path photon-count pattern.
 
     Paths absent from ``pattern`` (loss paths included) must hold zero
-    photons.  The selected component is normalized; its squared norm
+    photons.  The rule is :func:`pattern_rule`, applied to the state's
+    packed keys.  The selected component is normalized; its squared norm
     before normalization is reported as the success weight.
     """
-    return _selection({occ: amp for occ, amp in state.terms.items() if _matches(occ, pattern)})
+    keys, layout = _packed(state)
+    return _selection(keys, layout, pattern_rule(layout, pattern))
 
 
-def _selection(selected: dict[Occupation, complex]) -> PostSelectionResult:
-    """The normalized selected terms, with their squared norm before
-    normalization as the success weight."""
+def _selection(keys: dict[int, complex], layout: KeyLayout, passes: Callable[[int], bool]) -> PostSelectionResult:
+    """The normalized terms of ``keys`` that pass, packed on ``layout``,
+    with their squared norm before normalization as the success weight."""
+    selected = {key: amp for key, amp in keys.items() if passes(key)}
     weight = sum(abs(a) ** 2 for a in selected.values())
-    return PostSelectionResult(StateVector(selected).normalized(), weight)
-
-
-def _matches(occ: Occupation, pattern: Mapping[str, int]) -> bool:
-    counts: dict[str, int] = {}
-    for label, n in occ:
-        counts[label.path] = counts.get(label.path, 0) + n
-    return all(counts.get(path, 0) == want for path, want in pattern.items()) and all(
-        path in pattern for path in counts
-    )
+    return PostSelectionResult(StateVector._from_keys(normalized_terms(selected), layout), weight)
 
 
 def _packed(state: StateVector) -> tuple[dict[int, complex], KeyLayout]:
     """``state``'s terms on packed keys, in term order, and their layout:
-    a run state's own, or its terms encoded on a layout over its own
-    labels, as ``elements.apply_element`` packs a state."""
+    a run or post-selected state's own, or its terms encoded on a layout
+    over its own labels, as ``elements.apply_element`` packs a state."""
     if state._packed:
         return state._packed
     terms = state.terms
@@ -238,15 +240,13 @@ def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionRe
 
     Terms with photons in any other path, loss paths included, are
     rejected; a lost photon cannot contribute to the coincidence.  The
-    rule is :func:`nfold_rule`, applied to the state's packed keys, and
-    only the terms kept are decoded.  The terms kept, their order and
-    the result are those of ``post_select_pattern(state, {p: 1 for p in
-    detectors})``.  Repeated detectors, or one on a loss path, raise
-    ``ValueError``.
+    rule is :func:`nfold_rule`, applied to the state's packed keys, which
+    the selected state keeps.  The result is that of
+    ``post_select_pattern(state, {p: 1 for p in detectors})``.  Repeated
+    detectors, or one on a loss path, raise ``ValueError``.
     """
     keys, layout = _packed(state)
-    passes = nfold_rule(layout, detectors)
-    return _selection({layout.decode(key): amp for key, amp in keys.items() if passes(key)})
+    return _selection(keys, layout, nfold_rule(layout, detectors))
 
 
 def _check_detectors(detectors: Sequence[str]) -> None:

@@ -104,7 +104,7 @@ class KeyLayout:
     digit sum ``key % mask`` is the term's exact photon count.
     """
 
-    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels", "steps", "_decoder")
+    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels", "_decoder")
 
     def __init__(self, modes: Mapping[str, Iterable[int]], bound: int):
         width = (bound + 1).bit_length()
@@ -125,9 +125,6 @@ class KeyLayout:
                 label = ModeLabel(path, mode)
                 self.fields[label] = len(self.labels) * width
                 self.labels.append(label)
-        #: run settings -> element -> its compiled step on this layout,
-        #: filled by ``experiment.run_keys``
-        self.steps: dict[tuple, dict] = {}
         #: (each block's bits, offset and first field index; block memo),
         #: built by the first :meth:`decode`
         self._decoder = None
@@ -297,10 +294,11 @@ class StateVector:
     ``PRUNE_EPSILON`` are dropped on construction; a non-finite
     amplitude raises ``ValueError``.
 
-    A state that :func:`~spdcsim.experiment.run` returns keeps run's
-    packed keys and their :class:`KeyLayout` as ``_packed``, checked as
-    above when it is built, and decodes them into ``terms`` the first
-    time ``terms`` is read, once, in key order; ``len`` decodes nothing.
+    A state that :func:`~spdcsim.experiment.run` or a post-selection
+    returns keeps its packed keys and :class:`KeyLayout` as ``_packed``,
+    checked as above, and decodes them into ``terms`` the first time
+    ``terms`` is read, in key order; ``len`` and ``is_zero`` decode
+    nothing.  A state pickles and copies as its decoded terms alone.
     """
 
     __slots__ = ("terms", "_packed")
@@ -315,6 +313,9 @@ class StateVector:
         state = cls.__new__(cls)
         state._packed = (_cleaned(keys), layout)
         return state
+
+    def __reduce__(self):
+        return StateVector, (self.terms,)
 
     def __getattr__(self, name: str) -> Any:
         # Called only for an unset slot: ``terms`` of an undecoded run state.
@@ -338,7 +339,7 @@ class StateVector:
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self)
 
     def amplitude(self, counts: Mapping[ModeLabel, int]) -> complex:
         """Amplitude of one occupation pattern (0 if absent)."""

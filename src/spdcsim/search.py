@@ -37,12 +37,12 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .analysis import schmidt_rank
+from .analysis import _encode_target, _fidelity, _party_rank
 from .dsl import path_name
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import mode_reach, reach_step, resolve_loss_paths
 from .experiment import Experiment, _check_detectors, compile_run, nfold_rule, run_keys
-from .fock import KeyLayout, ModeLabel, StateVector, inner_terms, normalized_terms
+from .fock import KeyLayout, ModeLabel, StateVector, normalized_terms
 
 #: Mode lists a multimode crystal may draw.
 MULTIMODE_LISTS = ((0, 1), (0, 1, 2), (0, 1, 2, 3))
@@ -463,21 +463,19 @@ def random_setup(config: SearchConfig, trial: int) -> Experiment:
     return Experiment(elements=tuple(_element(index, config.pool) for index in key), detectors=config.detectors)
 
 
-def evaluate(exp: Experiment, target: Target, reach: Mapping[str, set[int]] | None = None) -> float:
+def evaluate(exp: Experiment, target: Target) -> float:
     """Simulate, post-select, and score; empty selections score zero.
 
     A setup whose mode reach (``elements.mode_reach`` of its resolved
-    elements, or ``reach`` when the caller has folded it) cannot produce a
-    coincidence scores ``0.0`` uncompiled (:func:`_can_click`).  Otherwise
-    the reach is compiled into a key layout and target (:func:`_compile`)
-    for this one setup, and the setup is scored on packed keys
-    (:func:`_score`), as a search scores it.  The score is bit for bit
+    elements) cannot produce a coincidence scores ``0.0`` uncompiled
+    (:func:`_can_click`).  Otherwise the reach is compiled into a key
+    layout and target (:func:`_compile`) for this one setup, and the
+    setup is scored on packed keys (:func:`_score`), as a search scores it.  The score is bit for bit
     ``fidelity`` or ``schmidt_rank_vector`` of ``post_select(run(exp),
     exp.detectors).state``.
     """
     elements = resolve_loss_paths(exp.elements)
-    if reach is None:
-        reach = mode_reach(map(reach_step, elements))
+    reach = mode_reach(map(reach_step, elements))
     if not _can_click(reach, exp.detectors, target):
         return 0.0
     return _score(_compile(exp, reach, target), elements)
@@ -492,21 +490,18 @@ class _Compiled(NamedTuple):
     #: ``experiment.nfold_rule`` on ``layout``
     passes: Callable[[int], bool]
     target: Target
-    #: a fidelity target's normalized terms on ``layout``'s keys, a term
-    #: with no field under a negative key; a rank target's party blocks,
-    #: or None when a party is not a detector
+    #: a fidelity target on ``layout``'s keys (``analysis._encode_target``);
+    #: a rank target's party blocks, or None when a party is not a detector
     encoded: dict[int, complex] | tuple[int, ...] | None
+    #: each element's compiled step on ``layout``, filled by ``run_keys``
+    steps: dict
 
 
 def _compile(exp: Experiment, reach: Mapping[str, set[int]], target: Target) -> _Compiled:
     """The key layout over ``reach`` for ``exp``'s settings
-    (``compile_run``), its n-fold rule, and ``target`` on its keys.
-
-    A fidelity target keeps the order and length of
-    ``target.state.normalized()`` (a term holding a label without a
-    field, which no setup of the layout can reach, takes a key of its own
-    below 0), so ``fock.inner_terms`` iterates the same dict as
-    ``StateVector.inner`` would.  After the n-fold selection every
+    (``compile_run``), its n-fold rule, ``target`` on its keys
+    (``analysis._encode_target``, as ``fidelity`` encodes it) and an
+    empty step memo.  After the n-fold selection every
     detector holds one photon in every term and every other path none,
     so ``schmidt_rank_vector``'s party-occupancy check fails exactly when
     a rank target's party is not a detector.
@@ -514,16 +509,10 @@ def _compile(exp: Experiment, reach: Mapping[str, set[int]], target: Target) -> 
     layout = compile_run(exp, reach)[1]
     encoded: dict[int, complex] | tuple[int, ...] | None = None
     if isinstance(target, FidelityTarget):
-        encoded = {}
-        for occ, amp in target.state.normalized().terms.items():
-            try:
-                key = layout.encode(occ)
-            except ValueError:
-                key = -1 - len(encoded)
-            encoded[key] = amp
+        encoded = _encode_target(target.state, layout)
     elif set(target.parties) <= set(exp.detectors):
         encoded = tuple(layout.block_bits((party,)) for party in target.parties)
-    return _Compiled(exp, layout, nfold_rule(layout, exp.detectors), target, encoded)
+    return _Compiled(exp, layout, nfold_rule(layout, exp.detectors), target, encoded, {})
 
 
 def _score(compiled: _Compiled, elements: Sequence[Element]) -> float:
@@ -531,31 +520,25 @@ def _score(compiled: _Compiled, elements: Sequence[Element]) -> float:
     settings, from its packed terms (``run_keys``), decoding nothing.
 
     Each step is that of ``post_select`` and then ``fidelity`` or
-    ``schmidt_rank_vector``, with the same arithmetic on keys in place of
-    occupations: the terms passing the n-fold rule, normalized
-    (``post_select``; ``fock.normalized_terms``); nothing left scores 0;
-    normalized again (the scorer's own ``normalized``).  A fidelity is
-    ``min(|<target|psi>|^2, 1)``.  A rank target scores 1 when every
-    party is a detector (:func:`_compile`) and each party's Schmidt rank
-    (``analysis.schmidt_rank``, over the key's bits in the party's block
-    and the rest, in first-appearance order) is its target rank, checked
-    party by party; else 0.
+    ``schmidt_rank_vector``, through the same helpers: the terms passing
+    the n-fold rule, normalized; nothing left scores 0; normalized again;
+    then ``analysis._fidelity``, or 1 when every party is a detector
+    (:func:`_compile`) and each ``analysis._party_rank`` is its target
+    rank, checked party by party, else 0.
     """
-    exp, layout, passes, target, encoded = compiled
-    selected = normalized_terms({key: amp for key, amp in run_keys(exp, elements, layout).items() if passes(key)})
+    exp, layout, passes, target, encoded, steps = compiled
+    selected = normalized_terms({key: amp for key, amp in run_keys(exp, elements, layout, steps).items() if passes(key)})
     if not selected:
         # ``post_select``'s state is zero exactly when nothing passed,
         # which is when its success weight is 0.
         return 0.0
     psi = normalized_terms(selected)
     if isinstance(target, FidelityTarget):
-        if not encoded:
-            raise ValueError("fidelity of the zero state is undefined")
-        return min(abs(inner_terms(encoded, psi)) ** 2, 1.0)
+        return _fidelity(encoded, psi)
     if encoded is None:
         return 0.0
     for bits, rank in zip(encoded, target.ranks):
-        if schmidt_rank((key & bits, key & ~bits, amp) for key, amp in psi.items()) != rank:
+        if _party_rank(psi, bits) != rank:
             return 0.0
     return 1.0
 

@@ -253,6 +253,40 @@ def test_srv_explicit_parties(capsys):
     assert out.strip() == "4 2 2 1"
 
 
+# Each corpus file's line for ``fidelity --target ghz:<n>:2``, ``fidelity
+# --target ghz:<n>:3``, ``srv`` and ``srv --parties <first two detectors>``,
+# n being its detector count, as the decoded-tuple scorer printed them.
+CLI_SCORES = {
+    "asym_rank422_triggered": ("0.12738413927215583", "0.08492275951477056", "4 2 2", "4 1"),
+    "found_ghz4_polarization": ("1.0", "0.6666666666666671", "2 2 2 2", "2 2"),
+    "found_highdim_shifters": ("0.6666666666666666", "1.0", "3 3 3 3", "3 3"),
+    "ghz4_3dim_oam": ("0.6666666666666666", "1.0", "3 3 3 3", "3 3"),
+    "ghz4_polarization": ("1.0", "0.6666666666666671", "2 2 2 2", "2 2"),
+    "ghz6_5dim_oam": ("0.1333333333333334", "0.20000000000000015", "5 5 5 5 5 5", "5 5"),
+    "ghz6_polarization": ("1.0", "0.6666666666666671", "2 2 2 2 2 2", "2 2"),
+    "induced_coherence": None,  # nothing passes the n-fold selection
+    "overlapped_double_pair": ("0.45124690866011935", "0.8333187751469927", "4 4", "4 4"),
+    "two_photon_4dim_chain": ("0.25", "0.08333333333333338", "4 4", "4 4"),
+    "w4_polarization": ("0.0", "0.0", "2 2 2 2", "2 2"),
+}
+
+
+@pytest.mark.parametrize("command", range(4), ids=["ghz-d2", "ghz-d3", "srv", "srv-first-two"])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_fidelity_and_srv_print_the_pinned_scores(capsys, path, command):
+    detectors = dsl.parse(path.read_text()).detectors
+    n = len(detectors)
+    argv = (
+        ("fidelity", path, "--target", f"ghz:{n}:2"),
+        ("fidelity", path, "--target", f"ghz:{n}:3"),
+        ("srv", path),
+        ("srv", path, "--parties", ",".join(detectors[:2])),
+    )[command]
+    lines = CLI_SCORES[path.stem]
+    want = (1, "", "post-selected component is zero\n") if lines is None else (0, lines[command] + "\n", "")
+    assert invoke(capsys, *argv) == want
+
+
 @pytest.mark.parametrize(
     "parties, bad",
     [("a,b,zz", "zz"), ("a,,b", ""), ("a,loss#0", "loss#0")],

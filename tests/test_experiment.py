@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdcsim.analysis import ghz_layout
+from spdcsim.analysis import fidelity, ghz_layout, ghz_target, schmidt_rank_vector
 from spdcsim.elements import Crystal, Misalignment, ModeShifter, Relabel
 from spdcsim.experiment import (
     Experiment,
@@ -208,16 +208,33 @@ def test_a_run_state_decodes_only_what_is_read(monkeypatch):
     monkeypatch.setattr(KeyLayout, "decode", counted)
     for path in CORPUS:
         exp = load_experiment(path.name)
+        n = len(exp.detectors)
         state = run(exp)
         size = len(state)
         selected = post_select(state, exp.detectors)
+        if not selected.state.is_zero():
+            success_fraction(state, selected, n)
+            fidelity(selected.state, ghz_target(n, 2, paths=exp.detectors))
+            schmidt_rank_vector(selected.state, exp.detectors)
+        assert decoded == []
+        selected.state.serialize()
         assert len(decoded) == len(selected.state) < size
-        if selected.success_weight:
-            success_fraction(state, selected, len(exp.detectors))
-        assert len(decoded) == len(selected.state)
         state.serialize()
         assert len(decoded) == len(selected.state) + size
         decoded.clear()
+
+
+@pytest.mark.parametrize("selected", [False, True], ids=["run", "post-selected"])
+def test_a_packed_state_pickles_as_its_terms(selected):
+    exp = load_experiment("ghz6_5dim_oam.exp")
+    state = run(exp)
+    if selected:
+        state = post_select(state, exp.detectors).state
+    decoded = StateVector(dict(state.terms))
+    assert len(pickle.dumps(state)) == len(pickle.dumps(decoded))
+    for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert copied == state
+        assert items_text(copied) == items_text(state)
 
 
 def test_a_run_state_pickles_and_deep_copies():

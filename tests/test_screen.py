@@ -2,13 +2,14 @@
 
 The search screens each candidate on the mode reach folded from its
 drawn key, then post-selects and scores it on packed keys; the exact
-efficiency counts on keys too.  Each is checked here against the public
-``StateVector`` code it must equal bit for bit: ``post_select(run(exp),
-exp.detectors)``, ``fidelity``, ``schmidt_rank_vector``, ``_matches``
-and ``occupation_photons``; the reach fold is checked against the key
-layout it builds and a set-based static pass of its own.
+efficiency counts on keys too.  Each is checked here against what it
+must equal bit for bit: the tuple-level selection and scores of
+``tuple_oracle`` on decoded terms, ``post_select(run(exp),
+exp.detectors)`` and ``occupation_photons``; the reach fold is checked
+against the key layout it builds and a set-based static pass of its own.
 """
 
+import functools
 import importlib
 import math
 from dataclasses import replace
@@ -32,10 +33,11 @@ from spdcsim.elements import (
 )
 from spdcsim.experiment import (
     Experiment,
-    _matches,
     compile_run,
     nfold_rule,
+    pattern_rule,
     post_select,
+    post_select_pattern,
     run,
     run_keys,
     sector_rule,
@@ -50,7 +52,8 @@ from spdcsim.search import (
     search_with_stats,
 )
 
-from conftest import CORPUS, load_experiment
+import tuple_oracle
+from conftest import CORPUS, basis, load_experiment
 from test_search import MIXED_CONFIG, element_table, pol_config, span_keys
 
 # The package re-exports the function ``search`` under the module's name.
@@ -65,15 +68,16 @@ def unscreened_score(exp, target):
 
 
 def decoded_score(full, detectors, target):
-    """The score of the state ``full`` on decoded occupations:
-    ``post_select``, then ``fidelity`` or ``schmidt_rank_vector``."""
-    selected = post_select(full, detectors)
+    """The score of the state ``full`` on decoded occupations
+    (``tuple_oracle``): the n-fold pattern, then ``fidelity`` or
+    ``schmidt_rank_vector``."""
+    selected = tuple_oracle.post_select_pattern(full, {path: 1 for path in detectors})
     if selected.state.is_zero() or selected.success_weight == 0.0:
         return 0.0
     if isinstance(target, FidelityTarget):
-        return fidelity(selected.state, target.state)
+        return tuple_oracle.fidelity(selected.state, target.state)
     try:
-        srv = schmidt_rank_vector(selected.state, target.parties)
+        srv = tuple_oracle.schmidt_rank_vector(selected.state, target.parties)
     except ValueError:
         return 0.0
     return 1.0 if srv.ranks == target.ranks else 0.0
@@ -230,7 +234,7 @@ def test_the_key_score_equals_the_decoded_score_on_any_run(terms, target):
     packed = {compiled.layout.encode(occ): amp for occ, amp in terms}
     full = StateVector({compiled.layout.decode(key): amp for key, amp in packed.items()})
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search_module, "run_keys", lambda exp, elements, layout: packed)
+        patch.setattr(search_module, "run_keys", lambda exp, elements, layout, steps: packed)
         score = search_module._score(compiled, ())
     assert repr(score) == repr(decoded_score(full, exp.detectors, target))
 
@@ -279,18 +283,116 @@ def layouts_and_terms(draw):
     return layout, occupations, detectors
 
 
+#: Every path a drawn layout may hold, and one no layout holds.
+ORACLE_PATHS = PATHS + ("e",)
+# Counts 0 to 2 on loss paths, on paths a state holds and on paths it lacks.
+patterns = st.dictionaries(st.sampled_from(ORACLE_PATHS), st.integers(0, 2), max_size=4)
+
+
 @settings(max_examples=300, deadline=None)
-@given(layouts_and_terms())
-def test_packed_rules_agree_with_the_tuple_rules(case):
+@given(layouts_and_terms(), patterns)
+def test_packed_rules_agree_with_the_tuple_rules(case, pattern):
     layout, occupations, detectors = case
     passes = nfold_rule(layout, detectors)
-    pattern = {path: 1 for path in detectors}
+    ones = {path: 1 for path in detectors}
     for occ in occupations:
         key = layout.encode(occ)
-        assert passes(key) == _matches(occ, pattern)
+        assert passes(key) == tuple_oracle.matches(occ, ones)
+        for drawn_pattern in (ones, pattern):
+            assert pattern_rule(layout, drawn_pattern)(key) == tuple_oracle.matches(occ, drawn_pattern)
         photons = occupation_photons(occ, include_loss=False)
         for n in range(layout.bound + 1):
             assert sector_rule(layout, n)(key) == (photons == n)
+
+
+# -- the library's selection and scores against the tuple oracle ---------------
+
+# Parties absent from a state, or repeated, included.
+party_lists = st.lists(st.sampled_from(ORACLE_PATHS), max_size=4)
+# Target terms on labels a layout may lack, and above its bound.
+target_occupations = st.dictionaries(
+    st.builds(ModeLabel, st.sampled_from(ORACLE_PATHS), st.integers(-2, 3)), st.integers(1, 3), max_size=4
+).map(lambda counts: tuple(sorted(counts.items())))
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, as text: a selection's terms with the
+    ``repr`` of each amplitude, in dict order, and its weight; the
+    ``repr`` of any other result; or the text of a ``ValueError``."""
+    try:
+        result = call(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    if hasattr(result, "success_weight"):
+        return repr((list(result.state.terms.items()), result.success_weight))
+    return repr(result)
+
+
+def assert_library_equals_oracle(state, data, paths):
+    """``post_select_pattern``, ``fidelity`` and ``schmidt_rank_vector`` on
+    ``state`` and on its drawn selections equal ``tuple_oracle``'s."""
+    targets = data.draw(st.lists(st.lists(st.tuples(target_occupations, score_amplitudes), max_size=3), max_size=3))
+    targets = [StateVector(dict(terms)) for terms in targets]
+    scored = [(state, state)]
+    for pattern in data.draw(st.lists(patterns, min_size=1, max_size=3)) + [{path: 1 for path in paths}]:
+        assert outcome(post_select_pattern, state, pattern) == outcome(tuple_oracle.post_select_pattern, state, pattern)
+        scored.append((post_select_pattern(state, pattern).state, tuple_oracle.post_select_pattern(state, pattern).state))
+    for packed, decoded in scored:
+        # The state's own terms as a target, with amplitudes of their own.
+        terms = data.draw(st.lists(st.sampled_from(list(decoded.terms) or [()]), max_size=3))
+        own = StateVector({occ: data.draw(score_amplitudes) for occ in terms})
+        for target in targets + [own]:
+            assert outcome(fidelity, packed, target) == outcome(tuple_oracle.fidelity, decoded, target)
+        for parties in data.draw(st.lists(party_lists, max_size=3)) + [list(paths)]:
+            got = outcome(schmidt_rank_vector, packed, parties)
+            assert got == outcome(tuple_oracle.schmidt_rank_vector, decoded, parties)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts_and_terms(), st.data())
+def test_selection_and_scores_equal_the_tuple_oracle_on_any_layout(case, data):
+    layout, occupations, detectors = case
+    terms = {occ: data.draw(score_amplitudes) for occ in occupations}
+    # Packed on the drawn layout, gaps and a bound above the terms' photons
+    # included, and packed on a layout of the state's own labels.
+    packed = StateVector._from_keys({layout.encode(occ): amp for occ, amp in terms.items()}, layout)
+    assert list(packed.terms) == list(terms)
+    for state in (packed, StateVector(terms)):
+        assert_library_equals_oracle(state, data, detectors)
+
+
+# Parties of rank 1 with two local states each; a party whose count goes
+# from 1 to 2; a state whose term 2 leaves b empty and whose term 3 holds
+# two photons in a, so the first fault found depends on the order of the
+# check.
+EDGE_STATES = {
+    "product": basis("a:0 b:0", 0.6) + basis("a:0 b:1", 0.3j) + basis("a:1 b:0", 0.4) + basis("a:1 b:1", 0.2j),
+    "varying": basis("a:0 b:0") + basis({"a:0": 2, "b:1": 1}, 0.5),
+    "two-faults": basis("a:0 b:0") + basis("a:1 c:0", 0.5) + basis({"a:0": 2, "b:0": 1}, 0.25),
+}
+
+
+@pytest.mark.parametrize("state", EDGE_STATES.values(), ids=EDGE_STATES)
+def test_ranks_equal_the_tuple_oracle_on_edge_states(state):
+    for parties in (["a"], ["b"], ["a", "b"], ["b", "a"]):
+        assert outcome(schmidt_rank_vector, state, parties) == outcome(tuple_oracle.schmidt_rank_vector, state, parties)
+
+
+@functools.cache
+def corpus_run(path):
+    exp = load_experiment(path.name)
+    return exp, run(exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS), st.data())
+def test_selection_and_scores_equal_the_tuple_oracle_on_the_corpus(path, data):
+    exp, state = corpus_run(path)
+    assert_library_equals_oracle(state, data, exp.detectors)
+    selected = post_select(state, exp.detectors).state
+    n = len(exp.detectors)
+    for target in [ghz_target(n, d, paths=exp.detectors) for d in (2, 3)] + [selected]:
+        assert outcome(fidelity, selected, target) == outcome(tuple_oracle.fidelity, StateVector(dict(selected.terms)), target)
 
 
 # -- the screen ----------------------------------------------------------------
@@ -501,7 +603,7 @@ def tuple_weights(weighted, detectors):
         if occupation_photons(occ, include_loss=False) != n:
             continue
         total += weight
-        if _matches(occ, pattern):
+        if tuple_oracle.matches(occ, pattern):
             valid += weight
     return valid, total
 
