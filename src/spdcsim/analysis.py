@@ -12,7 +12,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
-from .elements import expand_crystal, substitute
+from .elements import crystal_transfer, substitute
 from .experiment import Experiment, _packed, compile_run, nfold_rule, run_keys, sector_rule
 from .fock import LOSS_PREFIX, KeyLayout, ModeLabel, StateVector, inner_terms, normalized_terms
 
@@ -297,9 +297,9 @@ def _monomial_terms(exp: Experiment, elements: Sequence[Element], layout: KeyLay
             weights = [
                 p**k * (math.factorial(order) // math.factorial(k)) for k in range(order + 1)
             ]
-            terms = expand_crystal(
-                terms, element, weights, layout, creation_only=True, bosonic=False, limit=limit
-            )
+            terms = crystal_transfer(
+                element, weights, layout, creation_only=True, bosonic=False, limit=limit
+            )(terms)
         else:
             terms = substitute(terms, element, layout, bosonic=False)
     return terms

@@ -1,4 +1,4 @@
-"""Optical elements as pure transforms on :class:`~spdcsim.fock.StateVector`.
+"""Optical elements and the kernels that apply them to packed coefficient dicts.
 
 Photon-pair sources are modeled by the truncated expansion
 
@@ -12,7 +12,9 @@ exact monomials in the pump couplings.  Every passive element is one
 substitution of the raising operators on one path (:func:`substitute`).
 Both kernels work on coefficient dicts over packed ``int`` keys, laid
 out once per element list by :func:`compile_layout`, over the modes
-:func:`mode_reach` finds.
+:func:`mode_reach` finds: :func:`crystal_transfer` for a source and
+:func:`substitute` for a passive element.  :func:`apply_element` is the
+entry point for one element on a :class:`~spdcsim.fock.StateVector`.
 """
 
 from __future__ import annotations
@@ -147,28 +149,12 @@ def taylor_weights(g: float, order: int) -> list[float]:
     return weights
 
 
-#: The most transfer-table signatures :func:`expand_crystal` keeps; a
+#: The most transfer-table signatures :func:`crystal_transfer` keeps; a
 #: new one past this empties the memo first (one ``clear``, which no other
 #: thread can interrupt).  One benchmark pass makes at most about 180.
 TABLE_SIGNATURES = 1024
 
 _tables: dict[tuple, dict[int, list[tuple[int, int, Any]]]] = {}
-
-
-def expand_crystal(
-    terms: Mapping[int, Any],
-    crystal: Crystal | MultimodeCrystal,
-    weights: Sequence[Any],
-    layout: KeyLayout,
-    *,
-    creation_only: bool = False,
-    bosonic: bool = True,
-    limit: int | None = None,
-) -> dict[int, Any]:
-    """``sum_k weights[k] D^k`` applied to a coefficient dict on
-    ``layout``'s packed keys, unpruned: :func:`crystal_transfer`'s step,
-    compiled and taken once."""
-    return crystal_transfer(crystal, weights, layout, creation_only=creation_only, bosonic=bosonic, limit=limit)(terms)
 
 
 def crystal_transfer(
@@ -504,14 +490,15 @@ def apply_element(
     series order and photon cap), which prunes once, at the end.
 
     The state is packed on a key layout of its own labels and the
-    element's, evolved, and unpacked.
+    element's and evolved; the result keeps its packed keys and decodes
+    them on first read, as a run state does.
     """
     labels = {label for occ in state.terms for label, _ in occ}
     most = max(map(occupation_photons, state.terms), default=0)
     layout = compile_layout((element,), max(most, limit or 0) + 2 * order, labels)
     terms = {layout.encode(occ): amp for occ, amp in state.terms.items()}
     terms = element_step(element, layout, order=order, creation_only=creation_only, limit=limit)(terms)
-    return StateVector({layout.decode(key): amp for key, amp in terms.items()})
+    return StateVector._from_keys(terms, layout)
 
 
 def element_step(

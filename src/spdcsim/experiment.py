@@ -147,7 +147,7 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     signature (slot offsets, field mask, series weights, convention and
     limit): the series is computed once per local occupation, alone,
     the first time a term holds it, and every term then takes one lookup
-    and one add per table entry (``elements.expand_crystal``).
+    and one add per table entry (``elements.crystal_transfer``).
     Every crystal keeps only terms of at most ``2 * pair_budget``
     photons; the cut is made inside the expansion, which skips the
     entries that would end above it and never expands a local term that

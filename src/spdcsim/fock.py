@@ -104,7 +104,7 @@ class KeyLayout:
     digit sum ``key % mask`` is the term's exact photon count.
     """
 
-    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels", "_decoder")
+    __slots__ = ("width", "mask", "bound", "fields", "blocks", "labels")
 
     def __init__(self, modes: Mapping[str, Iterable[int]], bound: int):
         width = (bound + 1).bit_length()
@@ -125,9 +125,6 @@ class KeyLayout:
                 label = ModeLabel(path, mode)
                 self.fields[label] = len(self.labels) * width
                 self.labels.append(label)
-        #: (each block's bits, offset and first field index; block memo),
-        #: built by the first :meth:`decode`
-        self._decoder = None
 
     def encode(self, occ: Occupation) -> int:
         """The key of ``occ``; ``ValueError`` for a label without a field
@@ -156,40 +153,11 @@ class KeyLayout:
         return bits
 
     def decode(self, key: int) -> Occupation:
-        """The canonical occupation tuple of ``key``.
-
-        Each path's block of bits maps to its slice of the tuple through
-        a memo kept on the layout, keyed by the key's bits in that block
-        (blocks do not overlap, so one dict serves them all).  A key costs
-        one mask and one lookup per path; a block seen for the first time
-        is decoded field by field (:meth:`decode_fields`).
-        """
-        decoder = self._decoder
-        if decoder is None:
-            width = self.width
-            parts = [
-                (((1 << size * width) - 1) << offset, offset, offset // width)
-                for offset, _, size in self.blocks.values()
-            ]
-            decoder = self._decoder = (parts, {})
-        parts, memo = decoder
-        occ: Occupation = ()
-        for block, offset, first in parts:
-            bits = key & block
-            if bits:
-                part = memo.get(bits)
-                if part is None:
-                    part = memo[bits] = self.decode_fields(bits >> offset, first)
-                occ += part
-        return occ
-
-    def decode_fields(self, key: int, first: int) -> Occupation:
-        """The occupation tuple of ``key``'s fields, the lowest field being
-        field ``first`` of the layout: with ``first = 0``, :meth:`decode`
-        field by field, without the memo."""
+        """The canonical occupation tuple of ``key``: its nonzero fields,
+        lowest first, which is canonical label order."""
         width, mask, labels = self.width, self.mask, self.labels
         out = []
-        i = first
+        i = 0
         while key:
             n = key & mask
             if n:
@@ -286,6 +254,18 @@ def _cleaned(terms: Mapping[Any, complex] | None) -> dict[Any, complex]:
     return cleaned
 
 
+def _check_canonical(occ: Occupation) -> None:
+    """``ValueError`` unless ``occ`` is canonical: labels strictly
+    ascending, each count a positive ``int``."""
+    previous = None
+    for label, n in occ:
+        if not (isinstance(n, int) and n > 0) or (previous is not None and not previous < label):
+            raise ValueError(
+                f"occupation {occ!r} is not canonical: labels must ascend strictly and counts be positive ints"
+            )
+        previous = label
+
+
 class StateVector:
     """Sparse superposition of occupation patterns with complex amplitudes.
 
@@ -294,17 +274,25 @@ class StateVector:
     ``PRUNE_EPSILON`` are dropped on construction; a non-finite
     amplitude raises ``ValueError``.
 
-    A state that :func:`~spdcsim.experiment.run` or a post-selection
-    returns keeps its packed keys and :class:`KeyLayout` as ``_packed``,
-    checked as above, and decodes them into ``terms`` the first time
-    ``terms`` is read, in key order; ``len`` and ``is_zero`` decode
-    nothing.  A state pickles and copies as its decoded terms alone.
+    Each term must be a canonical occupation (:data:`Occupation`): labels
+    strictly ascending, each count a positive ``int``; any other term
+    raises ``ValueError``, since two spellings of one pattern would pack
+    to one key.
+
+    A state that :func:`~spdcsim.experiment.run`, a post-selection or
+    :func:`~spdcsim.elements.apply_element` returns keeps its packed keys
+    and :class:`KeyLayout` as ``_packed``, amplitudes checked as above,
+    and decodes them into ``terms`` the first time ``terms`` is read, in
+    key order; ``len`` and ``is_zero`` decode nothing.  A state pickles
+    and copies as its decoded terms alone.
     """
 
     __slots__ = ("terms", "_packed")
 
     def __init__(self, terms: Mapping[Occupation, complex] | None = None):
         self.terms = _cleaned(terms)
+        for occ in self.terms:
+            _check_canonical(occ)
         self._packed = None
 
     @classmethod

@@ -174,12 +174,16 @@ class SearchStats:
     accepted: int
     evaluated: int
     classes: int
-    cache_hits: int
     screened: int
     draw_s: float
     score_s: float
     histogram: list[int]
     wall_s: float = 0.0
+
+    @property
+    def cache_hits(self) -> int:
+        """The trials that drew a setup already evaluated."""
+        return self.trials - self.evaluated
 
     def record(self) -> dict:
         """The stats as one JSON-ready mapping."""
@@ -853,7 +857,6 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
         accepted=len(hits),
         evaluated=len(scores),
         classes=len(classes),
-        cache_hits=config.budget - len(scores),
         screened=len(screened),
         draw_s=sum(draw_s),
         score_s=sum(score_s),

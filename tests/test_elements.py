@@ -12,8 +12,8 @@ from spdcsim.elements import (
     PhaseShifter,
     Relabel,
     apply_element,
+    crystal_transfer,
     element_step,
-    expand_crystal,
     resolve_loss_paths,
     substitute,
     taylor_weights,
@@ -326,7 +326,7 @@ def test_the_step_prunes_as_the_rebuilt_dict(element, terms):
     # magnitudes at exactly PRUNE_EPSILON dropped and ``terms`` untouched.
     before = repr(list(terms.items()))
     if isinstance(element, Crystal):
-        unpruned = expand_crystal(terms, element, taylor_weights(element.g, 2), PRUNE_LAYOUT)
+        unpruned = crystal_transfer(element, taylor_weights(element.g, 2), PRUNE_LAYOUT)(terms)
     else:
         unpruned = substitute(terms, element, PRUNE_LAYOUT)
     want = {key: amp for key, amp in unpruned.items() if abs(amp) > PRUNE_EPSILON}

@@ -15,7 +15,7 @@ from spdcsim.elements import (
     MultimodeCrystal,
     PhaseShifter,
     Relabel,
-    expand_crystal,
+    crystal_transfer,
     substitute,
 )
 from spdcsim.experiment import Experiment, compile_run
@@ -117,9 +117,9 @@ def per_crystal_denominator_efficiency(exp):
                 p**k * q ** (order - k) * math.factorial(order) // math.factorial(k)
                 for k in range(order + 1)
             ]
-            terms = expand_crystal(
-                terms, element, weights, layout, creation_only=True, bosonic=False, limit=limit
-            )
+            terms = crystal_transfer(
+                element, weights, layout, creation_only=True, bosonic=False, limit=limit
+            )(terms)
         else:
             terms = substitute(terms, element, layout, bosonic=False)
     n = len(exp.detectors)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spdcsim.analysis import fidelity, ghz_layout, ghz_target, schmidt_rank_vector
 from spdcsim.elements import Crystal, Misalignment, ModeShifter, Relabel
+from spdcsim.elements import apply_element, compile_layout, element_step, resolve_loss_paths
 from spdcsim.experiment import (
     Experiment,
     UndeclaredPathError,
@@ -222,6 +223,40 @@ def test_a_run_state_decodes_only_what_is_read(monkeypatch):
         state.serialize()
         assert len(decoded) == len(selected.state) + size
         decoded.clear()
+
+
+def eagerly_applied(state, element, *, order, creation_only, limit):
+    """``apply_element`` with every key decoded as soon as the element
+    is applied."""
+    labels = {lab for occ in state.terms for lab, _ in occ}
+    most = max(map(occupation_photons, state.terms), default=0)
+    layout = compile_layout((element,), max(most, limit) + 2 * order, labels)
+    keys = {layout.encode(occ): amp for occ, amp in state.terms.items()}
+    keys = element_step(element, layout, order=order, creation_only=creation_only, limit=limit)(keys)
+    return StateVector({layout.decode(key): amp for key, amp in keys.items()})
+
+
+@pytest.mark.parametrize("exp", CORPUS_EXPERIMENTS)
+def test_an_applied_element_decodes_only_what_is_read(exp, monkeypatch):
+    decoded = []
+    decode = KeyLayout.decode
+
+    def counted(layout, key):
+        decoded.append(key)
+        return decode(layout, key)
+
+    monkeypatch.setattr(KeyLayout, "decode", counted)
+    options = dict(order=exp.expansion_order, creation_only=exp.creation_only, limit=2 * exp.pair_budget)
+    state = vacuum()
+    for element in resolve_loss_paths(exp.elements):
+        eager = eagerly_applied(state, element, **options)
+        decoded.clear()
+        state = apply_element(state, element, **options)
+        assert len(state) == len(eager)
+        assert not state.is_zero()
+        assert decoded == []
+        assert items_text(state) == items_text(eager)
+        assert len(decoded) == len(eager)
 
 
 @pytest.mark.parametrize("selected", [False, True], ids=["run", "post-selected"])

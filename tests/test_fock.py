@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,3 +214,24 @@ def test_a_state_refuses_a_non_finite_amplitude(amplitude):
         StateVector({(): 1.0, ((ModeLabel("a", 0), 1),): amplitude})
     with pytest.raises(ValueError, match="is not finite"):
         vacuum() * amplitude
+
+
+A0, B0 = ModeLabel("a", 0), ModeLabel("b", 0)
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [
+        ((B0, 1), (A0, 1)),
+        ((A0, 1), (A0, 1)),
+        ((A0, 0),),
+        ((A0, -1), (B0, 1)),
+        ((A0, 1.0),),
+        ((A0, "1"),),
+    ],
+    ids=["labels-swapped", "label-repeated", "zero-count", "negative-count", "float-count", "text-count"],
+)
+def test_a_state_refuses_a_non_canonical_occupation(occ):
+    with pytest.raises(ValueError, match=re.escape(f"occupation {occ!r} is not canonical")):
+        StateVector({(): 1.0, occ: 0.5})
+

@@ -5,8 +5,8 @@ to an amplitude's last bit, a term count, a success weight or an exact
 efficiency fails here.  Regenerate the file only for a change that means
 to move the outputs, and say so.
 
-They were last rewritten when ``elements.expand_crystal`` moved to a
-transfer table, which sums ``amp * (sum_k w_k c_k)`` per term instead of
+They were last rewritten when the crystal expansion (now
+``elements.crystal_transfer``) moved to a transfer table, which sums ``amp * (sum_k w_k c_k)`` per term instead of
 summing the series power by power.  Only the summation order changed:
 against the power-by-power engine, over the corpus and the ladder at
 g in {0.1, 0.0731, 0.05, 0.15} with and without ``creation_only``, every

@@ -28,7 +28,7 @@ from spdcsim.elements import (
     apply_element,
     compile_layout,
     crystal_pairs,
-    expand_crystal,
+    crystal_transfer,
     resolve_loss_paths,
     substitute,
     taylor_weights,
@@ -278,10 +278,10 @@ def cut_to(terms, limit):
 
 
 def expansion(terms, crystal, weights, **options):
-    """``expand_crystal`` on occupation-keyed ``terms``."""
+    """``crystal_transfer``'s step on occupation-keyed ``terms``."""
     bound = most_photons(terms) + 2 * (len(weights) - 1)
     layout = compile_layout((crystal,), bound, labels_of(terms))
-    return unpack(layout, expand_crystal(pack(layout, terms), crystal, weights, layout, **options))
+    return unpack(layout, crystal_transfer(crystal, weights, layout, **options)(pack(layout, terms)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -406,16 +406,16 @@ def test_a_warm_table_gives_the_cold_result_bit_for_bit(data, crystal, limit, cr
     layout = shared_layout(crystal, weights, first, second)
     options = dict(creation_only=creation_only, bosonic=bosonic, limit=limit)
     elements._tables.clear()
-    cold = expand_crystal(pack(layout, second), crystal, weights, layout, **options)
+    cold = crystal_transfer(crystal, weights, layout, **options)(pack(layout, second))
     elements._tables.clear()
-    expand_crystal(pack(layout, first), crystal, weights, layout, **options)
+    crystal_transfer(crystal, weights, layout, **options)(pack(layout, first))
     other = dict(
         creation_only=data.draw(st.booleans()), bosonic=data.draw(st.booleans()), limit=data.draw(limits)
     )
-    expand_crystal(pack(layout, second), crystal, weights, layout, **other)
-    warm = expand_crystal(pack(layout, second), crystal, weights, layout, **options)
+    crystal_transfer(crystal, weights, layout, **other)(pack(layout, second))
+    warm = crystal_transfer(crystal, weights, layout, **options)(pack(layout, second))
     assert list(exact(warm).items()) == list(exact(cold).items())
-    again = expand_crystal(pack(layout, second), crystal, weights, layout, **options)
+    again = crystal_transfer(crystal, weights, layout, **options)(pack(layout, second))
     assert list(exact(again).items()) == list(exact(cold).items())
 
 
@@ -433,13 +433,13 @@ def test_a_second_call_expands_nothing(monkeypatch):
     terms = {make_occupation({a: 1}): 0.5, make_occupation({b: 2}): 1.0}
     layout = compile_layout((crystal,), 8, labels_of(terms))
     weights = taylor_weights(0.1, 3)
-    first = expand_crystal(pack(layout, terms), crystal, weights, layout, limit=6)
+    first = crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, terms))
     assert len(calls) == 6  # one per power per new local occupation
-    second = expand_crystal(pack(layout, terms), crystal, weights, layout, limit=6)
+    second = crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, terms))
     assert len(calls) == 6
     assert exact(second) == exact(first)
     mixed = {make_occupation({a: 1}): 0.5, make_occupation({a: 1, b: 1}): 1.0}
-    expand_crystal(pack(layout, mixed), crystal, weights, layout, limit=6)
+    crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, mixed))
     assert len(calls) == 9  # only the new occupation, one call per power
 
 
@@ -464,7 +464,7 @@ def test_equal_weights_of_different_types_get_distinct_tables(monkeypatch):
     layout = compile_layout((crystal,), 4)
     results = {}
     for one in (1, 1.0, Fraction(1)):
-        out = expand_crystal({0: 1}, crystal, [one] * 3, layout, creation_only=True, bosonic=False)
+        out = crystal_transfer(crystal, [one] * 3, layout, creation_only=True, bosonic=False)({0: 1})
         results[type(one)] = out
         assert {type(c) for c in out.values()} == {type(one)}
     assert len(elements._tables) == 3
@@ -491,7 +491,7 @@ def test_threads_sharing_the_memo_get_the_serial_results(monkeypatch):
 
     def expand_all(rounds):
         return [
-            exact(expand_crystal(keys, crystal, weights, layout, limit=limit))
+            exact(crystal_transfer(crystal, weights, layout, limit=limit)(keys))
             for _ in range(rounds)
             for keys, crystal, weights, layout, limit in jobs
         ]
@@ -587,7 +587,7 @@ def field_by_field_decode(layout, key):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(packed_labels, min_size=1, max_size=8), st.integers(1, 30), st.data())
-def test_block_memo_decode_equals_field_by_field_decode(reach_labels, bound, data):
+def test_decode_equals_field_by_field_decode(reach_labels, bound, data):
     reach = {}
     for lab in reach_labels:
         reach.setdefault(lab.path, set()).add(lab.mode)
@@ -599,9 +599,9 @@ def test_block_memo_decode_equals_field_by_field_decode(reach_labels, bound, dat
         sum(n << i * layout.width for i, n in enumerate(counts))
         for counts in data.draw(st.lists(fields, min_size=1, max_size=6))
     ]
-    # Each key twice, in shuffled order, so later decodes hit the memo.
+    # Each key twice, in shuffled order: a decode keeps no state between keys.
     for key in data.draw(st.permutations(keys + keys)):
-        assert layout.decode(key) == layout.decode_fields(key, 0) == field_by_field_decode(layout, key)
+        assert layout.decode(key) == field_by_field_decode(layout, key)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
