@@ -184,11 +184,15 @@ class EfficiencyReport:
     n: int
     d: int
     formula_value: Fraction
-    simulated_value: Fraction | None = None
+    simulated_value: Fraction | float | None = None
 
     @property
     def discrepancy_note(self) -> str:
-        if self.simulated_value is None or self.simulated_value == self.formula_value:
+        """Why an exact simulated value differs from the closed form; empty
+        when they agree, or when the value is a float (an element with
+        irrational amplitudes, :func:`efficiency_simulated`), which the
+        ordering argument does not explain."""
+        if not isinstance(self.simulated_value, Fraction) or self.simulated_value == self.formula_value:
             return ""
         return (
             "closed form counts ordered crystal tuples; the amplitude-weighted "
@@ -329,6 +333,8 @@ def _monomial_norm(key: int, coeff: int, layout: KeyLayout, multi: int) -> int:
 
 
 def efficiency_report(n: int, d: int, *, simulate: Experiment | None = None) -> EfficiencyReport:
+    """The closed form for ``(n, d)`` next to ``simulate``'s efficiency
+    (:func:`efficiency_simulated`), when an experiment is given."""
     simulated = efficiency_simulated(simulate) if simulate is not None else None
     return EfficiencyReport(n=n, d=d, formula_value=efficiency_formula(n, d), simulated_value=simulated)
 

@@ -14,7 +14,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, coherence, dsl
@@ -167,22 +166,14 @@ def _cmd_srv(args: argparse.Namespace) -> int:
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
     with _bad_input(f"bad n={args.n} d={args.d}"):
-        value = analysis.efficiency_formula(args.n, args.d)
+        report = analysis.efficiency_report(args.n, args.d)
         layout = analysis.ghz_layout(args.n, args.d) if args.simulate == "" else None
-    print(f"formula {value}")
+    print(f"formula {report.formula_value}")
     if args.simulate is not None:
-        exp = layout or _read_experiment(args.simulate)
-        simulated = analysis.efficiency_simulated(exp)
-        print(f"simulated {simulated}")
-        report = analysis.EfficiencyReport(
-            n=args.n,
-            d=args.d,
-            formula_value=value,
-            simulated_value=simulated if isinstance(simulated, Fraction) else None,
-        )
-        note = report.discrepancy_note
-        if note:
-            print(f"note: {note}", file=sys.stderr)
+        report = analysis.efficiency_report(args.n, args.d, simulate=layout or _read_experiment(args.simulate))
+        print(f"simulated {report.simulated_value}")
+        if report.discrepancy_note:
+            print(f"note: {report.discrepancy_note}", file=sys.stderr)
     return 0
 
 

@@ -491,7 +491,10 @@ def apply_element(
 
     The state is packed on a key layout of its own labels and the
     element's and evolved; the result keeps its packed keys and decodes
-    them on first read, as a run state does.
+    them on first read, as a run state does.  The input is read through
+    its ``terms``, so applying elements one after another decodes every
+    intermediate state in full; :func:`~spdcsim.experiment.run` evolves a
+    whole element list on one layout instead.
     """
     labels = {label for occ in state.terms for label, _ in occ}
     most = max(map(occupation_photons, state.terms), default=0)

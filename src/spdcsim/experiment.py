@@ -6,19 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from .elements import (
-    Crystal,
-    Element,
-    Misalignment,
-    ModeShifter,
-    MultimodeCrystal,
-    PhaseShifter,
-    Relabel,
-    compile_layout,
-    crystal_pairs,
-    element_step,
-    resolve_loss_paths,
-)
+from .elements import Element, Misalignment, compile_layout, element_step, reach_step, resolve_loss_paths
 from .fock import LOSS_PREFIX, KeyLayout, StateVector, normalized_terms, occupation_photons
 
 
@@ -62,29 +50,23 @@ class PostSelectionResult:
 
 
 class UndeclaredPathError(ValueError):
-    """Raised in strict mode when an element references an unknown path."""
-
-
-#: The path-valued fields of each passive element kind.
-_PATH_FIELDS = {
-    ModeShifter: ("path",),
-    PhaseShifter: ("path",),
-    Misalignment: ("path",),
-    Relabel: ("source", "target"),
-}
+    """Raised by :func:`validate_paths` when an element references an unknown path."""
 
 
 def validate_paths(exp: Experiment) -> None:
-    """Check that passive elements only touch paths that can carry light."""
+    """Check that passive elements only touch paths that can carry light:
+    a detector, a source's path or a loss path.  An element's paths are
+    those of its ``elements.reach_step`` on the resolved element list
+    (``resolve_loss_paths``); the error names the element as given."""
+    steps = [reach_step(element) for element in resolve_loss_paths(exp.elements)]
     known = set(exp.detectors)
-    for element in exp.elements:
-        if isinstance(element, (Crystal, MultimodeCrystal)):
-            known.update(label.path for pair in crystal_pairs(element) for label in pair)
-    for element in exp.elements:
-        if isinstance(element, (Crystal, MultimodeCrystal)):
+    for path, _, targets in steps:
+        if path is None:
+            known.update(target for target, _ in targets)
+    for element, (path, _, targets) in zip(exp.elements, steps):
+        if path is None:
             continue
-        referenced = {getattr(element, field) for field in _PATH_FIELDS[type(element)]}
-        unknown = {p for p in referenced if p not in known and not p.startswith(LOSS_PREFIX)}
+        unknown = {p for p in (path, *targets) if p not in known and not p.startswith(LOSS_PREFIX)}
         if unknown:
             raise UndeclaredPathError(
                 f"element {element!r} references undeclared path(s) {sorted(unknown)}"
@@ -129,7 +111,7 @@ def run_keys(exp: Experiment, elements: Sequence[Element], layout: KeyLayout, st
     return terms
 
 
-def run(exp: Experiment, *, strict: bool = False) -> StateVector:
+def run(exp: Experiment) -> StateVector:
     """Apply the element list to vacuum, cutting each source's output to
     the pair budget.
 
@@ -163,8 +145,6 @@ def run(exp: Experiment, *, strict: bool = False) -> StateVector:
     selection do not move (``tests/test_truncation.py``).  With
     ``creation_only`` nothing is lowered and the cut is exact.
     """
-    if strict:
-        validate_paths(exp)
     elements, layout = compile_run(exp)
     return StateVector._from_keys(run_keys(exp, elements, layout), layout)
 

@@ -240,20 +240,6 @@ def occupation_photons(occ: Occupation, *, include_loss: bool = True) -> int:
     return sum(n for label, n in occ if not label.is_loss())
 
 
-def _cleaned(terms: Mapping[Any, complex] | None) -> dict[Any, complex]:
-    """``terms`` as :class:`StateVector` checks and prunes them."""
-    cleaned: dict[Any, complex] = {}
-    if terms:
-        for key, amp in terms.items():
-            amp = complex(amp)
-            size = abs(amp)  # inf if a part is inf, else nan if a part is nan
-            if PRUNE_EPSILON < size < math.inf:
-                cleaned[key] = amp
-            elif not size <= PRUNE_EPSILON:
-                raise ValueError(f"amplitude {amp} is not finite")
-    return cleaned
-
-
 def _check_canonical(occ: Occupation) -> None:
     """``ValueError`` unless ``occ`` is canonical: labels strictly
     ascending, each count a positive ``int``."""
@@ -281,7 +267,8 @@ class StateVector:
 
     A state that :func:`~spdcsim.experiment.run`, a post-selection or
     :func:`~spdcsim.elements.apply_element` returns keeps its packed keys
-    and :class:`KeyLayout` as ``_packed``, amplitudes checked as above,
+    and :class:`KeyLayout` as ``_packed``, with the prune of the step that
+    built them (``elements.element_step`` or :func:`normalized_terms`),
     and decodes them into ``terms`` the first time ``terms`` is read, in
     key order; ``len`` and ``is_zero`` decode nothing.  A state pickles
     and copies as its decoded terms alone.
@@ -290,16 +277,30 @@ class StateVector:
     __slots__ = ("terms", "_packed")
 
     def __init__(self, terms: Mapping[Occupation, complex] | None = None):
-        self.terms = _cleaned(terms)
-        for occ in self.terms:
+        cleaned: dict[Occupation, complex] = {}
+        if terms:
+            for occ, amp in terms.items():
+                amp = complex(amp)
+                size = abs(amp)  # inf if a part is inf, else nan if a part is nan
+                if PRUNE_EPSILON < size < math.inf:
+                    cleaned[occ] = amp
+                elif not size <= PRUNE_EPSILON:
+                    raise ValueError(f"amplitude {amp} is not finite")
+        for occ in cleaned:
             _check_canonical(occ)
+        self.terms = cleaned
         self._packed = None
 
     @classmethod
-    def _from_keys(cls, keys: Mapping[int, complex], layout: KeyLayout) -> "StateVector":
-        """The state of packed ``keys`` on ``layout``, decoded on first read."""
+    def _from_keys(cls, keys: dict[int, complex], layout: KeyLayout) -> "StateVector":
+        """The state of packed ``keys`` on ``layout``, decoded on first read.
+
+        ``keys`` is stored as handed, so it must hold only ``complex``,
+        finite amplitudes above ``PRUNE_EPSILON``, as a pruned element
+        step (``elements.element_step``) or :func:`normalized_terms`
+        returns them, and no caller may change it afterwards."""
         state = cls.__new__(cls)
-        state._packed = (_cleaned(keys), layout)
+        state._packed = (keys, layout)
         return state
 
     def __reduce__(self):

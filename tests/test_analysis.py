@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from spdcsim.analysis import (
     two_photon_builder,
     w_target,
 )
-from spdcsim.elements import Crystal
+from spdcsim.elements import Crystal, PhaseShifter
 from spdcsim.experiment import post_select, run
 from spdcsim.fock import ModeLabel, StateVector
 
@@ -281,6 +282,24 @@ def test_efficiency_report_surfaces_both_values():
     assert report.formula_value == Fraction(1, 8)
     assert report.simulated_value == Fraction(1, 5)
     assert "ordered" in report.discrepancy_note
+    assert "gives 1/5 instead of 1/8" in report.discrepancy_note
+
+
+def with_phase(exp):
+    """``exp`` followed by a phase, whose irrational amplitudes make the
+    simulated efficiency a float."""
+    return replace(exp, elements=exp.elements + (PhaseShifter("a", 0.5),))
+
+
+def test_a_float_efficiency_gets_no_note():
+    # The ordering argument explains an exact value that differs from the
+    # closed form; a float one that happens to differ gets no note.
+    report = efficiency_report(4, 2, simulate=with_phase(ghz_layout(4, 2)))
+    assert report.formula_value == Fraction(1, 8)
+    assert type(report.simulated_value) is float
+    assert report.simulated_value != report.formula_value
+    assert report.discrepancy_note == ""
+    assert efficiency_report(4, 2).discrepancy_note == ""
 
 
 def test_efficiency_decreases_with_photon_number():

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from spdcsim import dsl
 from spdcsim.analysis import ghz_layout, ghz_target
 from spdcsim.cli import _print_state, main
+from spdcsim.elements import PhaseShifter
 from spdcsim.experiment import compile_run, run_keys
 from spdcsim.fock import StateVector
 
@@ -331,6 +333,18 @@ def test_efficiency_with_simulation(capsys):
     assert "formula 1/8" in out
     assert "simulated 1/5" in out
     assert "note:" in err
+
+
+def test_a_float_simulated_efficiency_prints_no_note(capsys, tmp_path):
+    exp = ghz_layout(4, 2)
+    exp = replace(exp, elements=exp.elements + (PhaseShifter("a", 0.5),))
+    path = tmp_path / "phased.exp"
+    path.write_text(dsl.serialize(exp))
+    code, out, err = invoke(capsys, "efficiency", 4, 2, "--simulate", path)
+    assert code == 0
+    assert out.splitlines()[0] == "formula 1/8"
+    assert float(out.splitlines()[1].removeprefix("simulated ")) != 1 / 8
+    assert err == ""
 
 
 def test_layout_output_is_parseable_and_runs(capsys, tmp_path):

@@ -1,13 +1,14 @@
 import copy
+import math
 import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spdcsim.analysis import fidelity, ghz_layout, ghz_target, schmidt_rank_vector
-from spdcsim.elements import Crystal, Misalignment, ModeShifter, Relabel
-from spdcsim.elements import apply_element, compile_layout, element_step, resolve_loss_paths
+from spdcsim.elements import Crystal, Misalignment, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
+from spdcsim.elements import apply_element, compile_layout, crystal_pairs, element_step, resolve_loss_paths
 from spdcsim.experiment import (
     Experiment,
     UndeclaredPathError,
@@ -18,9 +19,11 @@ from spdcsim.experiment import (
     run,
     run_keys,
     success_fraction,
+    validate_paths,
     with_uniform_misalignment,
 )
-from spdcsim.fock import KeyLayout, ModeLabel, StateVector, make_occupation, occupation_photons, vacuum
+from spdcsim.fock import LOSS_PREFIX, PRUNE_EPSILON, KeyLayout, ModeLabel, StateVector
+from spdcsim.fock import make_occupation, occupation_photons, vacuum
 
 from conftest import CORPUS, basis, label, load_experiment
 
@@ -61,8 +64,100 @@ def test_strict_mode_flags_unknown_paths():
         detectors=("a", "b"),
     )
     with pytest.raises(UndeclaredPathError):
-        run(exp, strict=True)
-    run(exp)  # non-strict: paths appear on first use
+        validate_paths(exp)
+    run(exp)  # run checks nothing: paths appear on first use
+
+
+#: The path-valued fields of each passive element kind, which the path
+#: check read before it read the reach steps.
+PATH_FIELDS = {
+    ModeShifter: ("path",),
+    PhaseShifter: ("path",),
+    Misalignment: ("path",),
+    Relabel: ("source", "target"),
+}
+
+
+def field_table_validate_paths(exp):
+    """The path check read from :data:`PATH_FIELDS`: the oracle of
+    ``validate_paths``."""
+    known = set(exp.detectors)
+    for element in exp.elements:
+        if isinstance(element, (Crystal, MultimodeCrystal)):
+            known.update(lab.path for pair in crystal_pairs(element) for lab in pair)
+    for element in exp.elements:
+        if isinstance(element, (Crystal, MultimodeCrystal)):
+            continue
+        referenced = {getattr(element, field) for field in PATH_FIELDS[type(element)]}
+        unknown = {p for p in referenced if p not in known and not p.startswith(LOSS_PREFIX)}
+        if unknown:
+            raise UndeclaredPathError(f"element {element!r} references undeclared path(s) {sorted(unknown)}")
+
+
+def path_check(check, exp):
+    """The ``UndeclaredPathError`` text of ``check(exp)``, or ``None``."""
+    try:
+        check(exp)
+    except UndeclaredPathError as exc:
+        return str(exc)
+    return None
+
+
+# Detectors a and b; a crystal emits into c; y and z are declared nowhere.
+# Each case: the element, and whether the check raises.
+PATH_CASES = {
+    "crystal": (Crystal(label("z:0"), label("a:0")), False),
+    "multimode": (MultimodeCrystal("z", "b", (0, 1)), False),
+    "shift": (ModeShifter("c", 1), False),
+    "shift-undeclared": (ModeShifter("z", 1), True),
+    "phase": (PhaseShifter("a", 0.3), False),
+    "phase-undeclared": (PhaseShifter("z", 0.3), True),
+    "misalign-T0": (Misalignment("a", 0.0, loss="loss#0"), False),
+    "misalign-T0-undeclared": (Misalignment("z", 0.0, loss="loss#0"), True),
+    "misalign-T1": (Misalignment("c", 1.0, loss="loss#0"), False),
+    "misalign-T1-undeclared": (Misalignment("z", 1.0, loss="loss#0"), True),
+    "misalign-undeclared": (Misalignment("z", 0.5, loss="loss#3"), True),
+    "misalign-unresolved": (Misalignment("b", 0.5), False),
+    "misalign-unresolved-undeclared": (Misalignment("z", 0.5), True),
+    "relabel-onto-detector": (Relabel("c", "a"), False),
+    "relabel-undeclared-onto-detector": (Relabel("z", "a"), True),
+    "relabel-onto-crystal-path": (Relabel("a", "c"), False),
+    "relabel-onto-loss-path": (Relabel("b", "loss#2"), False),
+    "relabel-onto-undeclared": (Relabel("a", "z"), True),
+    "relabel-undeclared-onto-undeclared": (Relabel("y", "z"), True),
+}
+
+
+@pytest.mark.parametrize("element, raises", PATH_CASES.values(), ids=PATH_CASES.keys())
+def test_the_path_check_reads_the_reach_steps_as_the_field_table(element, raises):
+    exp = Experiment(elements=(Crystal(label("c:0"), label("a:0")), element), detectors=("a", "b"))
+    got = path_check(validate_paths, exp)
+    assert got == path_check(field_table_validate_paths, exp)
+    assert (got is not None) == raises
+    if raises:
+        # The element as given: an unresolved misalignment shows loss=None.
+        assert got.startswith(f"element {element!r} references undeclared path(s)")
+
+
+CHECK_PATHS = ("a", "b", "c", "z")
+check_labels = st.builds(ModeLabel, st.sampled_from(CHECK_PATHS), st.integers(0, 1))
+check_elements = st.one_of(
+    st.builds(Crystal, check_labels, check_labels),
+    st.builds(MultimodeCrystal, st.sampled_from(CHECK_PATHS), st.sampled_from(CHECK_PATHS), st.just((0, 1))),
+    st.builds(ModeShifter, st.sampled_from(CHECK_PATHS), st.sampled_from((-1, 1))),
+    st.builds(PhaseShifter, st.sampled_from(CHECK_PATHS), st.just(0.4)),
+    st.builds(
+        Misalignment, st.sampled_from(CHECK_PATHS), st.sampled_from((0.0, 0.6, 1.0)), st.sampled_from((None, "loss#5"))
+    ),
+    st.builds(Relabel, st.sampled_from(CHECK_PATHS), st.sampled_from(CHECK_PATHS + ("loss#1",))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(check_elements, max_size=5))
+def test_the_path_check_equals_the_field_table_on_drawn_setups(elements):
+    exp = Experiment(elements=tuple(elements), detectors=("a", "b"))
+    assert path_check(validate_paths, exp) == path_check(field_table_validate_paths, exp)
 
 
 def test_four_photon_sector_has_all_ten_emission_patterns():
@@ -257,6 +352,67 @@ def test_an_applied_element_decodes_only_what_is_read(exp, monkeypatch):
         assert decoded == []
         assert items_text(state) == items_text(eager)
         assert len(decoded) == len(eager)
+
+
+def assert_keeps_its_producers_prune(state):
+    """``state``'s packed amplitudes are all ``complex``, finite and above
+    ``PRUNE_EPSILON``, as ``StateVector._from_keys`` stores them unchecked."""
+    keys, _ = state._packed
+    for amp in keys.values():
+        assert type(amp) is complex and PRUNE_EPSILON < abs(amp) < math.inf, amp
+
+
+def assert_every_packed_state_is_pruned(exp):
+    """Every state that ``run``, both post-selections and ``apply_element``
+    (the elements one at a time, from vacuum) build for ``exp``."""
+    state = run(exp)
+    assert_keeps_its_producers_prune(state)
+    assert_keeps_its_producers_prune(post_select(state, exp.detectors).state)
+    assert_keeps_its_producers_prune(post_select_pattern(state, {p: 1 for p in exp.detectors}).state)
+    options = dict(order=exp.expansion_order, creation_only=exp.creation_only, limit=2 * exp.pair_budget)
+    state = vacuum()
+    for element in resolve_loss_paths(exp.elements):
+        state = apply_element(state, element, **options)
+        assert_keeps_its_producers_prune(state)
+
+
+@pytest.mark.parametrize("exp", RUN_CASES)
+def test_packed_states_keep_the_prune_of_their_producers(exp):
+    assert_every_packed_state_is_pruned(exp)
+
+
+PRUNE_PATHS = ("a", "b", "c")
+prune_labels = st.builds(ModeLabel, st.sampled_from(PRUNE_PATHS), st.integers(0, 1))
+# All six kinds on three paths and two modes, with phases that cancel
+# amplitudes, so that some terms fall to or below PRUNE_EPSILON.
+setup_elements = st.one_of(
+    st.builds(Crystal, prune_labels, prune_labels, st.sampled_from((0.1, 0.05))),
+    st.builds(
+        MultimodeCrystal,
+        st.sampled_from(PRUNE_PATHS),
+        st.sampled_from(PRUNE_PATHS),
+        st.sampled_from(((0, 1), (1,), (1, 0, 2))),
+        st.sampled_from((0.1, 0.07)),
+    ),
+    st.builds(ModeShifter, st.sampled_from(PRUNE_PATHS), st.sampled_from((-1, 1))),
+    st.builds(PhaseShifter, st.sampled_from(PRUNE_PATHS), st.sampled_from((math.pi / 2, math.pi, 0.3))),
+    st.builds(Misalignment, st.sampled_from(PRUNE_PATHS), st.sampled_from((0.0, 0.6, 1.0))),
+    st.builds(Relabel, st.sampled_from(PRUNE_PATHS), st.sampled_from(PRUNE_PATHS)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(setup_elements, min_size=1, max_size=6),
+    st.sampled_from((("a", "b"), ("a", "b", "c"))),
+    st.booleans(),
+)
+# A pair that the phase of pi cancels to about 1e-17, below PRUNE_EPSILON.
+@example([Crystal(label("a:0"), label("b:0")), PhaseShifter("a", math.pi), Crystal(label("a:0"), label("b:0"))], ("a", "b"), True)
+def test_packed_states_of_drawn_setups_keep_the_prune_of_their_producers(elements, detectors, creation_only):
+    assert_every_packed_state_is_pruned(
+        Experiment(elements=tuple(elements), detectors=detectors, creation_only=creation_only)
+    )
 
 
 @pytest.mark.parametrize("selected", [False, True], ids=["run", "post-selected"])
