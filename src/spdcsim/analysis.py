@@ -13,7 +13,7 @@ import numpy as np
 
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import crystal_transfer, substitute
-from .experiment import Experiment, _packed, compile_run, nfold_rule, run_keys, sector_rule
+from .experiment import Experiment, _packed, compile_run, pattern_rule, post_select, run, sector_rule, success_fraction
 from .fock import LOSS_PREFIX, KeyLayout, ModeLabel, StateVector, inner_terms, normalized_terms
 
 #: Singular values below this count as zero when ranking reduced states.
@@ -223,53 +223,48 @@ def efficiency_simulated(exp: Experiment) -> Fraction | float:
     coefficients (:func:`_monomial_terms`), so the double-emission
     enhancement factors are integer factorials and the returned ratio is
     an exact fraction.  Elements that introduce irrational amplitudes
-    fall back to a float ratio, from ``run_keys`` with ``creation_only``.
+    give a float ratio: ``success_fraction`` of ``post_select`` on the
+    ``creation_only`` run.
 
-    Both branches compile the experiment once and count on its packed
-    keys, decoding nothing: the total sums the weights of the terms
-    holding ``n = len(detectors)`` photons outside the loss paths
-    (``sector_rule``, as :func:`~spdcsim.experiment.success_fraction`
-    counts them), and the valid weight those of the terms that pass the
-    n-fold rule of ``post_select`` (``nfold_rule``).  A weight is
-    ``|amp|^2``, or ``coeff^2 * prod n!`` in the monomial form, and is
-    computed only for terms in the sector.  Both sums run in term order
-    from the integer 0.
+    The exact count reads the packed keys and decodes nothing: the total
+    sums the weights ``coeff^2 * prod n!`` of the terms holding
+    ``n = len(detectors)`` photons outside the loss paths (``sector_rule``,
+    as :func:`~spdcsim.experiment.success_fraction` counts them), and the
+    valid weight those of the terms that pass ``post_select``'s rule
+    (``pattern_rule`` with one photon per detector), in term order.
 
     The monomial weights of the terms of ``m`` photons share the scale
     ``Q^m`` (:func:`_monomial_terms`), which cancels in the ratio.  A
     term with ``l`` photons on loss paths holds ``n + l`` in all, so its
     weight is divided by ``Q^l`` to bring it to the sector's scale.
     """
-    exact = all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements)
+    n = len(exp.detectors)
+    if not all(isinstance(e, _RATIONAL_SAFE) for e in exp.elements):
+        full = run(replace(exp, creation_only=True))
+        return success_fraction(full, post_select(full, exp.detectors), n)
     elements, layout = compile_run(exp)
-    if exact:
-        terms = _monomial_terms(exp, elements, layout)
-        mask = layout.mask
-        # Bits 1 and up of every field: a key without them holds no field of 2+.
-        multi = (mask - 1) * sum(1 << i * layout.width for i in range(len(layout.labels)))
-        lost = layout.block_bits(path for path in layout.blocks if path.startswith(LOSS_PREFIX))
-        if lost:
-            scale = _coupling_denominator(elements)
-    else:
-        terms = run_keys(replace(exp, creation_only=True), elements, layout)
-    in_sector = sector_rule(layout, len(exp.detectors))
-    passes = nfold_rule(layout, exp.detectors)
+    terms = _monomial_terms(exp, elements, layout)
+    mask = layout.mask
+    # Bits 1 and up of every field: a key without them holds no field of 2+.
+    multi = (mask - 1) * sum(1 << i * layout.width for i in range(len(layout.labels)))
+    lost = layout.block_bits(path for path in layout.blocks if path.startswith(LOSS_PREFIX))
+    if lost:
+        scale = _coupling_denominator(elements)
+    in_sector = sector_rule(layout, n)
+    passes = pattern_rule(layout, dict.fromkeys(exp.detectors, 1))
     valid = total = 0
     for key, coeff in terms.items():
         if not in_sector(key):
             continue
-        if exact:
-            weight = _monomial_norm(key, coeff, layout, multi)
-            if key & lost:
-                weight = Fraction(weight, scale ** ((key & lost) % mask))
-        else:
-            weight = abs(coeff) ** 2
+        weight = _monomial_norm(key, coeff, layout, multi)
+        if key & lost:
+            weight = Fraction(weight, scale ** ((key & lost) % mask))
         total += weight
         if passes(key):
             valid += weight
     if total == 0:
-        raise ValueError(f"no {len(exp.detectors)}-photon component in the experiment output")
-    return Fraction(valid, total) if exact else valid / total
+        raise ValueError(f"no {n}-photon component in the experiment output")
+    return Fraction(valid, total)
 
 
 def _monomial_terms(exp: Experiment, elements: Sequence[Element], layout: KeyLayout) -> dict[int, int]:

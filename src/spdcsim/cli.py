@@ -168,9 +168,10 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
     with _bad_input(f"bad n={args.n} d={args.d}"):
         report = analysis.efficiency_report(args.n, args.d)
         layout = analysis.ghz_layout(args.n, args.d) if args.simulate == "" else None
-    print(f"formula {report.formula_value}")
     if args.simulate is not None:
         report = analysis.efficiency_report(args.n, args.d, simulate=layout or _read_experiment(args.simulate))
+    print(f"formula {report.formula_value}")
+    if report.simulated_value is not None:
         print(f"simulated {report.simulated_value}")
         if report.discrepancy_note:
             print(f"note: {report.discrepancy_note}", file=sys.stderr)

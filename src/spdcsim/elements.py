@@ -494,13 +494,17 @@ def apply_element(
     them on first read, as a run state does.  The input is read through
     its ``terms``, so applying elements one after another decodes every
     intermediate state in full; :func:`~spdcsim.experiment.run` evolves a
-    whole element list on one layout instead.
+    whole element list on one layout instead.  An amplitude that
+    overflows raises ``ValueError``; a run, from vacuum, cannot overflow.
     """
     labels = {label for occ in state.terms for label, _ in occ}
     most = max(map(occupation_photons, state.terms), default=0)
     layout = compile_layout((element,), max(most, limit or 0) + 2 * order, labels)
     terms = {layout.encode(occ): amp for occ, amp in state.terms.items()}
     terms = element_step(element, layout, order=order, creation_only=creation_only, limit=limit)(terms)
+    for amp in terms.values():
+        if abs(amp) == math.inf:
+            raise ValueError(f"amplitude {amp} is not finite")
     return StateVector._from_keys(terms, layout)
 
 

@@ -149,21 +149,6 @@ def run(exp: Experiment) -> StateVector:
     return StateVector._from_keys(run_keys(exp, elements, layout), layout)
 
 
-def nfold_rule(layout: KeyLayout, detectors: Sequence[str]) -> Callable[[int], bool]:
-    """The n-fold coincidence rule of :func:`post_select` on ``layout``'s
-    keys: ``n = len(detectors)`` photons in all (the digit sum
-    ``key % mask``, loss paths included) and none of the detector blocks
-    empty.  The n photons then sit one in each detector and none
-    elsewhere.  A detector without a block can hold no photon, and no key
-    passes.  Repeated detectors, or one on a loss path, raise
-    ``ValueError``."""
-    _check_detectors(detectors)
-    n = len(detectors)
-    mask = layout.mask
-    blocks = [layout.block_bits((path,)) for path in detectors]
-    return lambda key: key % mask == n and all(map(key.__and__, blocks))
-
-
 def sector_rule(layout: KeyLayout, n: int) -> Callable[[int], bool]:
     """Whether a key of ``layout`` holds ``n`` photons outside the loss
     paths, as ``occupation_photons(occ, include_loss=False)`` counts."""
@@ -174,12 +159,15 @@ def sector_rule(layout: KeyLayout, n: int) -> Callable[[int], bool]:
 
 def pattern_rule(layout: KeyLayout, pattern: Mapping[str, int]) -> Callable[[int], bool]:
     """Whether a key of ``layout`` holds ``pattern[path]`` photons in each
-    path of ``pattern`` (its block's digit sum ``(key & block) % mask``)
-    and none outside the pattern's blocks."""
+    path of ``pattern`` and none elsewhere, loss paths included: its digit
+    sum ``key % mask`` is the pattern's total, each count-1 path's block
+    is nonzero, and each higher-count path's block has its count as digit
+    sum ``(key & block) % mask``.  Those blocks then hold every photon."""
     mask = layout.mask
-    counts = [(layout.block_bits((path,)), n) for path, n in pattern.items()]
-    outside = ~layout.block_bits(pattern)
-    return lambda key: not key & outside and all((key & bits) % mask == n for bits, n in counts)
+    total = sum(pattern.values())
+    ones = [layout.block_bits((path,)) for path, n in pattern.items() if n == 1]
+    counts = [(layout.block_bits((path,)), n) for path, n in pattern.items() if n > 1]
+    return lambda key: key % mask == total and all(map(key.__and__, ones)) and all((key & bits) % mask == n for bits, n in counts)
 
 
 def post_select_pattern(
@@ -193,12 +181,7 @@ def post_select_pattern(
     before normalization is reported as the success weight.
     """
     keys, layout = _packed(state)
-    return _selection(keys, layout, pattern_rule(layout, pattern))
-
-
-def _selection(keys: dict[int, complex], layout: KeyLayout, passes: Callable[[int], bool]) -> PostSelectionResult:
-    """The normalized terms of ``keys`` that pass, packed on ``layout``,
-    with their squared norm before normalization as the success weight."""
+    passes = pattern_rule(layout, pattern)
     selected = {key: amp for key, amp in keys.items() if passes(key)}
     weight = sum(abs(a) ** 2 for a in selected.values())
     return PostSelectionResult(StateVector._from_keys(normalized_terms(selected), layout), weight)
@@ -219,14 +202,12 @@ def post_select(state: StateVector, detectors: Sequence[str]) -> PostSelectionRe
     """n-fold coincidence selection: exactly one photon per detector path.
 
     Terms with photons in any other path, loss paths included, are
-    rejected; a lost photon cannot contribute to the coincidence.  The
-    rule is :func:`nfold_rule`, applied to the state's packed keys, which
-    the selected state keeps.  The result is that of
-    ``post_select_pattern(state, {p: 1 for p in detectors})``.  Repeated
-    detectors, or one on a loss path, raise ``ValueError``.
+    rejected; a lost photon cannot contribute to the coincidence.  Raises
+    ``ValueError`` for repeated detectors, or one on a loss path, and
+    otherwise is ``post_select_pattern(state, dict.fromkeys(detectors, 1))``.
     """
-    keys, layout = _packed(state)
-    return _selection(keys, layout, nfold_rule(layout, detectors))
+    _check_detectors(detectors)
+    return post_select_pattern(state, dict.fromkeys(detectors, 1))
 
 
 def _check_detectors(detectors: Sequence[str]) -> None:
@@ -250,7 +231,7 @@ def success_fraction(full: StateVector, selected: PostSelectionResult, n: int) -
     in_sector = sector_rule(layout, n)
     denom = sum(abs(amp) ** 2 for key, amp in keys.items() if in_sector(key))
     if denom == 0.0:
-        raise ValueError(f"no {n}-photon component in the supplied state")
+        raise ValueError(f"no {n}-photon component in the experiment output")
     return selected.success_weight / denom
 
 

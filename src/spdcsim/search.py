@@ -41,7 +41,7 @@ from .analysis import _encode_target, _fidelity, _party_rank
 from .dsl import path_name
 from .elements import Crystal, Element, ModeShifter, MultimodeCrystal, PhaseShifter, Relabel
 from .elements import mode_reach, reach_step, resolve_loss_paths
-from .experiment import Experiment, _check_detectors, compile_run, nfold_rule, run_keys
+from .experiment import Experiment, _check_detectors, compile_run, pattern_rule, run_keys
 from .fock import KeyLayout, ModeLabel, StateVector, normalized_terms
 
 #: Mode lists a multimode crystal may draw.
@@ -491,7 +491,7 @@ class _Compiled(NamedTuple):
     #: the settings: detectors, pair budget, series order, convention
     exp: Experiment
     layout: KeyLayout
-    #: ``experiment.nfold_rule`` on ``layout``
+    #: ``post_select``'s rule on ``layout`` (``experiment.pattern_rule``)
     passes: Callable[[int], bool]
     target: Target
     #: a fidelity target on ``layout``'s keys (``analysis._encode_target``);
@@ -503,10 +503,10 @@ class _Compiled(NamedTuple):
 
 def _compile(exp: Experiment, reach: Mapping[str, set[int]], target: Target) -> _Compiled:
     """The key layout over ``reach`` for ``exp``'s settings
-    (``compile_run``), its n-fold rule, ``target`` on its keys
-    (``analysis._encode_target``, as ``fidelity`` encodes it) and an
-    empty step memo.  After the n-fold selection every
-    detector holds one photon in every term and every other path none,
+    (``compile_run``), its n-fold rule (``pattern_rule``), ``target`` on
+    its keys (``analysis._encode_target``, as ``fidelity`` encodes it)
+    and an empty step memo.  After the n-fold selection every detector
+    holds one photon in every term and every other path none,
     so ``schmidt_rank_vector``'s party-occupancy check fails exactly when
     a rank target's party is not a detector.
     """
@@ -516,7 +516,7 @@ def _compile(exp: Experiment, reach: Mapping[str, set[int]], target: Target) -> 
         encoded = _encode_target(target.state, layout)
     elif set(target.parties) <= set(exp.detectors):
         encoded = tuple(layout.block_bits((party,)) for party in target.parties)
-    return _Compiled(exp, layout, nfold_rule(layout, exp.detectors), target, encoded, {})
+    return _Compiled(exp, layout, pattern_rule(layout, dict.fromkeys(exp.detectors, 1)), target, encoded, {})
 
 
 def _score(compiled: _Compiled, elements: Sequence[Element]) -> float:

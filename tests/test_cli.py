@@ -230,11 +230,31 @@ def test_bad_numeric_argument_exits_2(capsys, argv, name):
 def test_empty_simulated_efficiency_exits_1(capsys):
     # A valid request whose experiment has no n-photon component is an
     # empty result, not bad input.
-    code, _, err = invoke(
+    code, out, err = invoke(
         capsys, "efficiency", 4, 2, "--simulate", EXPERIMENTS_DIR / "induced_coherence.exp"
     )
     assert code == 1
+    assert out == ""
     assert "no 3-photon component" in err
+
+
+def test_simulated_efficiency_of_a_missing_file_prints_nothing(capsys):
+    # Nothing reaches stdout unless the whole report does.
+    code, out, err = invoke(capsys, "efficiency", 4, 2, "--simulate", "missing.exp")
+    assert code == 2
+    assert out == ""
+    assert "cannot read missing.exp" in err
+
+
+def test_float_efficiency_without_the_sector_exits_1(capsys, tmp_path):
+    # A phase makes the efficiency a float ratio; the pair budget of one
+    # pair leaves no 3-photon sector for it to divide by.
+    path = tmp_path / "phased.exp"
+    path.write_text((EXPERIMENTS_DIR / "induced_coherence.exp").read_text() + "phase a 0.5\n")
+    code, out, err = invoke(capsys, "efficiency", 4, 2, "--simulate", path)
+    assert code == 1
+    assert out == ""
+    assert err == "no 3-photon component in the experiment output\n"
 
 
 def test_srv_drops_separable_trigger_by_default(capsys):

@@ -221,6 +221,14 @@ def test_relabel_merges_only_matching_modes():
     assert out == basis("d:0 d:1")
 
 
+def test_an_overflowing_application_raises():
+    # Two finite amplitudes near the float maximum merge into one that
+    # overflows; the step's state must refuse it as a built state would.
+    state = basis("a:0", 1.5e308) + basis("b:0", 1.5e308)
+    with pytest.raises(ValueError, match=r"^amplitude \(inf\+0j\) is not finite$"):
+        apply_element(state, Relabel("b", "a"))
+
+
 def test_resolve_loss_paths_is_positional():
     elements = (
         Misalignment("a", 0.9),

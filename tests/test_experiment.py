@@ -13,7 +13,6 @@ from spdcsim.experiment import (
     Experiment,
     UndeclaredPathError,
     compile_run,
-    nfold_rule,
     post_select,
     post_select_pattern,
     run,
@@ -214,12 +213,6 @@ def test_post_select_rejects_repeated_detectors():
     exp = two_matching_polarization_layout()
     with pytest.raises(ValueError, match="detectors must be distinct"):
         post_select(run(exp), ("a", "a"))
-
-
-def test_nfold_rule_rejects_repeated_detectors():
-    _, layout = compile_run(two_matching_polarization_layout())
-    with pytest.raises(ValueError, match="detectors must be distinct"):
-        nfold_rule(layout, ("a", "a"))
 
 
 SELECTION_PATHS = ("a", "b", "c", "loss#0")

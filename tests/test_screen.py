@@ -34,7 +34,6 @@ from spdcsim.elements import (
 from spdcsim.experiment import (
     Experiment,
     compile_run,
-    nfold_rule,
     pattern_rule,
     post_select,
     post_select_pattern,
@@ -104,7 +103,7 @@ def key_score(exp, target):
 def assert_selection_on_keys_equals_post_select(exp):
     # The n-fold rule on keys, then the normalization ``_score`` makes.
     elements, layout = compile_run(exp)
-    passes = nfold_rule(layout, exp.detectors)
+    passes = pattern_rule(layout, dict.fromkeys(exp.detectors, 1))
     selected = {key: amp for key, amp in run_keys(exp, elements, layout).items() if passes(key)}
     packed = StateVector({layout.decode(key): amp for key, amp in normalized_terms(selected).items()})
     reference = post_select(run(exp), exp.detectors)
@@ -285,16 +284,16 @@ def layouts_and_terms(draw):
 
 #: Every path a drawn layout may hold, and one no layout holds.
 ORACLE_PATHS = PATHS + ("e",)
-# Counts 0 to 2 on loss paths, on paths a state holds and on paths it lacks.
-patterns = st.dictionaries(st.sampled_from(ORACLE_PATHS), st.integers(0, 2), max_size=4)
+# Counts 0 to 3 on loss paths, on paths a state holds and on paths it lacks.
+patterns = st.dictionaries(st.sampled_from(ORACLE_PATHS), st.integers(0, 3), max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(layouts_and_terms(), patterns)
 def test_packed_rules_agree_with_the_tuple_rules(case, pattern):
     layout, occupations, detectors = case
-    passes = nfold_rule(layout, detectors)
-    ones = {path: 1 for path in detectors}
+    ones = dict.fromkeys(detectors, 1)
+    passes = pattern_rule(layout, ones)
     for occ in occupations:
         key = layout.encode(occ)
         assert passes(key) == tuple_oracle.matches(occ, ones)
