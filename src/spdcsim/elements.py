@@ -495,7 +495,8 @@ def apply_element(
     its ``terms``, so applying elements one after another decodes every
     intermediate state in full; :func:`~spdcsim.experiment.run` evolves a
     whole element list on one layout instead.  An amplitude that
-    overflows raises ``ValueError``; a run, from vacuum, cannot overflow.
+    overflows, to inf or nan, raises ``ValueError``; a run, from vacuum,
+    cannot overflow.
     """
     labels = {label for occ in state.terms for label, _ in occ}
     most = max(map(occupation_photons, state.terms), default=0)
@@ -503,7 +504,7 @@ def apply_element(
     terms = {layout.encode(occ): amp for occ, amp in state.terms.items()}
     terms = element_step(element, layout, order=order, creation_only=creation_only, limit=limit)(terms)
     for amp in terms.values():
-        if abs(amp) == math.inf:
+        if not cmath.isfinite(amp):
             raise ValueError(f"amplitude {amp} is not finite")
     return StateVector._from_keys(terms, layout)
 
@@ -512,9 +513,10 @@ def element_step(
     element: Element, layout: KeyLayout, *, order: int, creation_only: bool, limit: int | None
 ) -> Callable[[Mapping[int, complex]], dict[int, complex]]:
     """The step that applies one element to packed float amplitudes on
-    ``layout``, pruned as :class:`~spdcsim.fock.StateVector` prunes; a
-    source's Taylor weights and transfer step (:func:`crystal_transfer`)
-    are resolved here, once."""
+    ``layout``, pruned as :class:`~spdcsim.fock.StateVector` prunes, a
+    non-finite amplitude kept for the caller to refuse; a source's Taylor
+    weights and transfer step (:func:`crystal_transfer`) are resolved
+    here, once."""
     if isinstance(element, (Crystal, MultimodeCrystal)):
         weights = taylor_weights(element.g, order)
         apply = crystal_transfer(element, weights, layout, creation_only=creation_only, limit=limit)
@@ -524,7 +526,7 @@ def element_step(
             return substitute(terms, element, layout)
 
     def step(terms: Mapping[int, complex]) -> dict[int, complex]:
-        return {key: amp for key, amp in apply(terms).items() if abs(amp) > PRUNE_EPSILON}
+        return {key: amp for key, amp in apply(terms).items() if not abs(amp) <= PRUNE_EPSILON}
 
     return step
 

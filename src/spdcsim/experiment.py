@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .elements import Element, Misalignment, compile_layout, element_step, reach_step, resolve_loss_paths
 from .fock import LOSS_PREFIX, KeyLayout, StateVector, normalized_terms, occupation_photons
@@ -74,7 +74,7 @@ def validate_paths(exp: Experiment) -> None:
 
 
 def compile_run(
-    exp: Experiment, reach: Mapping[str, set[int]] | None = None
+    exp: Experiment, reach: Mapping[str, Iterable[int]] | None = None
 ) -> tuple[tuple[Element, ...], KeyLayout]:
     """The resolved element list of ``exp`` (``resolve_loss_paths``) and
     its packed-key layout, wide enough for ``2 * pair_budget`` photons

@@ -20,10 +20,12 @@ photons reach, folded from the table's reach steps
 (``elements.mode_reach``), tell whether it can produce a coincidence at
 all (``_can_click``).  A class that cannot scores 0 with nothing
 compiled.  One that can is scored on packed keys from its table
-elements (``_score``), through its reach's key layout and target,
-compiled once per span for every key that shares the layout
-(``_compile``); an ``Experiment`` is built only for a hit.
-``evaluate`` scores one built setup through the same two steps.
+elements (``_score``), through one key layout and target per span, over
+the pool's reach (``_pool_reach``), compiled on the span's first key
+that passes the screen (``_compile``), so every element step and
+transfer table is shared by all of the span's setups; an
+``Experiment`` is built only for a hit.  ``evaluate`` scores one built
+setup through the same two steps, on its own reach's layout.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -456,6 +458,30 @@ def _element_table(pool: ElementPool) -> dict[int, tuple[Element, tuple]]:
     return table
 
 
+def _source_modes(pool: ElementPool) -> list[int]:
+    """Every mode the pool's sources name: its crystal mode pairs' and the multimode lists'."""
+    modes = list(itertools.chain(*pool.crystal_modes)) if "crystal" in pool.kinds else []
+    if "multimode" in pool.kinds:
+        modes += itertools.chain(*MULTIMODE_LISTS)
+    return modes
+
+
+def _pool_reach(config: SearchConfig) -> dict[str, range]:
+    """Modes that hold every ``elements.mode_reach`` of a setup the search
+    draws: on every pool path, the least to the greatest mode the pool's
+    sources name, widened on each side by the most that the shifts of one
+    setup can move a photon.
+
+    A setup holds a photon only after a source, so at most
+    ``max_elements - 1`` shifts move it; relabels move photons only
+    between pool paths, and the search draws no misalignment.
+    """
+    modes = _source_modes(config.pool)
+    spread = (config.max_elements - 1) * max(map(abs, SHIFT_DELTAS)) if "shift" in config.pool.kinds else 0
+    span = range(min(modes, default=0) - spread, max(modes, default=0) + spread + 1)
+    return dict.fromkeys(config.pool.paths, span)
+
+
 def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, tuple[Element, tuple]]) -> Experiment:
     """The experiment a key names, its elements shared through the element table."""
     return Experiment(elements=tuple(table[index][0] for index in key), detectors=config.detectors)
@@ -501,11 +527,19 @@ class _Compiled(NamedTuple):
     steps: dict
 
 
-def _compile(exp: Experiment, reach: Mapping[str, set[int]], target: Target) -> _Compiled:
+def _compile(exp: Experiment, reach: Mapping[str, Iterable[int]], target: Target) -> _Compiled:
     """The key layout over ``reach`` for ``exp``'s settings
     (``compile_run``), its n-fold rule (``pattern_rule``), ``target`` on
     its keys (``analysis._encode_target``, as ``fidelity`` encodes it)
-    and an empty step memo.  After the n-fold selection every detector
+    and an empty step memo.
+
+    ``reach`` is a setup's own (``evaluate``) or the pool's, which holds
+    every setup a span draws (``_run_span``).  A setup scores the same bit
+    for bit on any layout whose reach holds its own: fields run in label
+    order on both, and the extra ones stay empty, so every step, the
+    n-fold rule and the scorers see the same terms in the same order.
+
+    After the n-fold selection every detector
     holds one photon in every term and every other path none,
     so ``schmidt_rank_vector``'s party-occupancy check fails exactly when
     a rank target's party is not a detector.
@@ -691,8 +725,7 @@ def _class_tables(config: SearchConfig, table: dict[int, tuple[Element, tuple]])
     path permutation, so the tables form a group.  Above
     ``_SYMMETRY_PATHS`` paths, only the identity's.
     """
-    pool = config.pool
-    paths = pool.paths
+    paths = config.pool.paths
     image_table = _conjugator(config, table)
 
     def keep(mode: int) -> int:
@@ -702,9 +735,7 @@ def _class_tables(config: SearchConfig, table: dict[int, tuple[Element, tuple]])
         return [image_table(dict(zip(paths, paths)), keep)]
     renames = (dict(zip(paths, image)) for image in itertools.permutations(paths))
     tables = [table for rename in renames if (table := image_table(rename, keep)) is not None]
-    modes = list(itertools.chain(*pool.crystal_modes)) if "crystal" in pool.kinds else []
-    if "multimode" in pool.kinds:
-        modes += itertools.chain(*MULTIMODE_LISTS)
+    modes = _source_modes(config.pool)
     if modes:
         c = min(modes) + max(modes)
         mirrored = image_table(dict(zip(paths, paths)), lambda m: c - m)
@@ -760,11 +791,12 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
     key that may be a hit on its own (``_accepts`` with ``_NEAR``), is
     screened on its key's mode reach, and one that cannot click scores 0
     uncompiled.  One that passes is scored on packed keys (``_score``)
-    from its table elements, through its reach's compiled layout and
-    target (``_compile``), which the span compiles once per distinct key
-    layout (each path's least and greatest reached mode) and keeps for
-    its life.  Then the chunk's trials whose keys are accepted are hits;
-    an experiment is built only for a hit.
+    from its table elements, through the layout and target over the
+    pool's reach (``_pool_reach``, ``_compile``), which the span compiles
+    on the first key that passes and keeps for its life, so all its keys
+    share each element's step and each crystal's transfer table.  Then
+    the chunk's trials whose keys are accepted are hits; an experiment is
+    built only for a hit.
     Returns the hits, the ``{key: score}`` of its distinct keys, the keys
     whose class the screen rejected, the ``{class: first key}`` map, and
     the seconds of its chunks' seeding and draw and of their scoring.
@@ -773,7 +805,7 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
     table = _element_table(config.pool)
     canonical = _canonicaliser(_class_tables(config, table))
     settings = Experiment(detectors=detectors)
-    compiled: dict[frozenset, _Compiled] = {}
+    compiled: _Compiled | None = None
     scores: dict[tuple[int, ...], float] = {}
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     screened: set[tuple[int, ...]] = set()
@@ -794,11 +826,9 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
             if first is None or _accepts(target, scores[first], _NEAR):
                 reach = mode_reach([table[index][1] for index in key])
                 if _can_click(reach, detectors, target):
-                    extent = frozenset((path, min(modes), max(modes)) for path, modes in reach.items())
-                    entry = compiled.get(extent)
-                    if entry is None:
-                        entry = compiled[extent] = _compile(settings, reach, target)
-                    score = _score(entry, [table[index][0] for index in key])
+                    if compiled is None:
+                        compiled = _compile(settings, _pool_reach(config), target)
+                    score = _score(compiled, [table[index][0] for index in key])
                 else:
                     score = 0.0
                     screened.add(key)

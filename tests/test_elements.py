@@ -229,6 +229,15 @@ def test_an_overflowing_application_raises():
         apply_element(state, Relabel("b", "a"))
 
 
+def test_an_application_that_overflows_to_nan_raises():
+    # The two terms land on a:0 x3 as inf and -inf, which sum to nan; the
+    # step's prune must keep the nan, so the state is refused, not emptied.
+    a, b = label("a:0"), label("b:0")
+    state = StateVector({((a, 2), (b, 1)): 1.5e308, ((a, 1), (b, 2)): -1.5e308})
+    with pytest.raises(ValueError, match=r"^amplitude \(nan\+0j\) is not finite$"):
+        apply_element(state, Relabel("b", "a"))
+
+
 def test_resolve_loss_paths_is_positional():
     elements = (
         Misalignment("a", 0.9),

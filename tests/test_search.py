@@ -288,6 +288,18 @@ def test_forced_single_trial_hit():
     assert [h.trial_index for h in hits] == [147]
 
 
+def test_a_pool_without_sources_still_searches():
+    # With no detector every setup passes the screen and compiles the pool
+    # layout, though the pool names no source mode; the vacuum then matches
+    # the empty target, as ``evaluate`` scores it.
+    config = SearchConfig(
+        pool=ElementPool(paths=("a", "b"), kinds=("shift", "phase")), detectors=(), target=SrvTarget((), ()), budget=20
+    )
+    hits = search(config)
+    assert [hit.score for hit in hits] == [1.0] * 20
+    assert all(evaluate(hit.experiment, config.target) == 1.0 for hit in hits)
+
+
 def test_a_negative_seed_is_rejected_up_front():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         pol_config(seed=-1)
@@ -682,17 +694,21 @@ def clicks(exp, target):
     return search_module._can_click(mode_reach(map(reach_step, exp.elements)), exp.detectors, target)
 
 
-def counting(scored):
-    """A ``_score`` that records each setup it scores and checks the key
-    layout it is given: its setup's own, the one ``compile_run`` builds."""
+def counting(scored, config):
+    """A ``_score`` that records each setup it scores and checks two things:
+    the key layout it is given is the span's pool layout (``_pool_reach``),
+    and its score is the one ``evaluate`` gives on the setup's own layout."""
     score = search_module._score
+    pool_layout = compile_run(Experiment(detectors=config.detectors), search_module._pool_reach(config))[1]
 
     def counting_score(compiled, elements):
         exp = Experiment(elements=tuple(elements), detectors=compiled.exp.detectors)
-        layout = compile_run(exp)[1]
-        assert (compiled.layout.blocks, compiled.layout.bound) == (layout.blocks, layout.bound)
+        assert (compiled.layout.blocks, compiled.layout.bound) == (pool_layout.blocks, pool_layout.bound)
+        own = search_module._compile(compiled.exp, mode_reach(map(reach_step, elements)), compiled.target)
+        result = score(compiled, elements)
+        assert repr(result) == repr(score(own, elements))
         scored.append(exp.elements)
-        return score(compiled, elements)
+        return result
 
     return counting_score
 
@@ -700,7 +716,7 @@ def counting(scored):
 def test_serial_search_scores_each_symmetry_class_once(monkeypatch):
     config = pol_config(budget=1500)
     scored = []
-    monkeypatch.setattr(search_module, "_score", counting(scored))
+    monkeypatch.setattr(search_module, "_score", counting(scored, config))
     hits, stats = search_with_stats(config)
     keys = drawn_keys(config)
     firsts = class_firsts(config, keys)
@@ -729,8 +745,9 @@ def test_a_class_score_near_the_threshold_scores_each_own_key(monkeypatch, offse
     score = counts.most_common(1)[0][0]
     config = replace(base, target=FidelityTarget(base.target.state, threshold=score + offset))
     scored = []
-    monkeypatch.setattr(search_module, "_score", counting(scored))
-    hits = search(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "_score", counting(scored, config))
+        hits = search(config)
     keys = drawn_keys(config)
     firsts = class_firsts(config, keys)
     near = {key for key in keys if scores[key] == score}
@@ -1188,6 +1205,13 @@ PINNED_SCORES = {
         1731,
         "5e2be11c4c96277e9eb567883862a943e854e91527aba7ee90dcd81b32082f43",
     ),
+    # The widest pool layout: shifts widen every path's modes by 9 each side.
+    # Taken while the search still compiled one layout per reach extent.
+    "mixed-ten-elements": (
+        replace(MIXED_CONFIG, max_elements=10, budget=4000, seed=777),
+        3662,
+        "db1151f18cf7728b62882588d9ca1b4cb2e5cbdaf1abd33edb48de3959e32f7f",
+    ),
 }
 
 
@@ -1199,10 +1223,49 @@ def test_span_scores_are_pinned(name):
     assert (len(scores), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
+# -- the pool layout -----------------------------------------------------------------
+
+POOL_CONFIGS = {
+    (name, size): replace(config, max_elements=size)
+    for name, config in (("ghz4", pol_config()), ("mixed", MIXED_CONFIG))
+    for size in (4, 6, 10)
+}
+
+
+@functools.cache
+def pool_compiled(name, size):
+    """The span's one compiled layout and target for a ``POOL_CONFIGS`` search."""
+    config = POOL_CONFIGS[name, size]
+    settings = Experiment(detectors=config.detectors)
+    return search_module._compile(settings, search_module._pool_reach(config), config.target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(POOL_CONFIGS)),
+    seed=st.sampled_from([0, 777, 20240817]),
+    trial=st.integers(0, 20000),
+)
+@example(case=("ghz4", 4), seed=20240817, trial=147)
+@example(case=("mixed", 10), seed=777, trial=313)
+def test_the_pool_layout_holds_every_reach_and_scores_as_evaluate(case, seed, trial):
+    # Every setup a span draws is scored on one layout over its pool's reach,
+    # whose extra fields stay empty, so the score is the own layout's bit for bit.
+    config = replace(POOL_CONFIGS[case], seed=seed)
+    key = span_keys(config, trial, trial + 1)[0]
+    table = element_table(config.pool)
+    reach = mode_reach([table[index][1] for index in key])
+    pool_reach = search_module._pool_reach(config)
+    assert all(modes <= set(pool_reach[path]) for path, modes in reach.items())
+    setup = build(key, config)
+    score = search_module._score(pool_compiled(*case), setup.elements)
+    assert repr(score) == repr(evaluate(setup, config.target))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_searches_sharing_key_layouts_score_their_own_targets(monkeypatch, workers):
     # Same pool, seed and detectors, so the searches draw the same keys and
-    # compile the same key layouts; a compiled target kept from one search
+    # compile the same key layout; a compiled target kept from one search
     # would score the next.
     compile_step = search_module._compile
     compiled = []
@@ -1226,9 +1289,9 @@ def test_searches_sharing_key_layouts_score_their_own_targets(monkeypatch, worke
         assert hits and hits == uncached_hits(config)
     assert runs[0] != runs[1] and runs[0] != runs[2] and runs[1] != runs[2]
     if workers == 1:
-        # Each search compiles each of its layouts once, and they share some.
-        assert all(len(extents) == len(set(extents)) for extents in compiled)
-        assert set(compiled[0]) & set(compiled[1]) and set(compiled[0]) & set(compiled[2])
+        # Each search compiles one layout, its pool's, and they share it.
+        assert all(len(extents) == 1 for extents in compiled)
+        assert compiled[0] == compiled[1] == compiled[2]
 
 
 def test_a_serial_search_loads_no_process_pool():
