@@ -21,9 +21,10 @@ photons reach, folded from the table's reach steps
 all (``_can_click``).  A class that cannot scores 0 with nothing
 compiled.  One that can is scored on packed keys from its table
 elements (``_score``), through one key layout and target per span, over
-the pool's reach (``_pool_reach``), compiled on the span's first key
-that passes the screen (``_compile``), so every element step and
-transfer table is shared by all of the span's setups; an
+the same fold of every source and then ``max_elements - 1`` rounds of
+every passive step in the table (``_pool_reach``), compiled on the span's
+first key that passes the screen (``_compile``), so every element step
+and transfer table is shared by all of the span's setups; an
 ``Experiment`` is built only for a hit.  ``evaluate`` scores one built
 setup through the same two steps, on its own reach's layout.
 """
@@ -458,28 +459,19 @@ def _element_table(pool: ElementPool) -> dict[int, tuple[Element, tuple]]:
     return table
 
 
-def _source_modes(pool: ElementPool) -> list[int]:
-    """Every mode the pool's sources name: its crystal mode pairs' and the multimode lists'."""
-    modes = list(itertools.chain(*pool.crystal_modes)) if "crystal" in pool.kinds else []
-    if "multimode" in pool.kinds:
-        modes += itertools.chain(*MULTIMODE_LISTS)
-    return modes
+def _pool_reach(config: SearchConfig, table: dict[int, tuple[Element, tuple]]) -> dict[str, set[int]]:
+    """The ``elements.mode_reach`` of every source's reach step in
+    ``table`` (``_element_table``), then ``max_elements - 1`` rounds of
+    every passive step: it holds the reach of every setup the search draws.
 
-
-def _pool_reach(config: SearchConfig) -> dict[str, range]:
-    """Modes that hold every ``elements.mode_reach`` of a setup the search
-    draws: on every pool path, the least to the greatest mode the pool's
-    sources name, widened on each side by the most that the shifts of one
-    setup can move a photon.
-
-    A setup holds a photon only after a source, so at most
-    ``max_elements - 1`` shifts move it; relabels move photons only
-    between pool paths, and the search draws no misalignment.
+    A setup holds a photon only after a source, and ``mode_reach`` only
+    grows as steps are added, so a setup's reach lies inside that of its
+    sources moved to the front, each of its at most ``max_elements - 1``
+    passive steps in a round of its own.
     """
-    modes = _source_modes(config.pool)
-    spread = (config.max_elements - 1) * max(map(abs, SHIFT_DELTAS)) if "shift" in config.pool.kinds else 0
-    span = range(min(modes, default=0) - spread, max(modes, default=0) + spread + 1)
-    return dict.fromkeys(config.pool.paths, span)
+    sources = [step for _, step in table.values() if step[0] is None]
+    passive = [step for _, step in table.values() if step[0] is not None]
+    return mode_reach(itertools.chain(sources, *itertools.repeat(passive, config.max_elements - 1)))
 
 
 def _build(key: tuple[int, ...], config: SearchConfig, table: dict[int, tuple[Element, tuple]]) -> Experiment:
@@ -533,11 +525,12 @@ def _compile(exp: Experiment, reach: Mapping[str, Iterable[int]], target: Target
     its keys (``analysis._encode_target``, as ``fidelity`` encodes it)
     and an empty step memo.
 
-    ``reach`` is a setup's own (``evaluate``) or the pool's, which holds
-    every setup a span draws (``_run_span``).  A setup scores the same bit
-    for bit on any layout whose reach holds its own: fields run in label
-    order on both, and the extra ones stay empty, so every step, the
-    n-fold rule and the scorers see the same terms in the same order.
+    ``reach`` is a setup's own (``evaluate``) or its span's
+    (``_pool_reach``), which holds every setup the span draws.  A setup
+    scores the same bit for bit on any layout whose reach holds its own:
+    fields run in label order on both, and the extra ones stay empty, so
+    every step, the n-fold rule and the scorers see the same terms in the
+    same order.
 
     After the n-fold selection every detector
     holds one photon in every term and every other path none,
@@ -725,7 +718,8 @@ def _class_tables(config: SearchConfig, table: dict[int, tuple[Element, tuple]])
     path permutation, so the tables form a group.  Above
     ``_SYMMETRY_PATHS`` paths, only the identity's.
     """
-    paths = config.pool.paths
+    pool = config.pool
+    paths = pool.paths
     image_table = _conjugator(config, table)
 
     def keep(mode: int) -> int:
@@ -735,7 +729,9 @@ def _class_tables(config: SearchConfig, table: dict[int, tuple[Element, tuple]])
         return [image_table(dict(zip(paths, paths)), keep)]
     renames = (dict(zip(paths, image)) for image in itertools.permutations(paths))
     tables = [table for rename in renames if (table := image_table(rename, keep)) is not None]
-    modes = _source_modes(config.pool)
+    modes = list(itertools.chain(*pool.crystal_modes)) if "crystal" in pool.kinds else []
+    if "multimode" in pool.kinds:
+        modes += itertools.chain(*MULTIMODE_LISTS)
     if modes:
         c = min(modes) + max(modes)
         mirrored = image_table(dict(zip(paths, paths)), lambda m: c - m)
@@ -792,11 +788,11 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
     screened on its key's mode reach, and one that cannot click scores 0
     uncompiled.  One that passes is scored on packed keys (``_score``)
     from its table elements, through the layout and target over the
-    pool's reach (``_pool_reach``, ``_compile``), which the span compiles
-    on the first key that passes and keeps for its life, so all its keys
-    share each element's step and each crystal's transfer table.  Then
-    the chunk's trials whose keys are accepted are hits; an experiment is
-    built only for a hit.
+    table's reach (``_pool_reach``, ``_compile``), which the span
+    compiles on the first key that passes and keeps for its life, so all
+    its keys share each element's step and each crystal's transfer table.
+    Then the chunk's trials whose keys are accepted are hits; an
+    experiment is built only for a hit.
     Returns the hits, the ``{key: score}`` of its distinct keys, the keys
     whose class the screen rejected, the ``{class: first key}`` map, and
     the seconds of its chunks' seeding and draw and of their scoring.
@@ -827,7 +823,7 @@ def _run_span(config: SearchConfig, start: int, stop: int) -> tuple[list[SearchH
                 reach = mode_reach([table[index][1] for index in key])
                 if _can_click(reach, detectors, target):
                     if compiled is None:
-                        compiled = _compile(settings, _pool_reach(config), target)
+                        compiled = _compile(settings, _pool_reach(config, table), target)
                     score = _score(compiled, [table[index][0] for index in key])
                 else:
                     score = 0.0
@@ -857,7 +853,9 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
     run here when there is one and in a process pool otherwise (imported
     only then, so a serial search loads no process machinery).  The stats
     count the union of the spans' scored keys and classes, so they are
-    the serial search's for any worker count.  No cache outlives the call.
+    the serial search's for any worker count.  No score cache outlives the
+    call; the crystal transfer tables that scoring fills stay, by design,
+    in ``elements``' process-wide memo (``crystal_transfer``).
     """
     start = time.perf_counter()
     n = max(1, min(workers, config.budget))

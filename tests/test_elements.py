@@ -14,11 +14,13 @@ from spdcsim.elements import (
     apply_element,
     crystal_transfer,
     element_step,
+    mode_reach,
+    reach_step,
     resolve_loss_paths,
     substitute,
     taylor_weights,
 )
-from spdcsim.fock import PRUNE_EPSILON, KeyLayout, ModeLabel, StateVector, vacuum
+from spdcsim.fock import PRUNE_EPSILON, KeyLayout, ModeLabel, StateVector, loss_path, vacuum
 
 from conftest import basis, label
 
@@ -350,3 +352,30 @@ def test_the_step_prunes_as_the_rebuilt_dict(element, terms):
     got = element_step(element, PRUNE_LAYOUT, order=2, creation_only=False, limit=None)(terms)
     assert repr(list(got.items())) == repr(list(want.items()))
     assert repr(list(terms.items())) == before
+
+
+REACH_PATHS = st.sampled_from(["a", "b", "c"])
+# Passive elements may also act on the misalignments' loss paths, and
+# relabels may end on them.
+ANY_PATH = st.sampled_from(["a", "b", "c", loss_path(0), loss_path(1)])
+REACH_MODES = st.integers(-2, 2)
+reach_elements = st.one_of(
+    st.builds(Crystal, st.builds(ModeLabel, REACH_PATHS, REACH_MODES), st.builds(ModeLabel, REACH_PATHS, REACH_MODES)),
+    st.builds(MultimodeCrystal, REACH_PATHS, REACH_PATHS, st.lists(REACH_MODES, min_size=1, max_size=3, unique=True).map(tuple)),
+    st.builds(ModeShifter, ANY_PATH, st.integers(-2, 2)),
+    st.builds(PhaseShifter, ANY_PATH, st.floats(-math.pi, math.pi)),
+    st.builds(Misalignment, REACH_PATHS, st.floats(0.0, 1.0), loss=st.sampled_from([loss_path(0), loss_path(1)])),
+    st.builds(Relabel, ANY_PATH, ANY_PATH),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(reach_elements, max_size=8), reach_elements, st.data())
+def test_a_step_added_anywhere_never_shrinks_the_mode_reach(elements, added, data):
+    # The search's pool reach folds every step it may draw on the strength
+    # of this: a fold over more steps holds each fold over fewer.
+    steps = [reach_step(element) for element in elements]
+    at = data.draw(st.integers(0, len(steps)))
+    before = mode_reach(steps)
+    after = mode_reach(steps[:at] + [reach_step(added)] + steps[at:])
+    assert all(modes <= after.get(path, set()) for path, modes in before.items())

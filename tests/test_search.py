@@ -288,13 +288,16 @@ def test_forced_single_trial_hit():
     assert [h.trial_index for h in hits] == [147]
 
 
+SOURCELESS_CONFIG = SearchConfig(
+    pool=ElementPool(paths=("a", "b"), kinds=("shift", "phase")), detectors=(), target=SrvTarget((), ()), budget=20
+)
+
+
 def test_a_pool_without_sources_still_searches():
     # With no detector every setup passes the screen and compiles the pool
-    # layout, though the pool names no source mode; the vacuum then matches
-    # the empty target, as ``evaluate`` scores it.
-    config = SearchConfig(
-        pool=ElementPool(paths=("a", "b"), kinds=("shift", "phase")), detectors=(), target=SrvTarget((), ()), budget=20
-    )
+    # layout, which has no field since the pool draws no source; the vacuum
+    # then matches the empty target, as ``evaluate`` scores it.
+    config = SOURCELESS_CONFIG
     hits = search(config)
     assert [hit.score for hit in hits] == [1.0] * 20
     assert all(evaluate(hit.experiment, config.target) == 1.0 for hit in hits)
@@ -699,7 +702,8 @@ def counting(scored, config):
     the key layout it is given is the span's pool layout (``_pool_reach``),
     and its score is the one ``evaluate`` gives on the setup's own layout."""
     score = search_module._score
-    pool_layout = compile_run(Experiment(detectors=config.detectors), search_module._pool_reach(config))[1]
+    pool_reach = search_module._pool_reach(config, element_table(config.pool))
+    pool_layout = compile_run(Experiment(detectors=config.detectors), pool_reach)[1]
 
     def counting_score(compiled, elements):
         exp = Experiment(elements=tuple(elements), detectors=compiled.exp.detectors)
@@ -1195,6 +1199,15 @@ def test_parallel_stats_are_the_serial_stats():
     assert parallel == serial
 
 
+NARROWED_CONFIG = SearchConfig(
+    pool=ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal", "shift", "phase"), crystal_modes=((0, 0), (0, 1))),
+    detectors=("a", "b", "c", "d"),
+    target=FidelityTarget(ghz_target(4, 2), 0.5),
+    max_elements=4,
+    budget=3000,
+    seed=5,
+)
+
 # Each pool's span scores: the distinct-key count and a sha256 of the sorted
 # ``key score.hex()`` lines.  Taken before the search scored setups on
 # packed keys, from ``evaluate`` on built experiments.
@@ -1212,6 +1225,10 @@ PINNED_SCORES = {
         3662,
         "db1151f18cf7728b62882588d9ca1b4cb2e5cbdaf1abd33edb48de3959e32f7f",
     ),
+    # A layout the reach fold narrows: path ``a`` is always a crystal's first
+    # path, so its source mode is 0 alone, and it spans -3..3, not -3..4.
+    # Taken while the pool layout was the range formula of ``range_pool_reach``.
+    "narrowed": (NARROWED_CONFIG, 2019, "91ecdac9e808a2ee8abc0223e4fac333fe5a62753861c571403e11651725f7c3"),
 }
 
 
@@ -1227,7 +1244,12 @@ def test_span_scores_are_pinned(name):
 
 POOL_CONFIGS = {
     (name, size): replace(config, max_elements=size)
-    for name, config in (("ghz4", pol_config()), ("mixed", MIXED_CONFIG))
+    for name, config in (
+        ("ghz4", pol_config()),
+        ("mixed", MIXED_CONFIG),
+        ("narrowed", NARROWED_CONFIG),
+        ("sourceless", SOURCELESS_CONFIG),
+    )
     for size in (4, 6, 10)
 }
 
@@ -1237,7 +1259,7 @@ def pool_compiled(name, size):
     """The span's one compiled layout and target for a ``POOL_CONFIGS`` search."""
     config = POOL_CONFIGS[name, size]
     settings = Experiment(detectors=config.detectors)
-    return search_module._compile(settings, search_module._pool_reach(config), config.target)
+    return search_module._compile(settings, search_module._pool_reach(config, element_table(config.pool)), config.target)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1255,11 +1277,81 @@ def test_the_pool_layout_holds_every_reach_and_scores_as_evaluate(case, seed, tr
     key = span_keys(config, trial, trial + 1)[0]
     table = element_table(config.pool)
     reach = mode_reach([table[index][1] for index in key])
-    pool_reach = search_module._pool_reach(config)
-    assert all(modes <= set(pool_reach[path]) for path, modes in reach.items())
+    pool_reach = search_module._pool_reach(config, table)
+    assert all(modes <= pool_reach.get(path, set()) for path, modes in reach.items())
     setup = build(key, config)
     score = search_module._score(pool_compiled(*case), setup.elements)
     assert repr(score) == repr(evaluate(setup, config.target))
+
+
+def range_pool_reach(config):
+    """The pool reach as a range formula: on every pool path, the least to
+    the greatest mode the pool's sources name, widened on each side by
+    ``max_elements - 1`` of the largest shift when the pool draws shifts.
+    Sound only while the search draws no misalignment, relabels only
+    between pool paths, and moves modes only by shifts."""
+    pool = config.pool
+    modes = list(itertools.chain(*pool.crystal_modes)) if "crystal" in pool.kinds else []
+    if "multimode" in pool.kinds:
+        modes += itertools.chain(*search_module.MULTIMODE_LISTS)
+    spread = (config.max_elements - 1) * max(map(abs, search_module.SHIFT_DELTAS)) if "shift" in pool.kinds else 0
+    span = range(min(modes, default=0) - spread, max(modes, default=0) + spread + 1)
+    return dict.fromkeys(pool.paths, span)
+
+
+@st.composite
+def search_pools(draw):
+    """A search over 2 to 6 paths, any kinds, crystal mode pairs from modes
+    0 to 5 and 1 to 10 elements, detecting nothing, so any pool is valid."""
+    paths = draw(st.permutations("tabcde"))[: draw(st.integers(2, 6))]
+    kinds = draw(st.lists(st.sampled_from(["crystal", "multimode", "shift", "phase", "relabel"]), min_size=1, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4, unique=True))
+    return SearchConfig(
+        pool=ElementPool(paths=tuple(paths), kinds=tuple(kinds), crystal_modes=tuple(pairs)),
+        detectors=(),
+        target=SrvTarget((), ()),
+        max_elements=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=search_pools(), trial=st.integers(0, 2**32), data=st.data())
+def test_the_pool_reach_holds_every_key_and_lies_inside_the_range_formula(config, trial, data):
+    table = element_table(config.pool)
+    pool_reach = search_module._pool_reach(config, table)
+    # Keys the search draws; a key of any table indices; and a source, then
+    # one passive step as often as a key allows, which moves photons furthest.
+    keys = span_keys(config, trial, trial + 32)
+    keys.append(data.draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=config.max_elements)))
+    sources = [index for index, (_, step) in table.items() if step[0] is None]
+    passive = [index for index in table if index not in sources]
+    if sources and passive:
+        source, step = data.draw(st.sampled_from(sources)), data.draw(st.sampled_from(passive))
+        keys.append((source,) + (step,) * (config.max_elements - 1))
+    for key in keys:
+        reach = mode_reach([table[index][1] for index in key])
+        assert all(modes <= pool_reach.get(path, set()) for path, modes in reach.items())
+    ranges = range_pool_reach(config)
+    assert all(modes <= set(ranges[path]) for path, modes in pool_reach.items())
+
+
+# The pools of the benchmark's search workloads and of the CI's searches:
+# criterion 13's (searched for GHZ(4,2) and for ranks 2,2,2,2), and the
+# five-kind pool at 6 and 10 elements.
+MEASURED_POOLS = {
+    "ghz4": pol_config(),
+    "mixed": MIXED_CONFIG,
+    "mixed-ten-elements": replace(MIXED_CONFIG, max_elements=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURED_POOLS))
+def test_the_measured_pools_compile_the_range_formulas_layout(name):
+    config = MEASURED_POOLS[name]
+    settings = Experiment(detectors=config.detectors)
+    fold = compile_run(settings, search_module._pool_reach(config, element_table(config.pool)))[1]
+    assert fold.labels == compile_run(settings, range_pool_reach(config))[1].labels
 
 
 @pytest.mark.parametrize("workers", [1, 2])
