@@ -313,17 +313,16 @@ def _coupling_denominator(elements: Sequence[Element]) -> int:
 def _monomial_norm(key: int, coeff: int, layout: KeyLayout, multi: int) -> int:
     """``coeff^2 * prod n!`` over the fields of ``key``: the squared norm
     of ``coeff * prod a_dag^n |vac>``.  ``multi`` holds bits 1 and up of
-    every field, so a key without any of them has no field of two or
-    more photons, and its norm is ``coeff^2``."""
+    every field, so the set fields of ``key & multi`` are exactly those of
+    two or more photons, and only those are visited."""
     norm = coeff * coeff
-    if not key & multi:
-        return norm
+    high = key & multi
     width, mask = layout.width, layout.mask
-    while key:
-        count = key & mask
-        if count > 1:
-            norm *= math.factorial(count)
-        key >>= width
+    while high:
+        shift = (high & -high).bit_length() - 1
+        shift -= shift % width
+        norm *= math.factorial(key >> shift & mask)
+        high &= ~(mask << shift)
     return norm
 
 

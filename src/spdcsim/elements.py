@@ -15,6 +15,8 @@ out once per element list by :func:`compile_layout`, over the modes
 :func:`mode_reach` finds: :func:`crystal_transfer` for a source and
 :func:`substitute` for a passive element.  :func:`apply_element` is the
 entry point for one element on a :class:`~spdcsim.fock.StateVector`.
+:func:`fold_shifts` moves an element list's mode shifts onto the labels
+of the sources before them, so a run makes no shift pass.
 """
 
 from __future__ import annotations
@@ -546,3 +548,55 @@ def resolve_loss_paths(elements: tuple[Element, ...]) -> tuple[Element, ...]:
             counter += 1
         resolved.append(element)
     return tuple(resolved)
+
+
+def fold_shifts(elements: Sequence[Element]) -> tuple[Element, ...]:
+    """``elements`` (loss paths resolved, :func:`resolve_loss_paths`) with
+    each mode shift folded into the sources before it: the same state,
+    term for term and bit for bit, with no shift pass where the labels
+    allow it.
+
+    A shift is a bijection of labels, so it commutes with an element whose
+    labels it moves, and it keeps photon counts, term order and
+    amplitudes.  The walk runs from the end with each path's pending
+    offset: a shift adds to it and is dropped; a crystal moves its labels
+    by it; a multimode crystal moves its modes when both its paths have
+    one offset; a relabel hands its target's offset to its source, which
+    it leaves empty; a phase reads only photon counts.  A multimode
+    crystal with two offsets, or a misalignment whose path and loss path
+    differ in offset, keeps the shifts of both right after it.  An offset
+    left at the front acts on vacuum and is dropped.
+    """
+    pending: dict[str, int] = {}
+    folded: list[Element] = []  # in reverse order
+
+    def emit(*paths: str) -> None:
+        for path in reversed(paths):
+            delta = pending.pop(path, 0)
+            if delta:
+                folded.append(ModeShifter(path, delta))
+
+    for element in reversed(elements):
+        if isinstance(element, ModeShifter):
+            pending[element.path] = pending.get(element.path, 0) + element.delta
+            continue
+        if isinstance(element, Crystal):
+            a, b = element.out_a, element.out_b
+            if pending.get(a.path) or pending.get(b.path):
+                element = replace(
+                    element,
+                    out_a=ModeLabel(a.path, a.mode + pending.get(a.path, 0)),
+                    out_b=ModeLabel(b.path, b.mode + pending.get(b.path, 0)),
+                )
+        elif isinstance(element, MultimodeCrystal):
+            delta = pending.get(element.path_a, 0)
+            if delta != pending.get(element.path_b, 0):
+                emit(element.path_a, element.path_b)
+            elif delta:
+                element = replace(element, modes=tuple(m + delta for m in element.modes))
+        elif isinstance(element, Relabel):
+            pending[element.source] = pending.get(element.target, 0)
+        elif isinstance(element, Misalignment) and pending.get(element.path, 0) != pending.get(element.loss, 0):
+            emit(element.path, element.loss)
+        folded.append(element)
+    return tuple(reversed(folded))

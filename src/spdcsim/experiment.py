@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .elements import Element, Misalignment, compile_layout, element_step, reach_step, resolve_loss_paths
+from .elements import Element, Misalignment, compile_layout, element_step, fold_shifts, reach_step, resolve_loss_paths
 from .fock import LOSS_PREFIX, KeyLayout, StateVector, normalized_terms, occupation_photons
 
 
@@ -76,13 +76,17 @@ def validate_paths(exp: Experiment) -> None:
 def compile_run(
     exp: Experiment, reach: Mapping[str, Iterable[int]] | None = None
 ) -> tuple[tuple[Element, ...], KeyLayout]:
-    """The resolved element list of ``exp`` (``resolve_loss_paths``) and
-    its packed-key layout, wide enough for ``2 * pair_budget`` photons
-    plus the ``2 * expansion_order`` a crystal's expansion adds on the
-    way: ``elements.compile_layout``'s, or the layout over ``reach`` when
-    the caller has folded the elements' mode reach already
+    """The compiled element list of ``exp`` and its packed-key layout.
+
+    The list is the resolved one (``resolve_loss_paths``) with its mode
+    shifts folded into the sources before them (``elements.fold_shifts``),
+    which leaves the state bit for bit as it is and takes the shift
+    passes out.  The layout is wide enough for ``2 * pair_budget``
+    photons plus the ``2 * expansion_order`` a crystal's expansion adds on
+    the way: ``elements.compile_layout``'s of the compiled list, or the
+    layout over ``reach`` when the caller has folded a mode reach already
     (``elements.mode_reach``)."""
-    elements = resolve_loss_paths(exp.elements)
+    elements = fold_shifts(resolve_loss_paths(exp.elements))
     bound = 2 * exp.pair_budget + 2 * exp.expansion_order
     if reach is None:
         return elements, compile_layout(elements, bound)
@@ -116,7 +120,9 @@ def run(exp: Experiment) -> StateVector:
     the pair budget.
 
     Two steps: :func:`compile_run` compiles the resolved element list
-    once into a packed-key layout, and :func:`run_keys` evolves the
+    once, its mode shifts folded into the sources before them
+    (``elements.fold_shifts``), and lays out its packed keys, and
+    :func:`run_keys` evolves the
     ``int``-keyed terms (``elements.element_step``), pruned after each
     element.  The state returned keeps the keys and their layout, and
     decodes them to canonical occupation tuples the first time its

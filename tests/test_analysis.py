@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdcsim.analysis import (
+    _monomial_norm,
+    _monomial_terms,
     efficiency_formula,
     efficiency_report,
     efficiency_simulated,
@@ -20,7 +22,7 @@ from spdcsim.analysis import (
     w_target,
 )
 from spdcsim.elements import Crystal, PhaseShifter
-from spdcsim.experiment import post_select, run
+from spdcsim.experiment import compile_run, post_select, run, sector_rule
 from spdcsim.fock import ModeLabel, StateVector
 
 from conftest import basis
@@ -240,6 +242,19 @@ def pattern_count_oracle(n, d):
         if all(counts.get(v, 0) == 1 for v in range(n)):
             valid += 1
     return Fraction(valid, total)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (6, 2), (6, 3), (6, 4), (6, 5), (8, 2), (8, 3)])
+def test_monomial_norm_is_the_field_by_field_product_on_the_ladders_sector_keys(n, d):
+    exp = ghz_layout(n, d)
+    elements, layout = compile_run(exp)
+    multi = (layout.mask - 1) * sum(1 << i * layout.width for i in range(len(layout.labels)))
+    in_sector = sector_rule(layout, n)
+    keys = [(key, coeff) for key, coeff in _monomial_terms(exp, elements, layout).items() if in_sector(key)]
+    assert any(key & multi for key, _ in keys)
+    for key, coeff in keys:
+        reference = coeff * coeff * math.prod(math.factorial(count) for _, count in layout.decode(key))
+        assert _monomial_norm(key, coeff, layout, multi) == reference
 
 
 def test_efficiency_simulated_two_level():

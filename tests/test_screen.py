@@ -26,6 +26,7 @@ from spdcsim.elements import (
     MultimodeCrystal,
     PhaseShifter,
     Relabel,
+    compile_layout,
     crystal_pairs,
     mode_reach,
     reach_step,
@@ -82,8 +83,15 @@ def decoded_score(full, detectors, target):
     return 1.0 if srv.ranks == target.ranks else 0.0
 
 
+def unfolded_compile_run(exp):
+    """``compile_run`` without the shift fold: the resolved elements on
+    their own key layout, which ``evaluate`` and the search's screen read."""
+    elements = resolve_loss_paths(exp.elements)
+    return elements, compile_layout(elements, 2 * exp.pair_budget + 2 * exp.expansion_order)
+
+
 def screens_out(exp, target):
-    reach = mode_reach(map(reach_step, compile_run(exp)[0]))
+    reach = mode_reach(map(reach_step, resolve_loss_paths(exp.elements)))
     return not search_module._can_click(reach, exp.detectors, target)
 
 
@@ -436,7 +444,7 @@ def test_screen_is_sound_on_the_corpus(path):
         assert repr(evaluate(exp, SrvTarget(exp.detectors, (1,) * len(exp.detectors)))) == "0.0"
         return
     ranks = schmidt_rank_vector(selected.state, exp.detectors).ranks
-    layout = compile_run(exp)[1]
+    layout = unfolded_compile_run(exp)[1]
     # The true ranks must pass; any rank above a party's field count fails
     # and scores 0 through the unscreened path too.
     assert not screens_out(exp, SrvTarget(exp.detectors, ranks))
@@ -551,12 +559,17 @@ def layout_clicks(layout, detectors, target):
 
 
 def assert_reach_is_the_layout(reach, exp, target):
-    elements, layout = compile_run(exp)
+    elements, layout = unfolded_compile_run(exp)
     assert reach == reference_reach(elements)
     assert {path: (min(modes), max(modes) - min(modes) + 1) for path, modes in reach.items()} == {
         path: (low, size) for path, (_, low, size) in layout.blocks.items()
     }
     assert search_module._can_click(reach, exp.detectors, target) == layout_clicks(layout, exp.detectors, target)
+    # ``run`` compiles the list with its shifts folded into the sources
+    # (``compile_run``), on a layout of its own, which need not lie inside
+    # this one; but this layout holds every term of that run.
+    for occ in run(exp).terms:
+        layout.encode(occ)
 
 
 START_LABELS = [ModeLabel(path, mode) for path in ("t", "a", "b", "c", "d") for mode in (-2, 0, 1, 3)]
@@ -584,7 +597,7 @@ def test_the_key_reach_is_the_compiled_layout_on_drawn_keys(name, seed, trial, l
 def test_the_reach_is_the_compiled_layout_on_the_corpus(path, data):
     exp = load_experiment(path.name)
     ranks = tuple(data.draw(st.integers(1, 6)) for _ in exp.detectors)
-    reach = mode_reach(map(reach_step, compile_run(exp)[0]))
+    reach = mode_reach(map(reach_step, resolve_loss_paths(exp.elements)))
     product = StateVector.from_occupations({ModeLabel(p, 0): 1 for p in exp.detectors})
     for target in (SrvTarget(exp.detectors, ranks), FidelityTarget(product)):
         assert_reach_is_the_layout(reach, exp, target)
