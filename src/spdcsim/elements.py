@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from copy import copy
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
@@ -151,14 +152,6 @@ def taylor_weights(g: float, order: int) -> list[float]:
     return weights
 
 
-#: The most transfer-table signatures :func:`crystal_transfer` keeps; a
-#: new one past this empties the memo first (one ``clear``, which no other
-#: thread can interrupt).  One benchmark pass makes at most about 180.
-TABLE_SIGNATURES = 1024
-
-_tables: dict[tuple, dict[int, list[tuple[int, int, Any]]]] = {}
-
-
 def crystal_transfer(
     crystal: Crystal | MultimodeCrystal,
     weights: Sequence[Any],
@@ -180,25 +173,19 @@ def crystal_transfer(
 
     ``D`` reads and writes only the crystal's own fields, so the series
     acting on a term depends only on the term's *local* occupation, its
-    bits in those fields.  A transfer table, keyed by the local bits,
-    holds the series of each local occupation, expanded once, as entries
-    ``(photons, key delta, sum_k weights[k] c_k)``, where ``photons``
-    counts the entry's own local photons and ``c_k`` is a coefficient of
-    ``D^k``.  A term then costs one lookup and one add per entry, and
-    skips the entries that would take it above the limit; a table lists
-    its entries fewest photons first and holds none above the limit.
+    bits in those fields.  The step's transfer table, keyed by the local
+    bits, holds the series of each local occupation, expanded once
+    (:func:`_expand_local`), as entries ``(photons, key delta, sum_k
+    weights[k] c_k)``, where ``photons`` counts the entry's own local
+    photons and ``c_k`` is a coefficient of ``D^k``.  A term then costs
+    one lookup and one add per entry, and skips the entries that would
+    take it above the limit; a table lists its entries fewest photons
+    first and holds none above the limit.
 
-    The table is kept for the life of the process, one per signature:
-    the crystal's slot offsets, ``layout.mask``, the weights and their
-    types (so a float table never serves an exact caller),
-    ``creation_only``, ``bosonic`` and the limit.  A step expands only
-    the local occupations its table lacks; at most
-    :data:`TABLE_SIGNATURES` signatures are kept, and a step keeps its
-    own table when the memo drops it.
-
-    A missing occupation is expanded alone (:func:`_expand_local`) and
-    stored with one assignment, so no call ever reads a half-built entry
-    list.
+    The table belongs to the step: it fills as calls meet new local
+    occupations and lives as long as the step, so one run, one search
+    span or one exact-efficiency pass expands each occupation of a
+    crystal once, and nothing is kept between them.
 
     With ``limit``, only terms of at most ``limit`` photons are returned;
     without, the limit is the layout's bound, which no input term of the
@@ -212,14 +199,7 @@ def crystal_transfer(
         local_bits |= mask << a | mask << b
     if limit is None:
         limit = layout.bound
-    signature = (
-        tuple(slots), mask, tuple(weights), tuple(map(type, weights)), creation_only, bosonic, limit
-    )
-    table = _tables.get(signature)
-    if table is None:
-        if len(_tables) >= TABLE_SIGNATURES:
-            _tables.clear()
-        table = _tables[signature] = {}
+    table: dict[int, list[tuple[int, int, Any]]] = {}
 
     def transfer(terms: Mapping[int, Any]) -> dict[int, Any]:
         out: dict[int, Any] = {}
@@ -565,7 +545,8 @@ def fold_shifts(elements: Sequence[Element]) -> tuple[Element, ...]:
     it leaves empty; a phase reads only photon counts.  A multimode
     crystal with two offsets, or a misalignment whose path and loss path
     differ in offset, keeps the shifts of both right after it.  An offset
-    left at the front acts on vacuum and is dropped.
+    left at the front acts on vacuum and is dropped.  A moved source is
+    built by :func:`_moved`, so its checks do not run, or warn, again.
     """
     pending: dict[str, int] = {}
     folded: list[Element] = []  # in reverse order
@@ -583,7 +564,7 @@ def fold_shifts(elements: Sequence[Element]) -> tuple[Element, ...]:
         if isinstance(element, Crystal):
             a, b = element.out_a, element.out_b
             if pending.get(a.path) or pending.get(b.path):
-                element = replace(
+                element = _moved(
                     element,
                     out_a=ModeLabel(a.path, a.mode + pending.get(a.path, 0)),
                     out_b=ModeLabel(b.path, b.mode + pending.get(b.path, 0)),
@@ -593,10 +574,20 @@ def fold_shifts(elements: Sequence[Element]) -> tuple[Element, ...]:
             if delta != pending.get(element.path_b, 0):
                 emit(element.path_a, element.path_b)
             elif delta:
-                element = replace(element, modes=tuple(m + delta for m in element.modes))
+                element = _moved(element, modes=tuple(m + delta for m in element.modes))
         elif isinstance(element, Relabel):
             pending[element.source] = pending.get(element.target, 0)
         elif isinstance(element, Misalignment) and pending.get(element.path, 0) != pending.get(element.loss, 0):
             emit(element.path, element.loss)
         folded.append(element)
     return tuple(reversed(folded))
+
+
+def _moved(source: Crystal | MultimodeCrystal, **fields: Any) -> Crystal | MultimodeCrystal:
+    """``replace(source, **fields)`` without ``__post_init__``: moved
+    labels or modes pass every check the source passed, and a coupling
+    above :data:`G_WARN` has warned once already."""
+    moved = copy(source)
+    for name, value in fields.items():
+        object.__setattr__(moved, name, value)
+    return moved

@@ -130,12 +130,11 @@ def run(exp: Experiment) -> StateVector:
     :func:`post_select`, :func:`success_fraction` and the scores of
     ``analysis`` read the keys and decode nothing.
 
-    Each crystal is expanded through a transfer table keyed by the
-    crystal's local bits and kept for the life of the process, one per
-    signature (slot offsets, field mask, series weights, convention and
-    limit): the series is computed once per local occupation, alone,
-    the first time a term holds it, and every term then takes one lookup
-    and one add per table entry (``elements.crystal_transfer``).
+    Each crystal is expanded through its step's transfer table, keyed by
+    the crystal's local bits and kept as long as the step, here one run:
+    the series is computed once per local occupation, alone, the first
+    time a term holds it, and every term then takes one lookup and one
+    add per table entry (``elements.crystal_transfer``).
     Every crystal keeps only terms of at most ``2 * pair_budget``
     photons; the cut is made inside the expansion, which skips the
     entries that would end above it and never expands a local term that

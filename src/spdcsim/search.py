@@ -853,9 +853,9 @@ def search_with_stats(config: SearchConfig, *, workers: int = 1) -> tuple[list[S
     run here when there is one and in a process pool otherwise (imported
     only then, so a serial search loads no process machinery).  The stats
     count the union of the spans' scored keys and classes, so they are
-    the serial search's for any worker count.  No score cache outlives the
-    call; the crystal transfer tables that scoring fills stay, by design,
-    in ``elements``' process-wide memo (``crystal_transfer``).
+    the serial search's for any worker count.  Nothing outlives the call:
+    the score cache and each span's element steps, with the crystal
+    transfer tables they fill (``elements.crystal_transfer``), go with it.
     """
     start = time.perf_counter()
     n = max(1, min(workers, config.budget))

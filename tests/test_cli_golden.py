@@ -2,9 +2,10 @@
 
 The digests were written by ``data/make_cli_golden.py``: for each
 corpus file, stdout, stderr and the exit code of ``run``, ``run
---json``, ``run --no-postselect``, ``srv`` and ``efficiency 4 2
---simulate``, each run through ``python -m spdcsim.cli``.  Any change to
-a printed byte or an exit code fails here.
+--json``, ``run --no-postselect``, ``srv``, ``efficiency 4 2
+--simulate`` and ``fidelity --target ghz:{n}:2`` with ``{n}`` the
+file's detector count, each run through ``python -m spdcsim.cli``.
+Any change to a printed byte or an exit code fails here.
 """
 
 import importlib.util

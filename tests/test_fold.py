@@ -9,6 +9,7 @@ unfolded list, the resolved elements evolved by ``run_keys`` on their own
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from spdcsim import analysis, experiment
 from spdcsim.analysis import efficiency_simulated, ghz_layout
+from spdcsim.dsl import parse
 from spdcsim.elements import (
     Crystal,
     Misalignment,
@@ -113,6 +115,27 @@ def test_a_multimode_crystal_takes_one_offset_on_both_paths():
     elements = (MultimodeCrystal("a", "b", (0, 1)), ModeShifter("a", 1), ModeShifter("b", 1))
     assert fold_shifts(elements) == (MultimodeCrystal("a", "b", (1, 2)),)
     assert_fold_is_bit_identical(Experiment(elements=elements, detectors=("a", "b")))
+
+
+def test_a_moved_source_warns_no_more_than_its_parse():
+    """A coupling above ``G_WARN`` warns once, when its source is built:
+    the fold moves a source without building it anew, so ``run`` adds no
+    warning, and the moved source equals a freshly built one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        single = parse("detectors a b\ncrystal a:0 b:0 g=0.3\nshift a 1\n")
+        multimode = Experiment(
+            elements=(MultimodeCrystal("a", "b", (0, 1), g=0.3), ModeShifter("a", 1), ModeShifter("b", 1)),
+            detectors=("a", "b"),
+        )
+        moved = (Crystal(ModeLabel("a", 1), ModeLabel("b", 0), g=0.3), MultimodeCrystal("a", "b", (1, 2), g=0.3))
+        assert len(caught) == 4
+        caught.clear()
+        for exp in (single, multimode):
+            run(exp)
+        assert caught == []
+        assert fold_shifts(single.elements) + fold_shifts(multimode.elements) == moved
+        assert caught == []
 
 
 def test_an_asymmetric_multimode_crystal_keeps_its_shifts_right_after_it():

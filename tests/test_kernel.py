@@ -1,15 +1,14 @@
 """Property tests for the packed occupation keys, the fused
-pair-generator kernel, the crystal expansion's transfer tables and the
-memo that keeps them per process, the passive-element kernel, and the
-splices that ``StateVector.create`` and ``annihilate`` are built on.
+pair-generator kernel, the crystal expansion's transfer tables, which
+live as long as their step and no longer, the passive-element kernel,
+and the splices that ``StateVector.create`` and ``annihilate`` are
+built on.
 
 The kernels run on packed ``int`` keys; each test packs its states on a
 key layout, applies the kernel and unpacks, so the oracles stay the
 canonical occupation tuples."""
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -370,7 +369,7 @@ def test_monomial_transfer_table_equals_power_by_power_series(
     assert expansion(terms, crystal, weights, **options) == series(terms, crystal, weights, **options)
 
 
-# -- the transfer tables kept per process ------------------------------------
+# -- a step's transfer table ------------------------------------------------
 
 
 def exact(terms):
@@ -380,8 +379,8 @@ def exact(terms):
 
 
 def shared_layout(crystal, weights, *term_dicts):
-    """One layout for several occupation-keyed states, so their
-    expansions share a table signature."""
+    """One layout for several occupation-keyed states, so one step can
+    expand them all."""
     labels = set().union(*map(labels_of, term_dicts))
     bound = max(map(most_photons, term_dicts)) + 2 * (len(weights) - 1)
     return compile_layout((crystal,), bound, labels)
@@ -394,9 +393,8 @@ int_weights = st.lists(st.integers(min_value=1, max_value=10**6), min_size=2, ma
 @settings(max_examples=200, deadline=None)
 @given(st.data(), crystals, limits, st.booleans(), st.booleans())
 def test_a_warm_table_gives_the_cold_result_bit_for_bit(data, crystal, limit, creation_only, bosonic):
-    """An expansion on a cleared memo equals the same call after another
-    state's expansion has filled part of its signature's table, and after
-    a call with other options has filled another signature's."""
+    """A step whose table another state's expansion has partly filled
+    gives a fresh step's result, bit for bit, and so does its next call."""
     if bosonic:
         first, second = data.draw(sparse_states()).terms, data.draw(sparse_states()).terms
         weights = data.draw(float_weights)
@@ -405,21 +403,18 @@ def test_a_warm_table_gives_the_cold_result_bit_for_bit(data, crystal, limit, cr
         weights = data.draw(int_weights)
     layout = shared_layout(crystal, weights, first, second)
     options = dict(creation_only=creation_only, bosonic=bosonic, limit=limit)
-    elements._tables.clear()
     cold = crystal_transfer(crystal, weights, layout, **options)(pack(layout, second))
-    elements._tables.clear()
-    crystal_transfer(crystal, weights, layout, **options)(pack(layout, first))
-    other = dict(
-        creation_only=data.draw(st.booleans()), bosonic=data.draw(st.booleans()), limit=data.draw(limits)
-    )
-    crystal_transfer(crystal, weights, layout, **other)(pack(layout, second))
-    warm = crystal_transfer(crystal, weights, layout, **options)(pack(layout, second))
+    step = crystal_transfer(crystal, weights, layout, **options)
+    step(pack(layout, first))
+    warm = step(pack(layout, second))
     assert list(exact(warm).items()) == list(exact(cold).items())
-    again = crystal_transfer(crystal, weights, layout, **options)(pack(layout, second))
+    again = step(pack(layout, second))
     assert list(exact(again).items()) == list(exact(cold).items())
 
 
 def test_a_second_call_expands_nothing(monkeypatch):
+    """A step expands each local occupation once; a new step for the same
+    crystal starts from an empty table."""
     calls = []
 
     def counted(*args, **options):
@@ -427,38 +422,47 @@ def test_a_second_call_expands_nothing(monkeypatch):
         return apply_pair_generator(*args, **options)
 
     monkeypatch.setattr(elements, "apply_pair_generator", counted)
-    monkeypatch.setattr(elements, "_tables", {})
     a, b = ModeLabel("a", 0), ModeLabel("b", 0)
     crystal = Crystal(a, b, g=0.1)
     terms = {make_occupation({a: 1}): 0.5, make_occupation({b: 2}): 1.0}
     layout = compile_layout((crystal,), 8, labels_of(terms))
     weights = taylor_weights(0.1, 3)
-    first = crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, terms))
+    step = crystal_transfer(crystal, weights, layout, limit=6)
+    first = step(pack(layout, terms))
     assert len(calls) == 6  # one per power per new local occupation
-    second = crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, terms))
+    second = step(pack(layout, terms))
     assert len(calls) == 6
     assert exact(second) == exact(first)
     mixed = {make_occupation({a: 1}): 0.5, make_occupation({a: 1, b: 1}): 1.0}
-    crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, mixed))
+    step(pack(layout, mixed))
     assert len(calls) == 9  # only the new occupation, one call per power
+    fresh = crystal_transfer(crystal, weights, layout, limit=6)(pack(layout, terms))
+    assert len(calls) == 15
+    assert exact(fresh) == exact(first)
 
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_states(), crystals, orders, limits, st.booleans())
 def test_no_stored_entry_holds_more_than_the_limit(state, crystal, order, limit, creation_only):
-    elements._tables.clear()
+    """``_expand_local``'s entries for each local occupation of the state
+    come fewest photons first, and none holds more than the limit."""
     weights = taylor_weights(crystal.g, order)
-    expansion(state.terms, crystal, weights, creation_only=creation_only, limit=limit)
-    [(signature, table)] = elements._tables.items()
-    mask, limit = signature[1], signature[-1]
-    for local, entries in table.items():
+    layout = compile_layout((crystal,), most_photons(state.terms) + 2 * order, labels_of(state.terms))
+    mask = layout.mask
+    limit = layout.bound if limit is None else limit
+    slots = [(layout.fields[a], layout.fields[b]) for a, b in crystal_pairs(crystal)]
+    local_bits = 0
+    for a, b in slots:
+        local_bits |= mask << a | mask << b
+    for key in pack(layout, state.terms):
+        local = key & local_bits
+        entries = elements._expand_local(local, slots, mask, weights, creation_only, True, limit)
         assert entries == sorted(entries)
         for photons, delta, _ in entries:
             assert photons == (local + delta) % mask <= limit
 
 
-def test_equal_weights_of_different_types_get_distinct_tables(monkeypatch):
-    monkeypatch.setattr(elements, "_tables", {})
+def test_equal_weights_of_different_types_get_distinct_tables():
     a, b = ModeLabel("a", 0), ModeLabel("b", 0)
     crystal = Crystal(a, b)
     layout = compile_layout((crystal,), 4)
@@ -467,87 +471,74 @@ def test_equal_weights_of_different_types_get_distinct_tables(monkeypatch):
         out = crystal_transfer(crystal, [one] * 3, layout, creation_only=True, bosonic=False)({0: 1})
         results[type(one)] = out
         assert {type(c) for c in out.values()} == {type(one)}
-    assert len(elements._tables) == 3
     assert results[int] == results[float] == results[Fraction]
 
 
-def test_threads_sharing_the_memo_get_the_serial_results(monkeypatch):
-    """Four threads expand overlapping states on a memo of two
-    signatures, so tables are built, dropped and rebuilt while other
-    threads read them."""
-    monkeypatch.setattr(elements, "TABLE_SIGNATURES", 2)
-    a, b, c = ModeLabel("a", 0), ModeLabel("b", 0), ModeLabel("c", 1)
-    terms = {
-        make_occupation({a: 1}): 0.5,
-        make_occupation({b: 2, c: 1}): -1.0,
-        make_occupation({a: 1, c: 2}): 0.25j,
-        (): 1.0,
-    }
-    jobs = []
-    for crystal in (Crystal(a, b), Crystal(b, c), Crystal(a, a), MultimodeCrystal("a", "c", (0, 1))):
-        layout = compile_layout((crystal,), 9, labels_of(terms))
-        for limit in (3, 5):
-            jobs.append((pack(layout, terms), crystal, taylor_weights(crystal.g, 2), layout, limit))
-
-    def expand_all(rounds):
-        return [
-            exact(crystal_transfer(crystal, weights, layout, limit=limit)(keys))
-            for _ in range(rounds)
-            for keys, crystal, weights, layout, limit in jobs
-        ]
-
-    elements._tables.clear()
-    serial = expand_all(100)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(expand_all, 100) for _ in range(4)]
-            results = [future.result(timeout=120) for future in futures]
-    finally:
-        sys.setswitchinterval(switch)
-    assert all(result == serial for result in results)
-    assert len(elements._tables) <= 2
+#: Criterion 13's search (``test_acceptance``), cut to 3000 trials.
+GHZ_SEARCH = SearchConfig(
+    pool=ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal",), crystal_modes=((0, 0), (1, 1))),
+    detectors=("a", "b", "c", "d"),
+    target=FidelityTarget(ghz_target(4, 2), threshold=0.999),
+    max_elements=4,
+    budget=3000,
+    seed=20240817,
+)
+#: A five-kind search on a rank target, 1000 trials.
+MIXED_SEARCH = SearchConfig(
+    pool=ElementPool(
+        paths=("a", "b", "c", "d"),
+        kinds=("crystal", "multimode", "shift", "phase", "relabel"),
+        crystal_modes=((0, 0), (0, 1), (1, 0), (1, 1)),
+    ),
+    detectors=("a", "b", "c", "d"),
+    target=SrvTarget(parties=("b", "c", "d"), ranks=(4, 2, 2)),
+    max_elements=6,
+    budget=1000,
+    seed=777,
+)
 
 
-def test_search_hits_and_stats_do_not_depend_on_the_memo():
-    """The criterion-13 search, cut to 3000 trials, on a cleared memo and
-    on one warm from two other searches."""
-    config = SearchConfig(
-        pool=ElementPool(paths=("a", "b", "c", "d"), kinds=("crystal",), crystal_modes=((0, 0), (1, 1))),
-        detectors=("a", "b", "c", "d"),
-        target=FidelityTarget(ghz_target(4, 2), threshold=0.999),
-        max_elements=4,
-        budget=3000,
-        seed=20240817,
-    )
-    mixed = SearchConfig(
-        pool=ElementPool(
-            paths=("a", "b", "c", "d"),
-            kinds=("crystal", "multimode", "shift", "phase", "relabel"),
-            crystal_modes=((0, 0), (0, 1), (1, 0), (1, 1)),
-        ),
-        detectors=("a", "b", "c", "d"),
-        target=SrvTarget(parties=("b", "c", "d"), ranks=(4, 2, 2)),
-        max_elements=6,
-        budget=1000,
-        seed=777,
-    )
+def test_no_state_outlives_a_search(monkeypatch):
+    """Each search, run twice in one process with other searches between,
+    gives the same hits, the same stats bar the timings, and expands the
+    same local occupations again: no table outlives the call."""
+    expanded = []
 
-    def outcome():
+    def counted(*args):
+        expanded.append(args[0])
+        return expand_local(*args)
+
+    expand_local = elements._expand_local
+    monkeypatch.setattr(elements, "_expand_local", counted)
+
+    def outcome(config):
+        expanded.clear()
         hits, stats = search_with_stats(config)
         record = stats.record()
         for timing in ("draw_s", "score_s", "trials_per_s"):
             del record[timing]
-        return [(hit.trial_index, hit.experiment, hit.score) for hit in hits], record
+        return [(hit.trial_index, hit.experiment, hit.score) for hit in hits], record, len(expanded)
 
-    elements._tables.clear()
-    cold = outcome()
-    search(replace(config, seed=7, budget=1000))
-    search(mixed)
-    assert elements._tables
-    assert outcome() == cold
-    assert cold[0]
+    first = [outcome(config) for config in (GHZ_SEARCH, MIXED_SEARCH)]
+    search(replace(GHZ_SEARCH, seed=7, budget=1000))
+    search(replace(MIXED_SEARCH, seed=8))
+    assert [outcome(config) for config in (GHZ_SEARCH, MIXED_SEARCH)] == first
+    assert first[0][0] and first[0][2] == 105
+
+
+def test_a_span_builds_each_crystals_step_once(monkeypatch):
+    """Every setup a search span scores shares the span's step of each
+    crystal, so ``crystal_transfer`` runs once per distinct crystal."""
+    crystals = []
+
+    def counted(crystal, *args, **options):
+        crystals.append(crystal)
+        return transfer(crystal, *args, **options)
+
+    transfer = elements.crystal_transfer
+    monkeypatch.setattr(elements, "crystal_transfer", counted)
+    assert search(GHZ_SEARCH)
+    assert len(crystals) == len(set(crystals)) == 12
 
 
 # -- packed keys ---------------------------------------------------------------
